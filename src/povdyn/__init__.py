@@ -4,13 +4,12 @@ Reallocating geometric Brownian motion over an agent population, per-year
 calibration of the reallocation rate to an observed bottom-half income
 share, and poverty transition/persistence statistics across configurable
 poverty lines. Fully deterministic for a given seed, independent of worker
-count; a compiled kernel backend is used when available with a NumPy
-fallback selected at import.
+count. Pure Python on NumPy and SciPy: each kernel has one NumPy
+implementation and nothing is compiled.
 """
 
 __version__ = "0.1.0"
 
-from .backend import backend_name
 from .calibrate import (CalibrationConfig, CalibrationResult, YearFit,
                         effective_tau, fit_series, fit_tau_year, replay,
                         replay_with_effective)
@@ -25,6 +24,12 @@ from .rgbm import (ModelParams, Population, bottom_share, init_lognormal,
                    sigma_ln_for_share, step)
 from .rng import INIT_TAG, STEP_TAG, RngStream
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation; always 'python' (NumPy)."""
+    return "python"
+
 
 __all__ = [
     "__version__", "backend_name",

@@ -21,8 +21,8 @@ from .dataio import config_digest
 from .errors import (DataError, NonContiguousSeriesError,
                      UndefinedShareError)
 from .poverty import IncomePanel
-from .rgbm import (ModelParams, Population, bottom_share_of, step,
-                   step_components)
+from .rgbm import (ModelParams, Population, apply_rate, bottom_share_of,
+                   step, step_components)
 from .rng import RngStream
 from .series import AnnualSeries
 
@@ -165,7 +165,7 @@ def _fit_one(state: Population, target_s50: float, params: ModelParams,
     """Fit one year's rate under frozen noise.
 
     Returns (tau, residual, clamped, base, relief) where the stepped
-    incomes for any rate ``t`` are ``base - (t*dt)*relief``.
+    incomes for any rate ``t`` are ``apply_rate(base, relief, t, dt)``.
     """
     if not (0.0 < target_s50 < 1.0):
         raise ValueError(f"target share must be in (0, 1), got {target_s50!r}")
@@ -179,7 +179,8 @@ def _fit_one(state: Population, target_s50: float, params: ModelParams,
         return 0.0, abs(target_s50), True, base, relief
 
     def gap(tau: float) -> float:
-        return bottom_share_of(base - (tau * dt) * relief, 0.5) - target_s50
+        return (bottom_share_of(apply_rate(base, relief, tau, dt), 0.5)
+                - target_s50)
 
     tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
                                          cfg.tolerance, cfg.max_iterations)
@@ -191,7 +192,8 @@ def fit_tau_year(state: Population, target_s50: float, params: ModelParams,
     """Fit the reallocation rate for one year and step the state under it."""
     tau, residual, clamped, base, relief = _fit_one(state, target_s50,
                                                     params, cfg, rng)
-    nxt = Population(base - (tau * params.dt) * relief, state.year + 1)
+    nxt = Population(apply_rate(base, relief, tau, params.dt),
+                     state.year + 1)
     return YearFit(tau=tau, population=nxt, residual=residual,
                    clamped=clamped,
                    diverged=clamped and residual > cfg.divergence_threshold)
@@ -306,7 +308,7 @@ def fit_series(initial: Population, targets: AnnualSeries,
             rate = float(np.mean(taus[lo:i + 1]))
         else:
             rate = tau
-        state = Population(base - (rate * params.dt) * relief, year)
+        state = Population(apply_rate(base, relief, rate, params.dt), year)
         fitted_shares[i] = _share_or_zero(state.incomes, [], year)
 
     tau_series = AnnualSeries(targets.years.copy(), taus)

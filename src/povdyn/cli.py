@@ -20,9 +20,10 @@ import numpy as np
 from . import __version__
 from .calibrate import (CalibrationConfig, CalibrationResult, fit_series,
                         replay)
-from .dataio import (RunManifest, read_hcr_file, read_panel, read_series,
-                     write_json, write_manifest, write_panel, write_paths_csv,
-                     write_pooled_csv, write_report_csv, write_series)
+from .dataio import (RunManifest, json_value, read_hcr_file, read_panel,
+                     read_series, write_json, write_manifest, write_panel,
+                     write_paths_csv, write_pooled_csv, write_report_csv,
+                     write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
 from .poverty import (IncomePanel, bpl_gini_series, classify,
@@ -149,12 +150,19 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if key not in known and not key.startswith("hcr_"):
             raise ConfigError(f"unknown config key {key!r}")
 
+    def model_value(key, cast):
+        # a command-line override wins over the config file
+        given = getattr(args, key)
+        if given is not None:
+            return given
+        return _typed(kv, key, cast, getattr(ModelParams, key))
+
     try:
         model = ModelParams(
-            mu=_typed(kv, "mu", float, ModelParams.mu),
-            sigma=_typed(kv, "sigma", float, ModelParams.sigma),
+            mu=model_value("mu", float),
+            sigma=model_value("sigma", float),
             dt=_typed(kv, "dt", float, ModelParams.dt),
-            n_agents=_typed(kv, "n_agents", int, ModelParams.n_agents),
+            n_agents=model_value("n_agents", int),
         )
         calib = CalibrationConfig(
             tau_min=_typed(kv, "tau_min", float, CalibrationConfig.tau_min),
@@ -196,22 +204,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         start_year=_typed(kv, "start_year", int, None),
     )
 
-    # command-line overrides
+    # remaining command-line overrides (model ones are applied above)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.n_agents is not None:
-        cfg.model = ModelParams(mu=cfg.model.mu, sigma=cfg.model.sigma,
-                                dt=cfg.model.dt, n_agents=args.n_agents)
-    if args.mu is not None:
-        cfg.model = ModelParams(mu=args.mu, sigma=cfg.model.sigma,
-                                dt=cfg.model.dt, n_agents=cfg.model.n_agents)
-    if args.sigma is not None:
-        try:
-            cfg.model = ModelParams(mu=cfg.model.mu, sigma=args.sigma,
-                                    dt=cfg.model.dt,
-                                    n_agents=cfg.model.n_agents)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     if args.out is not None:
         cfg.out_dir = Path(args.out)
     if args.threads is not None:
@@ -390,11 +385,11 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
                         for stat in ("p_in", "p_out", "p_tx"):
                             val = getattr(pm, stat)
                             pooled_rows.append((first, last, stat, None, val))
-                            pooled_json[key][stat] = _json_safe(val)
+                            pooled_json[key][stat] = json_value(val)
                     pooled_rows.append((first, last, "p_stic", t_p, pm.p_stic))
                     pooled_rows.append((first, last, "p_esc", t_p, pm.p_esc))
-                    pooled_json[key][f"p_stic_{t_p}"] = _json_safe(pm.p_stic)
-                    pooled_json[key][f"p_esc_{t_p}"] = _json_safe(pm.p_esc)
+                    pooled_json[key][f"p_stic_{t_p}"] = json_value(pm.p_stic)
+                    pooled_json[key][f"p_esc_{t_p}"] = json_value(pm.p_esc)
             write_pooled_csv(pooled_rows, out / f"pooled_{name}.csv",
                              manifest_digest=manifest.digest)
             write_paths_csv(bundle, out / f"paths_{name}.csv",
@@ -410,18 +405,13 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
             print(f"metrics[{name}]: years {int(pp.years[0])}-"
                   f"{int(pp.years[-1])}, {cfg.tp_max} spell thresholds, "
                   f"{len(cfg.pool_periods)} pooled periods")
-        except (DataError, PovdynError) as exc:
+        except PovdynError as exc:
             summary["failed"][name] = str(exc)
             print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
     write_json(summary, out / "summary.json")
     if cfg.hcr_files and not summary["definitions"]:
         raise DataError("all poverty-line definitions failed")
     return summary
-
-
-def _json_safe(x: float):
-    import math
-    return None if (isinstance(x, float) and not math.isfinite(x)) else x
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +490,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (never changes results); "
+                        help="agent slices stepped in parallel per year "
+                             "(never changes results); "
                              "default from POVDYN_THREADS")
     parser.add_argument("--strict", action="store_true",
                         help="treat calibration divergence as fatal")

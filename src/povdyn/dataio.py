@@ -186,24 +186,65 @@ def write_panel(panel, out_dir, fmt: str = "npy") -> list[Path]:
     return written
 
 
+_PANEL_META_KEYS = ("seed", "fingerprint", "n_agents", "first_year",
+                   "last_year", "format")
+
+
 def read_panel(directory):
-    """Load a panel written by :func:`write_panel`."""
+    """Load a panel written by :func:`write_panel`.
+
+    Raises DataError when the metadata is missing, is not valid JSON,
+    lacks a key or names an unknown format, when the panel files cannot
+    be parsed, and when the arrays disagree with the metadata on the
+    agent count or the year range.
+    """
     from .poverty import IncomePanel
 
     directory = Path(directory)
     meta_path = directory / "panel_meta.json"
     if not meta_path.exists():
         raise DataError(f"no panel_meta.json under {directory}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta["format"] == "npy":
-        years = np.load(directory / "panel_years.npy")
-        incomes = np.load(directory / "panel_incomes.npy")
-    else:
-        with open(directory / "panel.csv", newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-        years = np.array([int(c[1:]) for c in rows[0][1:]], dtype=np.int64)
-        incomes = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return IncomePanel(years=years, incomes=incomes, seed=int(meta["seed"]),
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{meta_path}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: expected a JSON object")
+    missing = [k for k in _PANEL_META_KEYS if k not in meta]
+    if missing:
+        raise DataError(f"{meta_path}: missing keys {missing}")
+    if meta["format"] not in ("npy", "csv"):
+        raise DataError(f"{meta_path}: unknown panel format "
+                        f"{meta['format']!r}")
+    try:
+        seed = int(meta["seed"])
+        n_agents = int(meta["n_agents"])
+        first, last = int(meta["first_year"]), int(meta["last_year"])
+        if meta["format"] == "npy":
+            years = np.load(directory / "panel_years.npy")
+            incomes = np.load(directory / "panel_incomes.npy")
+        else:
+            with open(directory / "panel.csv", newline="",
+                      encoding="utf-8") as f:
+                rows = list(csv.reader(f))
+            years = np.array([int(c[1:]) for c in rows[0][1:]],
+                             dtype=np.int64)
+            incomes = np.array([[float(v) for v in r[1:]]
+                                for r in rows[1:]])
+    except (OSError, ValueError, TypeError, IndexError) as exc:
+        raise DataError(f"cannot read panel under {directory}: {exc}"
+                        ) from None
+    # IncomePanel checks that the years are consecutive
+    n_years = last - first + 1
+    if years.shape != (n_years,) or n_years < 1 or int(years[0]) != first:
+        raise DataError(
+            f"{directory}: panel years do not match the metadata range "
+            f"{first}..{last}")
+    if incomes.shape != (n_agents, len(years)):
+        raise DataError(
+            f"{directory}: panel incomes have shape {incomes.shape}, "
+            f"metadata says {n_agents} agents x {len(years)} years")
+    return IncomePanel(years=years, incomes=incomes, seed=seed,
                        fingerprint=meta["fingerprint"])
 
 

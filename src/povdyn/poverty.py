@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import kernels
 from .errors import DataError, NonContiguousSeriesError, UndefinedGiniError
 from .rgbm import Population
 from .series import AnnualSeries
@@ -82,7 +81,11 @@ class PovertyLineSeries:
 
 @dataclass
 class PovertyPanel:
-    """Per-agent poverty flags and consecutive-poor-year counters."""
+    """Per-agent poverty flags and consecutive-poor-year counters.
+
+    :func:`classify` stores both arrays year-major, (t, n) C-contiguous;
+    ``poor`` and ``duration`` are their transposed (n, t) views.
+    """
 
     years: np.ndarray       # int64, consecutive
     poor: np.ndarray        # (n, t) bool
@@ -202,16 +205,19 @@ def classify(panel: IncomePanel, hcr: AnnualSeries, name: str = "poverty"
         )
     n_years = len(hcr)
     z = np.empty(n_years)
-    poor = np.empty((panel.n_agents, n_years), dtype=bool)
+    # year-major storage: every per-year read below is contiguous
+    poor = np.empty((n_years, panel.n_agents), dtype=bool)
     for j, (year, h) in enumerate(hcr):
         col = panel.column(year)
         z[j], _ = poverty_line_from_hcr(col, float(h))
-        poor[:, j] = col < z[j]
-    duration = np.empty_like(poor, dtype=np.int32)
-    kernels.fill_durations(np.ascontiguousarray(poor).view(np.uint8), duration)
+        np.less(col, z[j], out=poor[j])
+    duration = np.empty(poor.shape, dtype=np.int32)
+    duration[0] = poor[0]
+    for j in range(1, n_years):
+        np.multiply(duration[j - 1] + 1, poor[j], out=duration[j])
     line = PovertyLineSeries(name=name, years=hcr.years.copy(), z=z)
-    return line, PovertyPanel(years=hcr.years.copy(), poor=poor,
-                              duration=duration)
+    return line, PovertyPanel(years=hcr.years.copy(), poor=poor.T,
+                              duration=duration.T)
 
 
 def transition_probs(pp: PovertyPanel, t: int) -> TransitionProbs:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .backend import kernels
 from .errors import (InvalidTargetError, PropagationOverflowError,
                      UndefinedShareError)
 from .rng import INIT_TAG, STEP_TAG, RngStream
@@ -118,18 +117,18 @@ def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
             if b > a]
 
 
-def _run_update(x, w, m, mu_dt, sigma, tau_dt, out, threads):
-    ranges = _chunk_ranges(len(x), threads)
-    if len(ranges) == 1:
-        kernels.step_update(x, w, m, mu_dt, sigma, tau_dt, out, 0, len(x))
-        return
-    # Chunks write disjoint slices; per-element arithmetic is independent
-    # of the partition, so any thread count gives identical bytes.
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futs = [pool.submit(kernels.step_update, x, w, m, mu_dt, sigma,
-                            tau_dt, out, lo, hi) for lo, hi in ranges]
-        for f in futs:
-            f.result()
+def _components(x: np.ndarray, m: float, year: int, params: ModelParams,
+                rng: RngStream, lo: int, hi: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(base, relief)`` for agents ``lo..hi-1``, noise drawn for that slice.
+
+    The stream is exact on agent slices, so the result does not depend on
+    how the agent range is split.
+    """
+    xs = x[lo:hi]
+    w = rng.normals(year, STEP_TAG, lo, hi, params.dt)
+    base = xs + xs * (params.mu * params.dt) + xs * (params.sigma * w)
+    return base, xs - m
 
 
 def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
@@ -138,6 +137,8 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
 
     The year's noise is read from the stream at (agent, pop.year), the mean
     is computed once pre-update, and the result carries ``pop.year + 1``.
+    With ``threads > 1`` each worker draws the noise for its own slice of
+    agents and updates that slice; the bytes do not depend on ``threads``.
 
     Raises
     ------
@@ -147,11 +148,20 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     x = pop.incomes
-    w = rng.normals(pop.year, STEP_TAG, 0, pop.n, params.dt)
     m = float(np.mean(x))
     out = np.empty_like(x)
-    _run_update(x, w, m, params.mu * params.dt, params.sigma,
-                tau * params.dt, out, threads)
+
+    def update(lo: int, hi: int) -> None:
+        base, relief = _components(x, m, pop.year, params, rng, lo, hi)
+        apply_rate(base, relief, tau, params.dt, out=out[lo:hi])
+
+    ranges = _chunk_ranges(pop.n, threads)
+    if len(ranges) == 1:
+        update(0, pop.n)
+    else:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            for f in [pool.submit(update, lo, hi) for lo, hi in ranges]:
+                f.result()
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise PropagationOverflowError(bad, pop.year)
@@ -163,16 +173,23 @@ def step_components(pop: Population, params: ModelParams, rng: RngStream
     """Split the update into rate-free and rate-linear parts.
 
     Returns ``(base, relief)`` with ``base = x + x*mu*dt + x*(sigma*W)``
-    and ``relief = x - m``, so the stepped population for any ``tau`` is
-    ``base - (tau*dt)*relief``. The expression is arranged to be
-    bit-identical to :func:`step`, which lets the calibration search
-    evaluate many rates from one noise draw.
+    and ``relief = x - m``; :func:`apply_rate` turns them into the stepped
+    incomes for any ``tau``, bit-identical to :func:`step`. That lets the
+    calibration search evaluate many rates from one noise draw.
     """
     x = pop.incomes
-    w = rng.normals(pop.year, STEP_TAG, 0, pop.n, params.dt)
-    m = float(np.mean(x))
-    base = x + x * (params.mu * params.dt) + x * (params.sigma * w)
-    return base, x - m
+    return _components(x, float(np.mean(x)), pop.year, params, rng, 0, pop.n)
+
+
+def apply_rate(base: np.ndarray, relief: np.ndarray, tau: float, dt: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Stepped incomes ``base - (tau*dt)*relief`` (see step_components).
+
+    The only place the rate enters the update: :func:`step`, the
+    calibration search and the fitted forward state all use it, so a
+    replay under the fitted rates reproduces the fit bit for bit.
+    """
+    return np.subtract(base, (tau * dt) * relief, out=out)
 
 
 def bottom_share(pop: Population, fraction: float = 0.5) -> float:

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,17 @@ def test_bad_config_value_exit_code(tmp_path):
     assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", [
+    ["--n-agents", "1"], ["--mu", "nan"], ["--sigma", "-1"],
+])
+def test_bad_model_override_exit_code(tmp_path, capsys, override):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("init_s50 = 0.3\nstart_year = 1950\n")
+    code = run(["calibrate", "--config", str(cfg), *override])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_gappy_inequality_instructs_interpolation(tmp_path, capsys):
     src = tmp_path / "s50.csv"
     src.write_text("year,s50\n1951,0.27\n1952,0.27\n1954,0.26\n")
@@ -257,6 +269,22 @@ def test_metrics_partial_definition_failure(tmp_path, fixtures_dir,
     assert "bad" in summary["failed"]
     assert (out / "metrics_small.csv").exists()
     assert not (out / "metrics_bad.csv").exists()
+
+
+def test_metrics_panel_meta_missing_key_exit_code(tmp_path, fixtures_dir,
+                                                  capsys):
+    panel = tmp_path / "panel"
+    shutil.copytree(fixtures_dir / "panel_small", panel)
+    meta = json.loads((panel / "panel_meta.json").read_text())
+    del meta["fingerprint"]
+    (panel / "panel_meta.json").write_text(json.dumps(meta))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"panel_dir = {panel}\n"
+                   f"hcr_small = {fixtures_dir / 'hcr_small.csv'}\n")
+    code = run(["metrics", "--config", str(cfg), "--out",
+                str(tmp_path / "run")])
+    assert code == EXIT_DATA
+    assert "fingerprint" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Series parsing, interpolation, writers, round trips, manifests."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -178,6 +179,60 @@ def test_npy_panel_bytes_deterministic(tmp_path):
 
 
 def test_read_panel_missing_meta(tmp_path):
+    with pytest.raises(DataError):
+        read_panel(tmp_path)
+
+
+@pytest.fixture
+def panel_copy(tmp_path, fixtures_dir):
+    """Writable copy of the 5-agent csv panel fixture (2000-2007)."""
+    dst = tmp_path / "panel"
+    shutil.copytree(fixtures_dir / "panel_small", dst)
+    return dst
+
+
+def _edit_meta(panel_dir, **changes):
+    path = panel_dir / "panel_meta.json"
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps({k: v for k, v in meta.items()
+                                if v is not None}))
+
+
+@pytest.mark.parametrize("key", ["seed", "fingerprint", "n_agents",
+                                 "first_year", "last_year", "format"])
+def test_read_panel_missing_meta_key(panel_copy, key):
+    _edit_meta(panel_copy, **{key: None})
+    with pytest.raises(DataError, match=key):
+        read_panel(panel_copy)
+
+
+@pytest.mark.parametrize("text", ['{"format": "csv",', '[1, 2]'])
+def test_read_panel_bad_json(panel_copy, text):
+    (panel_copy / "panel_meta.json").write_text(text)
+    with pytest.raises(DataError, match="JSON"):
+        read_panel(panel_copy)
+
+
+def test_read_panel_unknown_format(panel_copy):
+    _edit_meta(panel_copy, format="parquet")
+    with pytest.raises(DataError, match="parquet"):
+        read_panel(panel_copy)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(n_agents=6), dict(first_year=2001), dict(last_year=2008),
+    dict(first_year=1999, last_year=2006),
+])
+def test_read_panel_arrays_disagree_with_meta(panel_copy, changes):
+    _edit_meta(panel_copy, **changes)
+    with pytest.raises(DataError):
+        read_panel(panel_copy)
+
+
+def test_read_panel_missing_array_file(tmp_path):
+    write_panel(_make_panel(), tmp_path, fmt="npy")
+    (tmp_path / "panel_incomes.npy").unlink()
     with pytest.raises(DataError):
         read_panel(tmp_path)
 

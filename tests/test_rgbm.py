@@ -6,7 +6,8 @@ import pytest
 from povdyn.errors import (InvalidTargetError, PropagationOverflowError,
                            UndefinedShareError)
 from povdyn.rgbm import (ModelParams, Population, bottom_share,
-                         init_lognormal, sigma_ln_for_share, step)
+                         init_lognormal, sigma_ln_for_share, step,
+                         step_components)
 from povdyn.rng import RngStream
 
 from oracles import bottom_share_sorted, lognormal_sigma_by_bisection, \
@@ -114,12 +115,18 @@ def test_growth_moment_with_noise():
 
 
 def test_determinism_across_thread_counts():
-    params = ModelParams(n_agents=10_000)
-    pop = init_lognormal(params, 0.25, seed=4, year=1960)
-    outs = [step(pop, params, 0.03, RngStream(4), threads=k).incomes
-            for k in (1, 2, 7)]
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+    # step on any thread count is base - (tau*dt)*relief bit for bit,
+    # including negative incomes (they occur under regressive reallocation)
+    for dt in (1.0, 0.5):
+        params = ModelParams(dt=dt, n_agents=10_000)
+        pop = init_lognormal(params, 0.25, seed=4, year=1960)
+        pop.incomes[:5] = -0.3
+        base, relief = step_components(pop, params, RngStream(4))
+        for tau in (0.0, 0.02, -0.25, 0.5):
+            expected = base - (tau * dt) * relief
+            for k in (1, 2, 3, 7):
+                out = step(pop, params, tau, RngStream(4), threads=k)
+                assert np.array_equal(out.incomes, expected)
 
 
 def test_scale_equivariance_of_shares():
