@@ -22,9 +22,9 @@ from .errors import (DataError, NonContiguousSeriesError,
                      UndefinedShareError)
 from .poverty import IncomePanel
 from .rgbm import (ModelParams, Population, apply_rate, bottom_share_of,
-                   step, step_components)
-from .rng import RngStream
-from .series import AnnualSeries
+                   step, step_components, step_with_noise)
+from .rng import STEP_TAG, RngStream
+from .series import AnnualSeries, PartialSeries
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -75,25 +75,32 @@ class CalibrationResult:
     tau: AnnualSeries
     tau_effective: AnnualSeries
     residuals: AnnualSeries
-    replay_shares: AnnualSeries
-    fitted_shares: AnnualSeries
+    replay_shares: PartialSeries
+    fitted_shares: PartialSeries
     divergent_years: tuple[int, ...] = ()
     clamped_years: tuple[int, ...] = ()
 
 
-def _share_or_zero(incomes: np.ndarray, degenerate: list[int],
-                   year: int) -> float:
+def _share_or_nan(incomes: np.ndarray, degenerate: list[int],
+                  year: int) -> float:
     """Bottom share with the degenerate-population rescue.
 
     A non-positive income total (only reachable for tiny populations under
-    extreme noise) leaves the share undefined; record 0.0 and note the
-    year so long runs survive with a loud flag instead of aborting.
+    extreme noise) leaves the share undefined; record NaN, which the
+    writers turn into an empty field, and note the year so long runs
+    survive with a loud flag instead of aborting.
     """
     try:
         return bottom_share_of(incomes, 0.5)
     except UndefinedShareError:
         degenerate.append(int(year))
-        return 0.0
+        return math.nan
+
+
+def _warn_undefined(degenerate: list[int]) -> None:
+    if degenerate:
+        warnings.warn(f"bottom share undefined (non-positive total income) "
+                      f"in years {degenerate}; left empty")
 
 
 def _search_tau(gap, lo: float, hi: float, tolerance: float,
@@ -159,44 +166,60 @@ def _golden_section(gap, lo: float, hi: float, tolerance: float,
     return tau, f(tau), False
 
 
-def _fit_one(state: Population, target_s50: float, params: ModelParams,
-             cfg: CalibrationConfig, rng: RngStream
-             ) -> tuple[float, float, bool, np.ndarray, np.ndarray]:
+def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
+             dt: float, cfg: CalibrationConfig) -> tuple[float, float, bool]:
     """Fit one year's rate under frozen noise.
 
-    Returns (tau, residual, clamped, base, relief) where the stepped
+    ``base`` and ``relief`` come from :func:`step_components`; the stepped
     incomes for any rate ``t`` are ``apply_rate(base, relief, t, dt)``.
+    Returns (tau, residual, clamped).
     """
     if not (0.0 < target_s50 < 1.0):
         raise ValueError(f"target share must be in (0, 1), got {target_s50!r}")
-    base, relief = step_components(state, params, rng)
-    dt = params.dt
 
     # the reallocation term sums to zero, so total income after the step is
     # the same for every rate; a non-positive total (tiny degenerate
     # populations) leaves the share undefined for the whole bracket
     if float(np.sum(base)) <= 0.0:
-        return 0.0, abs(target_s50), True, base, relief
+        return 0.0, abs(target_s50), True
+
+    # each evaluation steps into one scratch vector and partitions it in
+    # place after taking its total: no allocation per evaluation
+    scratch = np.empty_like(base)
 
     def gap(tau: float) -> float:
-        return (bottom_share_of(apply_rate(base, relief, tau, dt), 0.5)
+        return (bottom_share_of(apply_rate(base, relief, tau, dt, out=scratch),
+                                0.5, overwrite_input=True)
                 - target_s50)
 
-    tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
-                                         cfg.tolerance, cfg.max_iterations)
-    return tau, residual, clamped, base, relief
+    return _search_tau(gap, cfg.tau_min, cfg.tau_max, cfg.tolerance,
+                       cfg.max_iterations)
 
 
 def fit_tau_year(state: Population, target_s50: float, params: ModelParams,
                  cfg: CalibrationConfig, rng: RngStream) -> YearFit:
     """Fit the reallocation rate for one year and step the state under it."""
-    tau, residual, clamped, base, relief = _fit_one(state, target_s50,
-                                                    params, cfg, rng)
-    nxt = Population(apply_rate(base, relief, tau, params.dt),
+    base, relief = step_components(state, params, rng)
+    tau, residual, clamped = _fit_one(base, relief, target_s50, params.dt,
+                                      cfg)
+    nxt = Population(apply_rate(base, relief, tau, params.dt, out=relief),
                      state.year + 1)
     return YearFit(tau=tau, population=nxt, residual=residual,
                    clamped=clamped,
                    diverged=clamped and residual > cfg.divergence_threshold)
+
+
+def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
+    """Entry i averages ``v[max(0, i - window + 1) : i + 1]``.
+
+    The cumulative sum adds in sequence, so entry i depends only on
+    ``v[:i + 1]``: the trailing mean of a prefix equals the prefix of the
+    trailing mean bit for bit.
+    """
+    css = np.concatenate(([0.0], np.cumsum(v)))
+    idx = np.arange(len(v))
+    lo = np.maximum(0, idx - window + 1)
+    return (css[idx + 1] - css[lo]) / (idx - lo + 1)
 
 
 def effective_tau(tau: AnnualSeries, window: int = 5) -> AnnualSeries:
@@ -207,23 +230,19 @@ def effective_tau(tau: AnnualSeries, window: int = 5) -> AnnualSeries:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    v = tau.values
-    css = np.concatenate(([0.0], np.cumsum(v)))
-    idx = np.arange(len(v))
-    lo = np.maximum(0, idx - window + 1)
-    out = (css[idx + 1] - css[lo]) / (idx - lo + 1)
-    return AnnualSeries(tau.years.copy(), out)
+    return AnnualSeries(tau.years.copy(), _trailing_mean(tau.values, window))
 
 
 def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
            seed: int, threads: int = 1, collect_panel: bool = False
-           ) -> tuple[AnnualSeries, IncomePanel | None]:
+           ) -> tuple[PartialSeries, IncomePanel | None]:
     """Propagate from ``initial`` under a given rate series.
 
     Uses the same noise stream coordinates as calibration, so a replay
     with identical rates reproduces the fit trajectory bit for bit.
-    Returns the bottom-half share per stepped year and, optionally, the
-    full income panel (initial year included as the first column).
+    Returns the bottom-half share per stepped year (NaN where total income
+    is not positive) and, optionally, the full income panel (initial year
+    included as the first column).
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -240,12 +259,10 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     for i, (year, tau) in enumerate(rates):
         state = step(state, params, float(tau), stream, threads=threads)
         assert state.year == year
-        shares[i] = _share_or_zero(state.incomes, degenerate, year)
+        shares[i] = _share_or_nan(state.incomes, degenerate, year)
         if cols is not None:
             cols.append(state.incomes)
-    if degenerate:
-        warnings.warn(f"bottom share undefined (non-positive total income) "
-                      f"in years {degenerate}; recorded as 0.0")
+    _warn_undefined(degenerate)
     panel = None
     if cols is not None:
         years = np.arange(initial.year, rates.last_year + 1, dtype=np.int64)
@@ -257,12 +274,12 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
         })
         panel = IncomePanel(years=years, incomes=np.column_stack(cols),
                             seed=seed, fingerprint=fingerprint)
-    return AnnualSeries(rates.years.copy(), shares), panel
+    return PartialSeries(rates.years.copy(), shares), panel
 
 
 def replay_with_effective(initial: Population, result: CalibrationResult,
                           params: ModelParams, seed: int,
-                          threads: int = 1) -> AnnualSeries:
+                          threads: int = 1) -> PartialSeries:
     """Validation replay under the smoothed rate series."""
     shares, _ = replay(initial, result.tau_effective, params, seed,
                        threads=threads)
@@ -275,9 +292,13 @@ def fit_series(initial: Population, targets: AnnualSeries,
     """Fit the rate year by year along an observed share series.
 
     The forward state is propagated under each year's fitted rate (or the
-    trailing-window average when ``cfg.forward_rate == "effective"``); the
+    trailing-window average when ``cfg.forward_rate == "effective"``). The
     smoothed-rate trajectory in ``replay_shares`` is a separate validation
-    replay from the same initial population and noise.
+    replay from the same initial population. It is stepped in the same
+    loop, on the same noise vector as the fit: the smoothed rate of a year
+    depends only on the rates fitted so far, so the shares equal those of
+    ``replay(initial, result.tau_effective, params, seed)`` bit for bit,
+    and each year's noise is drawn once.
     """
     if not targets.is_contiguous():
         raise NonContiguousSeriesError(
@@ -288,15 +309,21 @@ def fit_series(initial: Population, targets: AnnualSeries,
             f"{initial.year + 1} (initial year + 1)"
         )
     stream = RngStream(seed)
-    state = initial
+    state = replayed = initial
     taus = np.empty(len(targets))
+    tau_eff = np.empty(len(targets))
     residuals = np.empty(len(targets))
     fitted_shares = np.empty(len(targets))
+    replay_shares = np.empty(len(targets))
     divergent: list[int] = []
     clamped_years: list[int] = []
+    degenerate: list[int] = []
     for i, (year, target) in enumerate(targets):
-        tau, residual, clamped, base, relief = _fit_one(
-            state, float(target), params, cfg, stream)
+        noise = stream.normals(state.year, STEP_TAG, 0, state.n, params.dt)
+        base, relief = step_components(state, params, stream, noise)
+        del state  # not needed past here; frees a vector before the search
+        tau, residual, clamped = _fit_one(base, relief, float(target),
+                                          params.dt, cfg)
         taus[i] = tau
         residuals[i] = residual
         if clamped:
@@ -308,18 +335,26 @@ def fit_series(initial: Population, targets: AnnualSeries,
             rate = float(np.mean(taus[lo:i + 1]))
         else:
             rate = tau
-        state = Population(apply_rate(base, relief, rate, params.dt), year)
-        fitted_shares[i] = _share_or_zero(state.incomes, [], year)
+        state = Population(apply_rate(base, relief, rate, params.dt,
+                                      out=relief), year)
+        del base
+        fitted_shares[i] = _share_or_nan(state.incomes, [], year)
 
-    tau_series = AnnualSeries(targets.years.copy(), taus)
-    tau_eff = effective_tau(tau_series, cfg.smoothing_window)
-    replay_shares, _ = replay(initial, tau_eff, params, seed)
+        # validation replay, stepped only after the fit year's vectors
+        # are freed so that peak memory stays that of the fit
+        tau_eff[i] = _trailing_mean(taus[:i + 1], cfg.smoothing_window)[-1]
+        replayed = step_with_noise(replayed, params, float(tau_eff[i]), noise)
+        del noise
+        replay_shares[i] = _share_or_nan(replayed.incomes, degenerate, year)
+    _warn_undefined(degenerate)
+
+    years = targets.years
     return CalibrationResult(
-        tau=tau_series,
-        tau_effective=tau_eff,
-        residuals=AnnualSeries(targets.years.copy(), residuals),
-        replay_shares=replay_shares,
-        fitted_shares=AnnualSeries(targets.years.copy(), fitted_shares),
+        tau=AnnualSeries(years.copy(), taus),
+        tau_effective=AnnualSeries(years.copy(), tau_eff),
+        residuals=AnnualSeries(years.copy(), residuals),
+        replay_shares=PartialSeries(years.copy(), replay_shares),
+        fitted_shares=PartialSeries(years.copy(), fitted_shares),
         divergent_years=tuple(divergent),
         clamped_years=tuple(clamped_years),
     )

@@ -29,7 +29,7 @@ from .errors import (CalibrationDivergenceError, ConfigError, DataError,
 from .poverty import (IncomePanel, bpl_gini_series, classify,
                       persistence_report, pooled_metrics, sample_paths,
                       transition_report)
-from .rgbm import ModelParams, init_lognormal
+from .rgbm import ModelParams, Population, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
 EXIT_OK = 0
@@ -268,15 +268,18 @@ def _zero_crossings(series: AnnualSeries) -> list[int]:
 
 
 def _flag_share_range(name: str, series: AnnualSeries) -> None:
-    # bottom shares can leave [0, 1] when incomes go negative
-    odd = [int(y) for y, v in series if not 0.0 <= v <= 1.0]
+    # bottom shares can leave [0, 1] when incomes go negative; an
+    # undefined share (NaN) compares false and is not flagged here
+    odd = [int(y) for y, v in series if v < 0.0 or v > 1.0]
     if odd:
         print(f"  note: {name} outside [0, 1] in years {odd} "
               "(negative incomes present)")
 
 
 def _run_calibration(cfg: PipelineConfig, manifest: RunManifest
-                     ) -> CalibrationResult:
+                     ) -> tuple[Population, CalibrationResult]:
+    """Fit and write the calibration outputs; returns the initial
+    population it started from, so a later stage need not draw it again."""
     pop, targets = _initial_population(cfg)
     if targets is None:
         raise ConfigError("calibration needs inequality_csv")
@@ -309,7 +312,7 @@ def _run_calibration(cfg: PipelineConfig, manifest: RunManifest
         if cfg.strict:
             raise CalibrationDivergenceError(
                 f"targets unreachable in years {result.divergent_years}")
-    return result
+    return pop, result
 
 
 def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
@@ -463,9 +466,8 @@ def cmd_pipeline(args) -> int:
     manifest = _make_manifest(cfg, inputs)
     stage = "calibrate"
     try:
-        result = _run_calibration(cfg, manifest)
+        pop, result = _run_calibration(cfg, manifest)
         stage = "simulate"
-        pop, _ = _initial_population(cfg)
         _, panel = replay(pop, result.tau_effective, cfg.model, cfg.seed,
                           threads=cfg.threads, collect_panel=True)
         write_panel(panel, cfg.out_dir, fmt=cfg.panel_format)

@@ -117,18 +117,31 @@ def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
             if b > a]
 
 
-def _components(x: np.ndarray, m: float, year: int, params: ModelParams,
-                rng: RngStream, lo: int, hi: int
+def _components(x: np.ndarray, m: float, w: np.ndarray, params: ModelParams
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(base, relief)`` for agents ``lo..hi-1``, noise drawn for that slice.
+    """``(base, relief)`` for incomes ``x`` under the noise ``w``.
 
-    The stream is exact on agent slices, so the result does not depend on
-    how the agent range is split.
+    ``base = x + x*(mu*dt) + x*(sigma*w)`` and ``relief = x - m``, in that
+    operation order (products commute, so each value is the one the
+    written-out expression gives), built in two arrays. The stream is
+    exact on agent slices, so the result for a slice of ``x`` and its
+    noise slice does not depend on how the agent range is split.
     """
-    xs = x[lo:hi]
-    w = rng.normals(year, STEP_TAG, lo, hi, params.dt)
-    base = xs + xs * (params.mu * params.dt) + xs * (params.sigma * w)
-    return base, xs - m
+    base = np.multiply(x, params.mu * params.dt)
+    np.add(x, base, out=base)
+    relief = np.multiply(w, params.sigma)
+    np.multiply(x, relief, out=relief)
+    np.add(base, relief, out=base)
+    np.subtract(x, m, out=relief)
+    return base, relief
+
+
+def _checked(incomes: np.ndarray, year: int) -> Population:
+    """The population stepped from ``year``, or the overflow it hit."""
+    if not np.all(np.isfinite(incomes)):
+        bad = int(np.flatnonzero(~np.isfinite(incomes))[0])
+        raise PropagationOverflowError(bad, year)
+    return Population(incomes, year + 1)
 
 
 def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
@@ -152,7 +165,8 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     out = np.empty_like(x)
 
     def update(lo: int, hi: int) -> None:
-        base, relief = _components(x, m, pop.year, params, rng, lo, hi)
+        w = rng.normals(pop.year, STEP_TAG, lo, hi, params.dt)
+        base, relief = _components(x[lo:hi], m, w, params)
         apply_rate(base, relief, tau, params.dt, out=out[lo:hi])
 
     ranges = _chunk_ranges(pop.n, threads)
@@ -162,23 +176,41 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             for f in [pool.submit(update, lo, hi) for lo, hi in ranges]:
                 f.result()
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise PropagationOverflowError(bad, pop.year)
-    return Population(out, pop.year + 1)
+    return _checked(out, pop.year)
 
 
-def step_components(pop: Population, params: ModelParams, rng: RngStream
+def step_with_noise(pop: Population, params: ModelParams, tau: float,
+                    noise: np.ndarray) -> Population:
+    """:func:`step` on one thread, under the year's noise already drawn.
+
+    ``noise`` must be ``rng.normals(pop.year, STEP_TAG, 0, pop.n,
+    params.dt)``; the result is then bit-identical to ``step``. It lets two
+    trajectories stepped from the same year share one draw.
+    """
+    if not np.isfinite(tau):
+        raise ValueError("tau must be finite")
+    x = pop.incomes
+    base, relief = _components(x, float(np.mean(x)), noise, params)
+    return _checked(apply_rate(base, relief, tau, params.dt, out=relief),
+                    pop.year)
+
+
+def step_components(pop: Population, params: ModelParams, rng: RngStream,
+                    noise: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Split the update into rate-free and rate-linear parts.
 
     Returns ``(base, relief)`` with ``base = x + x*mu*dt + x*(sigma*W)``
     and ``relief = x - m``; :func:`apply_rate` turns them into the stepped
     incomes for any ``tau``, bit-identical to :func:`step`. That lets the
-    calibration search evaluate many rates from one noise draw.
+    calibration search evaluate many rates from one noise draw. A caller
+    that already holds the year's draw passes it as ``noise`` (see
+    :func:`step_with_noise`), and ``rng`` is then not read.
     """
+    if noise is None:
+        noise = rng.normals(pop.year, STEP_TAG, 0, pop.n, params.dt)
     x = pop.incomes
-    return _components(x, float(np.mean(x)), pop.year, params, rng, 0, pop.n)
+    return _components(x, float(np.mean(x)), noise, params)
 
 
 def apply_rate(base: np.ndarray, relief: np.ndarray, tau: float, dt: float,
@@ -187,9 +219,14 @@ def apply_rate(base: np.ndarray, relief: np.ndarray, tau: float, dt: float,
 
     The only place the rate enters the update: :func:`step`, the
     calibration search and the fitted forward state all use it, so a
-    replay under the fitted rates reproduces the fit bit for bit.
+    replay under the fitted rates reproduces the fit bit for bit. The
+    result is built in ``out`` without a temporary; ``out`` may be
+    ``relief`` itself (which is then overwritten) but must not overlap
+    ``base``.
     """
-    return np.subtract(base, (tau * dt) * relief, out=out)
+    # IEEE products commute: relief*(tau*dt) == (tau*dt)*relief exactly
+    out = np.multiply(relief, tau * dt, out=out)
+    return np.subtract(base, out, out=out)
 
 
 def bottom_share(pop: Population, fraction: float = 0.5) -> float:
@@ -208,14 +245,21 @@ def bottom_share(pop: Population, fraction: float = 0.5) -> float:
     return bottom_share_of(pop.incomes, fraction)
 
 
-def bottom_share_of(incomes: np.ndarray, fraction: float) -> float:
-    """bottom_share on a bare vector (hot path of the calibration search)."""
+def bottom_share_of(incomes: np.ndarray, fraction: float,
+                    overwrite_input: bool = False) -> float:
+    """bottom_share on a bare vector (hot path of the calibration search).
+
+    With ``overwrite_input`` the vector is partitioned in place, so its
+    order is lost, instead of in a copy; the result is the same.
+    """
     total = float(np.sum(incomes))
     if total <= 0:
         raise UndefinedShareError(f"total income {total} is not positive")
     k = int(np.floor(fraction * len(incomes)))
     if k == 0:
         return 0.0
-    # np.partition: sum of the k smallest without a full sort
-    low = np.partition(incomes, k - 1)[:k]
-    return float(np.sum(low)) / total
+    # sum of the k smallest without a full sort; np.partition is this
+    # copy followed by the same in-place partition
+    part = incomes if overwrite_input else incomes.copy()
+    part.partition(k - 1)
+    return float(np.sum(part[:k])) / total

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -15,11 +15,13 @@ class AnnualSeries:
     """An ordered (year, value) series with strictly increasing years.
 
     Values must be finite; statistics that can be undefined are carried in
-    report structures (as NaN) rather than in this type.
+    report structures or a :class:`PartialSeries` (as NaN) rather than in
+    this type.
     """
 
     years: np.ndarray   # int64, strictly increasing
     values: np.ndarray  # float64, finite
+    _nan_allowed: ClassVar[bool] = False
 
     def __post_init__(self):
         years = np.asarray(self.years, dtype=np.int64)
@@ -30,7 +32,10 @@ class AnnualSeries:
             raise DataError("empty series")
         if np.any(np.diff(years) <= 0):
             raise DataError("years must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        defined = np.isfinite(values)
+        if self._nan_allowed:
+            defined |= np.isnan(values)
+        if not np.all(defined):
             raise DataError("series values must be finite")
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
@@ -77,10 +82,21 @@ class AnnualSeries:
         mask = (self.years >= first) & (self.years <= last)
         if not mask.any():
             raise DataError(f"no entries in {first}..{last}")
-        return AnnualSeries(self.years[mask], self.values[mask])
+        return type(self)(self.years[mask], self.values[mask])
 
     def is_contiguous(self) -> bool:
         return bool(np.all(np.diff(self.years) == 1))
+
+
+class PartialSeries(AnnualSeries):
+    """An annual statistic that may be undefined in some years.
+
+    An undefined year holds NaN, which the CSV writers render as an empty
+    field; infinities are still rejected. Bottom-half shares are undefined
+    in a year whose total income is not positive.
+    """
+
+    _nan_allowed = True
 
 
 def missing_year_blocks(series: AnnualSeries) -> list[tuple[int, int]]:

@@ -1,13 +1,16 @@
 """Rate fitting: frozen noise, monotone gap, self-consistency, smoothing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from povdyn.calibrate import (CalibrationConfig, effective_tau, fit_series,
                               fit_tau_year, replay, replay_with_effective)
 from povdyn.errors import DataError, NonContiguousSeriesError
-from povdyn.rgbm import (ModelParams, bottom_share, bottom_share_of,
-                         init_lognormal, step, step_components)
+from povdyn.rgbm import (ModelParams, Population, apply_rate, bottom_share,
+                         bottom_share_of, init_lognormal, step,
+                         step_components)
 from povdyn.rng import RngStream
 from povdyn.series import AnnualSeries
 
@@ -232,3 +235,125 @@ def test_forward_rate_effective_mode_runs():
     res = fit_series(pop0, targets, params, cfg, seed=16)
     assert len(res.tau) == 8
     assert np.all(np.isfinite(res.tau.values))
+
+
+# ---------------------------------------------------------------------------
+# one draw per year, in-place gap, undefined shares
+
+@pytest.mark.parametrize("forward_rate", ["fitted", "effective"])
+def test_fused_replay_matches_separate_replay(forward_rate):
+    params = ModelParams(n_agents=3000, dt=0.5)
+    tau_true = np.linspace(0.04, -0.02, 12)
+    pop0, targets = make_targets(params, seed=21, tau_true=tau_true)
+    cfg = CalibrationConfig(forward_rate=forward_rate, smoothing_window=4)
+    res = fit_series(pop0, targets, params, cfg, seed=21)
+    assert np.array_equal(res.tau_effective.values,
+                          effective_tau(res.tau, 4).values)
+    shares, _ = replay(pop0, res.tau_effective, params, seed=21)
+    assert np.array_equal(res.replay_shares.values, shares.values)
+
+
+def test_fit_series_draws_step_noise_once_per_year(monkeypatch):
+    params = ModelParams(n_agents=500)
+    pop0, targets = make_targets(params, seed=22, tau_true=[0.01] * 7)
+    draws = []
+    original = RngStream.normals
+
+    def counting(self, year, tag, lo, hi, dt=1.0):
+        draws.append((year, tag, lo, hi))
+        return original(self, year, tag, lo, hi, dt)
+
+    monkeypatch.setattr(RngStream, "normals", counting)
+    fit_series(pop0, targets, params, CalibrationConfig(), seed=22)
+    assert len(draws) == len(targets)
+    assert [d[0] for d in draws] == list(range(pop0.year,
+                                               targets.last_year))
+
+
+def test_in_place_gap_matches_allocating_form():
+    params = ModelParams(n_agents=20_000, dt=0.5)
+    pop = init_lognormal(params, 0.3, seed=23, year=1970)
+    pop.incomes[:7] = -0.2
+    base, relief = step_components(pop, params, RngStream(23))
+    scratch = np.empty_like(base)
+    for tau in np.linspace(-0.5, 0.5, 41):
+        want = base - (tau * params.dt) * relief
+        got = apply_rate(base, relief, tau, params.dt, out=scratch)
+        assert np.array_equal(got, want)
+        assert (bottom_share_of(got, 0.5, overwrite_input=True)
+                == float(np.sum(np.partition(want, 9999)[:10_000]))
+                / float(np.sum(want)))
+    # out may be relief itself
+    want = base - (0.3 * params.dt) * relief
+    assert np.array_equal(apply_rate(base, relief.copy(), 0.3, params.dt,
+                                     out=relief), want)
+
+
+def _degenerate_population(year):
+    # total income is negative and sigma = 0 keeps it so: the bottom
+    # share is undefined in every year
+    return Population(np.array([-1.0, 0.5]), year)
+
+
+def test_undefined_shares_are_nan_not_zero():
+    params = ModelParams(sigma=0.0, n_agents=2)
+    pop = _degenerate_population(1950)
+    targets = AnnualSeries(np.arange(1951, 1955), np.full(4, 0.3))
+    with pytest.warns(UserWarning, match=r"undefined .*1951, 1952, 1953, 1954"):
+        shares, _ = replay(pop, AnnualSeries(targets.years, np.zeros(4)),
+                           params, seed=1)
+    assert np.all(np.isnan(shares.values))
+    with pytest.warns(UserWarning, match="undefined"):
+        res = fit_series(pop, targets, params, CalibrationConfig(), seed=1)
+    assert np.all(np.isnan(res.replay_shares.values))
+    assert np.all(np.isnan(res.fitted_shares.values))
+    assert res.clamped_years == tuple(range(1951, 1955))
+
+
+def test_cli_writes_undefined_shares_as_empty_fields(tmp_path, monkeypatch,
+                                                     fixtures_dir, capsys):
+    from povdyn import cli
+    monkeypatch.chdir(fixtures_dir)
+    monkeypatch.setattr(cli, "init_lognormal",
+                        lambda params, s50, seed, year: (
+                            _degenerate_population(year)))
+    out = tmp_path / "cal"
+    with pytest.warns(UserWarning, match="undefined"):
+        code = cli.main(["calibrate", "--config", "pipeline_small.cfg",
+                         "--sigma", "0", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert "outside [0, 1]" not in capsys.readouterr().out
+    for name in ("replay_shares.csv", "fitted_shares.csv"):
+        rows = (out / name).read_text().splitlines()[2:]
+        assert rows and all(r.endswith(",") for r in rows), name
+
+
+# SHA-256 of each calibration CSV without its manifest line, recorded
+# before noise was drawn in blocks and shared by the fit and the replay.
+# 50,000 agents span several noise blocks.
+CALIBRATION_50K = {
+    "tau.csv":
+        "ea0dbf2ab787630b50bf4d1543e21ad5ecb6a991d766f312179dd3a99a3d1652",
+    "tau_effective.csv":
+        "7d6749fc2ffe1384b146f8177c6d67d71d69a327b1b8c274ffee36682c79f217",
+    "residuals.csv":
+        "0ab47a9a15644b2877580ba10006368cc7dc24b677b4502f68ab1a08f71ab4cd",
+    "replay_shares.csv":
+        "847381c83f573e76888a6708084845e73f5705940d855cca09a3424c8b99a15f",
+    "fitted_shares.csv":
+        "c99805e52d17fef89b714eb5ba252441f2e1567c5466111263e381d4bc5e6535",
+}
+
+
+def test_calibration_outputs_keep_their_bytes(tmp_path, monkeypatch,
+                                              fixtures_dir):
+    from povdyn.cli import EXIT_OK, main
+    monkeypatch.chdir(fixtures_dir)
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", "pipeline_small.cfg",
+                 "--n-agents", "50000", "--out", str(out)]) == EXIT_OK
+    for name, digest in CALIBRATION_50K.items():
+        text = (out / name).read_text(encoding="utf-8")
+        body = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("# manifest:"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, name

@@ -330,8 +330,10 @@ def test_threads_default_from_env(monkeypatch, fixtures_dir, tmp_path):
 
 def test_out_of_range_share_note(capsys):
     from povdyn.cli import _flag_share_range
-    from povdyn.series import AnnualSeries
+    from povdyn.series import PartialSeries
     import numpy as np
-    _flag_share_range("shares", AnnualSeries(np.array([2000, 2001]),
-                                             np.array([0.4, -0.02])))
-    assert "2001" in capsys.readouterr().out
+    # an undefined share (NaN) is not out of range
+    _flag_share_range("shares", PartialSeries(np.array([2000, 2001, 2002]),
+                                              np.array([0.4, -0.02, np.nan])))
+    out = capsys.readouterr().out
+    assert "[2001]" in out

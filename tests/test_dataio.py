@@ -13,7 +13,7 @@ from povdyn.dataio import (RunManifest, read_hcr_file, read_manifest,
 from povdyn.errors import (DataError, ExtrapolationRefusedError,
                            SeriesFormatError)
 from povdyn.poverty import IncomePanel
-from povdyn.series import (AnnualSeries, interpolate_missing,
+from povdyn.series import (AnnualSeries, PartialSeries, interpolate_missing,
                            missing_year_blocks)
 
 
@@ -29,6 +29,15 @@ def test_series_validation():
         AnnualSeries(np.array([2000]), np.array([np.nan]))
     with pytest.raises(DataError):
         AnnualSeries(np.array([], dtype=int), np.array([]))
+
+
+def test_partial_series_allows_nan_only():
+    s = PartialSeries(np.array([2000, 2001, 2002]),
+                      np.array([0.5, np.nan, 0.25]))
+    assert isinstance(s.slice_years(2001, 2002), PartialSeries)
+    assert np.isnan(s.value_at(2001))
+    with pytest.raises(DataError):
+        PartialSeries(np.array([2000]), np.array([np.inf]))
 
 
 def test_series_accessors():

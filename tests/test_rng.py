@@ -1,9 +1,57 @@
 """Counter-based stream contract: purity, partitioning, distribution."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from povdyn import rng
 from povdyn.rng import INIT_TAG, STEP_TAG, RngStream
+
+# SHA-256 of the float64 bytes of draws recorded from the unblocked
+# generator (one vectorized pass per call). The ranges straddle the
+# boundaries of 65,536- and 131,072-draw blocks; 131,072 = 2**17.
+KNOWN_NORMALS = [
+    # (seed, year, tag, lo, hi, dt, digest)
+    (42, 1963, STEP_TAG, 0, 3 * 131072 + 17, 1.0,
+     "cae20d932206f78f12fb86aedf64ebfb6b477a773ef0f38b59ad3a65c86fc47d"),
+    (42, 1963, STEP_TAG, 131072 - 5, 131072 + 5, 1.0,
+     "5858b89bbdb48267caec8601fe3d247a9630337ff05b0bc9ae28226e30188360"),
+    (7, 1999, STEP_TAG, 12345, 12345 + 2 * 131072 + 1, 1.0,
+     "d23619ef22bfaaf076ccba0f61b711adca6c167f6644b5bc9be709b434838174"),
+    (42, 1963, STEP_TAG, 3, 3 + 131072 + 9, 0.5,
+     "4d277d66c9896b1556fe42ba6c42933b0f4930edbabdf3946ac94641d5c3e829"),
+    (42, 1950, INIT_TAG, 0, 2 * 131072 + 1, 1.0,
+     "df9d65c36c6a74093a26b00d81f23e83ed654891eff8002f8e3065dcc0b480af"),
+]
+KNOWN_UNIFORMS = (5, 1970, STEP_TAG, 1, 1 + 131072 + 2,
+                  "0859086f8ece093a4ff7514c93abaf76e77953f2dce918bdf22d062e230affa7")
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,year,tag,lo,hi,dt,digest", KNOWN_NORMALS)
+def test_normals_known_answers(seed, year, tag, lo, hi, dt, digest):
+    w = RngStream(seed).normals(year, tag, lo, hi, dt)
+    assert len(w) == hi - lo
+    assert _digest(w) == digest
+
+
+def test_uniforms_known_answer():
+    seed, year, tag, lo, hi, digest = KNOWN_UNIFORMS
+    assert _digest(RngStream(seed).uniforms(year, tag, lo, hi)) == digest
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_block_size_never_changes_a_value(monkeypatch, block):
+    s = RngStream(11)
+    want_n = s.normals(1990, STEP_TAG, 5, 2505, dt=0.5)
+    want_u = s.uniforms(1990, STEP_TAG, 5, 2505)
+    monkeypatch.setattr(rng, "_BLOCK", block)
+    assert np.array_equal(s.normals(1990, STEP_TAG, 5, 2505, dt=0.5), want_n)
+    assert np.array_equal(s.uniforms(1990, STEP_TAG, 5, 2505), want_u)
 
 
 def test_draws_are_pure_functions_of_coordinates():
@@ -69,3 +117,8 @@ def test_negative_and_huge_seeds_accepted():
 def test_invalid_range_rejected():
     with pytest.raises(ValueError):
         RngStream(1).uniforms(1950, STEP_TAG, 10, 5)
+    with pytest.raises(ValueError):
+        RngStream(1).normals(1950, STEP_TAG, 10, 5)
+    for draw in (RngStream(1).uniforms, RngStream(1).normals):
+        empty = draw(1950, STEP_TAG, 10, 10)
+        assert empty.shape == (0,) and empty.dtype == np.float64
