@@ -242,7 +242,8 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     with identical rates reproduces the fit trajectory bit for bit.
     Returns the bottom-half share per stepped year (NaN where total income
     is not positive) and, optionally, the full income panel (initial year
-    included as the first column).
+    included as the first column), filled year by year into its
+    year-major storage.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -253,18 +254,21 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
         raise NonContiguousSeriesError("rate series has gaps")
     stream = RngStream(seed)
     state = initial
-    cols = [initial.incomes.copy()] if collect_panel else None
+    rows = None
+    if collect_panel:
+        rows = np.empty((len(rates) + 1, len(initial.incomes)))
+        rows[0] = initial.incomes
     shares = np.empty(len(rates))
     degenerate: list[int] = []
     for i, (year, tau) in enumerate(rates):
         state = step(state, params, float(tau), stream, threads=threads)
         assert state.year == year
         shares[i] = _share_or_nan(state.incomes, degenerate, year)
-        if cols is not None:
-            cols.append(state.incomes)
+        if rows is not None:
+            rows[i + 1] = state.incomes
     _warn_undefined(degenerate)
     panel = None
-    if cols is not None:
+    if rows is not None:
         years = np.arange(initial.year, rates.last_year + 1, dtype=np.int64)
         fingerprint = config_digest({
             "seed": seed, "mu": params.mu, "sigma": params.sigma,
@@ -272,8 +276,8 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
             "start_year": initial.year,
             "rates": [(int(y), float(v)) for y, v in rates],
         })
-        panel = IncomePanel(years=years, incomes=np.column_stack(cols),
-                            seed=seed, fingerprint=fingerprint)
+        panel = IncomePanel(years=years, incomes=rows.T, seed=seed,
+                            fingerprint=fingerprint)
     return PartialSeries(rates.years.copy(), shares), panel
 
 

@@ -99,6 +99,12 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text "
+                          f"(byte {exc.start})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -352,6 +358,60 @@ def _metric_rows(line, trans, persist, bpl):
     return rows
 
 
+def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
+                        panel: IncomePanel, name: str) -> dict:
+    """Write the reports of one poverty-line definition.
+
+    Returns its summary entry. Its flags, durations and count table are
+    freed on return, before the next definition is classified.
+    """
+    out = cfg.out_dir
+    hcr, file_name = read_hcr_file(cfg.hcr_files[name])
+    line, pp = classify(panel, hcr, name=file_name or name)
+    trans = transition_report(pp)
+    persist = persistence_report(pp, range(1, cfg.tp_max + 1))
+    bpl = bpl_gini_series(panel, pp)
+    # cap path requests at the population size (tiny smoke runs)
+    k_below = min(cfg.paths_below, panel.n_agents // 2)
+    k_above = min(cfg.paths_above, panel.n_agents - k_below)
+    bundle = sample_paths(panel, line, k_above, k_below, cfg.seed)
+
+    write_report_csv(_metric_rows(line, trans, persist, bpl),
+                     out / f"metrics_{name}.csv",
+                     manifest_digest=manifest.digest)
+    pooled_rows = []
+    pooled_json = {}
+    for first, last in cfg.pool_periods:
+        key = f"{first}-{last}"
+        pooled_json[key] = {}
+        for t_p in range(1, cfg.tp_max + 1):
+            pm = pooled_metrics(pp, (first, last), t_p,
+                                method=cfg.pooled_method)
+            if t_p == 1:
+                for stat in ("p_in", "p_out", "p_tx"):
+                    val = getattr(pm, stat)
+                    pooled_rows.append((first, last, stat, None, val))
+                    pooled_json[key][stat] = json_value(val)
+            pooled_rows.append((first, last, "p_stic", t_p, pm.p_stic))
+            pooled_rows.append((first, last, "p_esc", t_p, pm.p_esc))
+            pooled_json[key][f"p_stic_{t_p}"] = json_value(pm.p_stic)
+            pooled_json[key][f"p_esc_{t_p}"] = json_value(pm.p_esc)
+    write_pooled_csv(pooled_rows, out / f"pooled_{name}.csv",
+                     manifest_digest=manifest.digest)
+    write_paths_csv(bundle, out / f"paths_{name}.csv",
+                    manifest_digest=manifest.digest)
+    print(f"metrics[{name}]: years {int(pp.years[0])}-"
+          f"{int(pp.years[-1])}, {cfg.tp_max} spell thresholds, "
+          f"{len(cfg.pool_periods)} pooled periods")
+    return {
+        "years": f"{int(pp.years[0])}-{int(pp.years[-1])}",
+        "pooled": pooled_json,
+        "negatives_floored_years": [
+            int(y) for y, f in zip(bpl.years, bpl.negatives_floored) if f],
+        "paths_truncated": bundle.truncated,
+    }
+
+
 def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
                  panel: IncomePanel) -> dict:
     if not cfg.hcr_files:
@@ -363,51 +423,8 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
                      "definitions": {}, "failed": {}}
     for name in sorted(cfg.hcr_files):
         try:
-            hcr, file_name = read_hcr_file(cfg.hcr_files[name])
-            line, pp = classify(panel, hcr, name=file_name or name)
-            trans = transition_report(pp)
-            persist = persistence_report(pp, range(1, cfg.tp_max + 1))
-            bpl = bpl_gini_series(panel, pp)
-            # cap path requests at the population size (tiny smoke runs)
-            k_below = min(cfg.paths_below, panel.n_agents // 2)
-            k_above = min(cfg.paths_above, panel.n_agents - k_below)
-            bundle = sample_paths(panel, line, k_above, k_below, cfg.seed)
-
-            write_report_csv(_metric_rows(line, trans, persist, bpl),
-                             out / f"metrics_{name}.csv",
-                             manifest_digest=manifest.digest)
-            pooled_rows = []
-            pooled_json = {}
-            for first, last in cfg.pool_periods:
-                key = f"{first}-{last}"
-                pooled_json[key] = {}
-                for t_p in range(1, cfg.tp_max + 1):
-                    pm = pooled_metrics(pp, (first, last), t_p,
-                                        method=cfg.pooled_method)
-                    if t_p == 1:
-                        for stat in ("p_in", "p_out", "p_tx"):
-                            val = getattr(pm, stat)
-                            pooled_rows.append((first, last, stat, None, val))
-                            pooled_json[key][stat] = json_value(val)
-                    pooled_rows.append((first, last, "p_stic", t_p, pm.p_stic))
-                    pooled_rows.append((first, last, "p_esc", t_p, pm.p_esc))
-                    pooled_json[key][f"p_stic_{t_p}"] = json_value(pm.p_stic)
-                    pooled_json[key][f"p_esc_{t_p}"] = json_value(pm.p_esc)
-            write_pooled_csv(pooled_rows, out / f"pooled_{name}.csv",
-                             manifest_digest=manifest.digest)
-            write_paths_csv(bundle, out / f"paths_{name}.csv",
-                            manifest_digest=manifest.digest)
-            summary["definitions"][name] = {
-                "years": f"{int(pp.years[0])}-{int(pp.years[-1])}",
-                "pooled": pooled_json,
-                "negatives_floored_years": [
-                    int(y) for y, f in zip(bpl.years, bpl.negatives_floored)
-                    if f],
-                "paths_truncated": bundle.truncated,
-            }
-            print(f"metrics[{name}]: years {int(pp.years[0])}-"
-                  f"{int(pp.years[-1])}, {cfg.tp_max} spell thresholds, "
-                  f"{len(cfg.pool_periods)} pooled periods")
+            summary["definitions"][name] = _definition_metrics(
+                cfg, manifest, panel, name)
         except PovdynError as exc:
             summary["failed"][name] = str(exc)
             print(f"metrics[{name}] failed: {exc}", file=sys.stderr)

@@ -12,6 +12,12 @@ count ratios over consecutive years:
     p_esc(t, d)    = N_{P->NP}(t, dur(t-1) >= d) / N_NP(t)
     p_stic(t, d)   = N_{P->P}(t, dur(t-1) >= d) / N_P(t)
 
+Every count above comes from one integer table per poverty panel: for
+each year t, the agents by spell length at t-1 and status at t (see
+``_count_table``). N_P(t-1) is the sum over spell lengths >= 1, and the
+counts with dur(t-1) >= d are tail sums over spell lengths, so all
+thresholds, all years and every pooled period read the same table.
+
 Zero denominators yield NaN markers ("undefined"), never 0: the writers
 serialize them as nulls so "no poor population" stays distinct from
 "no transitions".
@@ -31,22 +37,32 @@ from .series import AnnualSeries
 
 @dataclass
 class IncomePanel:
-    """Full N x T income history of one simulation run."""
+    """Full N x T income history of one simulation run.
+
+    Stored year-major: one C-contiguous (n_years, n_agents) array, so
+    ``column(year)`` is a contiguous row. ``incomes`` is its (n_agents,
+    n_years) ``.T`` view, with the shape and indexing of an agents-major
+    matrix. An agents-major (N, T) C-order input is copied once; the
+    ``.T`` view of a year-major float64 array is kept without a copy.
+    """
 
     years: np.ndarray    # int64, consecutive
-    incomes: np.ndarray  # (n_agents, n_years) float64
+    incomes: np.ndarray  # (n_agents, n_years) float64 view of (T, N) rows
     seed: int
     fingerprint: str
 
     def __post_init__(self):
         self.years = np.asarray(self.years, dtype=np.int64)
-        self.incomes = np.ascontiguousarray(self.incomes, dtype=np.float64)
-        if self.incomes.ndim != 2 or self.incomes.shape[1] != len(self.years):
+        incomes = np.asarray(self.incomes, dtype=np.float64)
+        if incomes.ndim != 2 or incomes.shape[1] != len(self.years):
             raise DataError("panel shape does not match year range")
         if np.any(np.diff(self.years) != 1):
             raise DataError("panel years must be consecutive")
-        if not np.all(np.isfinite(self.incomes)):
+        by_year = np.ascontiguousarray(incomes.T)
+        # row by row: a whole-panel mask would cost N*T bytes at once
+        if not all(np.isfinite(row).all() for row in by_year):
             raise DataError("panel incomes must be finite")
+        self.incomes = by_year.T
 
     @property
     def n_agents(self) -> int:
@@ -84,12 +100,17 @@ class PovertyPanel:
     """Per-agent poverty flags and consecutive-poor-year counters.
 
     :func:`classify` stores both arrays year-major, (t, n) C-contiguous;
-    ``poor`` and ``duration`` are their transposed (n, t) views.
+    ``poor`` and ``duration`` are their transposed (n, t) views. The
+    count table behind every transition, persistence and pooled
+    statistic is built from them on first use and kept (see
+    :func:`_count_table`), so the flags must not change afterwards.
     """
 
     years: np.ndarray       # int64, consecutive
     poor: np.ndarray        # (n, t) bool
     duration: np.ndarray    # (n, t) int32; 0 when non-poor
+    _tail: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -166,8 +187,27 @@ class TrajectoryBundle:
     truncated: bool = False
 
 
-def _ratio(num: int, den: int) -> float:
-    return num / den if den > 0 else float("nan")
+def _ratio(num, den) -> np.ndarray:
+    """``num / den`` elementwise; NaN where ``den`` is 0 (undefined, not 0).
+
+    Integer counts convert to float64 exactly, so each quotient is the
+    correctly rounded ratio, the same as Python's ``int / int``.
+    """
+    den = np.asarray(den)
+    out = np.full(den.shape, np.nan)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def _line(x: np.ndarray, hcr: float) -> float:
+    """The poverty line of :func:`poverty_line_from_hcr`, without the count."""
+    if not (0.0 <= hcr <= 1.0):
+        raise ValueError(f"hcr must be in [0, 1], got {hcr!r}")
+    n = len(x)
+    k = int(np.floor(hcr * n + 0.5))
+    if k >= n:
+        return float("inf")
+    return float(np.partition(x, k)[k])
 
 
 def poverty_line_from_hcr(pop, hcr: float) -> tuple[float, int]:
@@ -178,13 +218,7 @@ def poverty_line_from_hcr(pop, hcr: float) -> tuple[float, int]:
     poor means strictly below ``z``. ``hcr = 1`` returns the +inf sentinel.
     """
     x = pop.incomes if isinstance(pop, Population) else np.asarray(pop)
-    if not (0.0 <= hcr <= 1.0):
-        raise ValueError(f"hcr must be in [0, 1], got {hcr!r}")
-    n = len(x)
-    k = int(np.floor(hcr * n + 0.5))
-    if k >= n:
-        return float("inf"), n
-    z = float(np.partition(x, k)[k])
+    z = _line(x, hcr)
     return z, int(np.count_nonzero(x < z))
 
 
@@ -209,7 +243,7 @@ def classify(panel: IncomePanel, hcr: AnnualSeries, name: str = "poverty"
     poor = np.empty((n_years, panel.n_agents), dtype=bool)
     for j, (year, h) in enumerate(hcr):
         col = panel.column(year)
-        z[j], _ = poverty_line_from_hcr(col, float(h))
+        z[j] = _line(col, float(h))
         np.less(col, z[j], out=poor[j])
     duration = np.empty(poor.shape, dtype=np.int32)
     duration[0] = poor[0]
@@ -220,24 +254,68 @@ def classify(panel: IncomePanel, hcr: AnnualSeries, name: str = "poverty"
                               duration=duration.T)
 
 
-def transition_probs(pp: PovertyPanel, t: int) -> TransitionProbs:
-    """Annual in/out/crossing probabilities at year ``t`` (uses ``t-1``)."""
+def _count_table(pp: PovertyPanel) -> np.ndarray:
+    """The spell-length count table of ``pp``, built on first use.
+
+    Row ``j - 1`` describes the step from year index ``j - 1`` to ``j``:
+    ``tail[j - 1, d, s]`` counts the agents whose spell length at ``j - 1``
+    is at least ``d`` and whose status at ``j`` is ``s`` (0 non-poor,
+    1 poor). Each row is the reverse cumulative sum over ``d`` of one
+    ``bincount(duration[j - 1] * 2 + poor[j])``. Spell lengths at ``j - 1``
+    never exceed ``j``, so the last column (``d = T``) is all zeros and
+    every ``t_p >= T`` reads it.
+    """
+    if pp._tail is None:
+        n_years = len(pp.years)
+        # year-major rows: contiguous for panels built by classify
+        duration, poor = pp.duration.T, pp.poor.T
+        counts = np.zeros((max(n_years - 1, 0), n_years + 1, 2),
+                          dtype=np.int64)
+        key = np.empty(pp.n_agents, dtype=np.intp)
+        for j in range(1, n_years):
+            np.multiply(duration[j - 1], 2, out=key)
+            key += poor[j]
+            counts[j - 1] = np.bincount(
+                key, minlength=counts[j - 1].size).reshape(-1, 2)
+        pp._tail = np.ascontiguousarray(
+            np.cumsum(counts[:, ::-1], axis=1)[:, ::-1])
+    return pp._tail
+
+
+def _row(pp: PovertyPanel, t: int) -> np.ndarray:
+    """The count-table row for year ``t`` (which needs year ``t - 1``)."""
     j = pp.index_of(t)
     if j == 0:
         raise DataError(f"year {t - 1} not in poverty panel")
-    prev = pp.poor[:, j - 1]
-    cur = pp.poor[:, j]
-    n_out = int(np.count_nonzero(prev & ~cur))
-    n_in = int(np.count_nonzero(~prev & cur))
-    n_p_prev = int(np.count_nonzero(prev))
-    n_p_cur = int(np.count_nonzero(cur))
-    n_np_prev = pp.n_agents - n_p_prev
-    return TransitionProbs(
-        p_in=_ratio(n_in, n_p_cur),
-        p_out=_ratio(n_out, n_p_prev),
-        p_tx=_ratio(n_in + n_out, n_p_cur + n_p_prev),
-        p_in_at_risk=_ratio(n_in, n_np_prev),
-    )
+    return _count_table(pp)[j - 1]
+
+
+def _transitions(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(p_in, p_out, p_tx, p_in_at_risk) of one row or a stack of rows."""
+    n_np_cur, n_p_cur = rows[..., 0, 0], rows[..., 0, 1]
+    n_out, n_stay = rows[..., 1, 0], rows[..., 1, 1]
+    n_p_prev = n_out + n_stay
+    n_in = n_p_cur - n_stay
+    n_np_prev = n_np_cur + n_p_cur - n_p_prev
+    return (_ratio(n_in, n_p_cur), _ratio(n_out, n_p_prev),
+            _ratio(n_in + n_out, n_p_cur + n_p_prev),
+            _ratio(n_in, n_np_prev))
+
+
+def _persistence(rows: np.ndarray, t_p: int) -> tuple[np.ndarray, ...]:
+    """(p_esc, p_stic) of one row or a stack of rows for threshold t_p."""
+    if not 1 <= t_p:
+        raise ValueError("t_p must be >= 1")
+    d = min(int(t_p), rows.shape[-2] - 1)
+    return (_ratio(rows[..., d, 0], rows[..., 0, 0]),
+            _ratio(rows[..., d, 1], rows[..., 0, 1]))
+
+
+def transition_probs(pp: PovertyPanel, t: int) -> TransitionProbs:
+    """Annual in/out/crossing probabilities at year ``t`` (uses ``t-1``)."""
+    p_in, p_out, p_tx, p_in_at_risk = map(float, _transitions(_row(pp, t)))
+    return TransitionProbs(p_in=p_in, p_out=p_out, p_tx=p_tx,
+                           p_in_at_risk=p_in_at_risk)
 
 
 def persistence_probs(pp: PovertyPanel, t: int, t_p: int
@@ -246,45 +324,25 @@ def persistence_probs(pp: PovertyPanel, t: int, t_p: int
 
     The duration condition dur >= t_p is evaluated at ``t-1``.
     """
-    if not 1 <= t_p:
-        raise ValueError("t_p must be >= 1")
-    j = pp.index_of(t)
-    if j == 0:
-        raise DataError(f"year {t - 1} not in poverty panel")
-    prev = pp.poor[:, j - 1]
-    cur = pp.poor[:, j]
-    long_spell = prev & (pp.duration[:, j - 1] >= t_p)
-    n_esc = int(np.count_nonzero(long_spell & ~cur))
-    n_stick = int(np.count_nonzero(long_spell & cur))
-    n_np_cur = int(np.count_nonzero(~cur))
-    n_p_cur = pp.n_agents - n_np_cur
-    return _ratio(n_esc, n_np_cur), _ratio(n_stick, n_p_cur)
+    p_esc, p_stic = _persistence(_row(pp, t), t_p)
+    return float(p_esc), float(p_stic)
 
 
 def transition_report(pp: PovertyPanel) -> TransitionReport:
     """Transition probabilities for every year with a predecessor."""
-    years = pp.years[1:]
-    cols = {k: np.empty(len(years)) for k in
-            ("p_in", "p_out", "p_tx", "p_in_at_risk")}
-    for i, year in enumerate(years):
-        tr = transition_probs(pp, int(year))
-        cols["p_in"][i] = tr.p_in
-        cols["p_out"][i] = tr.p_out
-        cols["p_tx"][i] = tr.p_tx
-        cols["p_in_at_risk"][i] = tr.p_in_at_risk
-    return TransitionReport(years=years.copy(), **cols)
+    p_in, p_out, p_tx, p_in_at_risk = _transitions(_count_table(pp))
+    return TransitionReport(years=pp.years[1:].copy(), p_in=p_in,
+                            p_out=p_out, p_tx=p_tx,
+                            p_in_at_risk=p_in_at_risk)
 
 
 def persistence_report(pp: PovertyPanel, tp_values=range(1, 11)
                        ) -> PersistenceReport:
     """Stickiness/escape probabilities per year for each spell threshold."""
-    years = pp.years[1:]
-    report = PersistenceReport(years=years.copy())
+    rows = _count_table(pp)
+    report = PersistenceReport(years=pp.years[1:].copy())
     for t_p in tp_values:
-        stic = np.empty(len(years))
-        esc = np.empty(len(years))
-        for i, year in enumerate(years):
-            esc[i], stic[i] = persistence_probs(pp, int(year), int(t_p))
+        esc, stic = _persistence(rows, int(t_p))
         report.by_tp[int(t_p)] = (stic, esc)
     return report
 
@@ -300,57 +358,38 @@ def pooled_metrics(pp: PovertyPanel, period: tuple[int, int], t_p: int,
     first, last = int(period[0]), int(period[1])
     if first > last:
         raise DataError(f"invalid period {first}..{last}")
-    if first < pp.years[0] or last > pp.years[-1]:
+    y0 = int(pp.years[0])
+    if first < y0 or last > pp.years[-1]:
         raise DataError(
             f"period {first}..{last} outside poverty panel years "
-            f"{int(pp.years[0])}..{int(pp.years[-1])}"
+            f"{y0}..{int(pp.years[-1])}"
         )
     if method not in ("counts", "mean"):
         raise ValueError("method must be 'counts' or 'mean'")
     # evaluation years need a predecessor inside the panel
-    years = [y for y in range(first, last + 1) if y > pp.years[0]]
-    if not years:
+    if last <= y0:
         raise DataError(f"period {first}..{last} has no evaluable years")
+    # table row i holds the step into year y0 + 1 + i
+    rows = _count_table(pp)[max(first, y0 + 1) - y0 - 1:last - y0]
 
-    if method == "mean":
-        def nanmean(vals):
-            vals = [v for v in vals if not np.isnan(v)]
-            return float(np.mean(vals)) if vals else float("nan")
-        trs = [transition_probs(pp, y) for y in years]
-        pes = [persistence_probs(pp, y, t_p) for y in years]
-        return PooledMetrics(
-            first_year=first, last_year=last, t_p=t_p,
-            p_in=nanmean([t.p_in for t in trs]),
-            p_out=nanmean([t.p_out for t in trs]),
-            p_tx=nanmean([t.p_tx for t in trs]),
-            p_esc=nanmean([p[0] for p in pes]),
-            p_stic=nanmean([p[1] for p in pes]),
-        )
-
-    sums = dict.fromkeys(
-        ("n_in", "n_out", "n_p_prev", "n_p_cur", "n_np_cur",
-         "n_esc", "n_stick"), 0)
-    for y in years:
-        j = pp.index_of(y)
-        prev = pp.poor[:, j - 1]
-        cur = pp.poor[:, j]
-        long_spell = prev & (pp.duration[:, j - 1] >= t_p)
-        sums["n_in"] += int(np.count_nonzero(~prev & cur))
-        sums["n_out"] += int(np.count_nonzero(prev & ~cur))
-        sums["n_p_prev"] += int(np.count_nonzero(prev))
-        sums["n_p_cur"] += int(np.count_nonzero(cur))
-        sums["n_np_cur"] += int(np.count_nonzero(~cur))
-        sums["n_esc"] += int(np.count_nonzero(long_spell & ~cur))
-        sums["n_stick"] += int(np.count_nonzero(long_spell & cur))
+    if method == "counts":
+        rows = rows.sum(axis=0)  # one row of counts summed over the years
+        pool = float
+    else:
+        pool = _nanmean
+    p_in, p_out, p_tx, _ = _transitions(rows)
+    p_esc, p_stic = _persistence(rows, t_p)
     return PooledMetrics(
         first_year=first, last_year=last, t_p=t_p,
-        p_in=_ratio(sums["n_in"], sums["n_p_cur"]),
-        p_out=_ratio(sums["n_out"], sums["n_p_prev"]),
-        p_tx=_ratio(sums["n_in"] + sums["n_out"],
-                    sums["n_p_cur"] + sums["n_p_prev"]),
-        p_esc=_ratio(sums["n_esc"], sums["n_np_cur"]),
-        p_stic=_ratio(sums["n_stick"], sums["n_p_cur"]),
+        p_in=pool(p_in), p_out=pool(p_out), p_tx=pool(p_tx),
+        p_esc=pool(p_esc), p_stic=pool(p_stic),
     )
+
+
+def _nanmean(values: np.ndarray) -> float:
+    """Mean of the defined (non-NaN) values in year order; NaN if none."""
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if len(values) else float("nan")
 
 
 def gini(values) -> float:
@@ -370,7 +409,8 @@ def gini(values) -> float:
         raise UndefinedGiniError("value sum must be positive")
     n = len(x)
     xs = np.sort(x)
-    weights = 2.0 * np.arange(1, n + 1) - n - 1.0
+    # 2i - n - 1 for i = 1..n; exact integers, so the step form is exact
+    weights = np.arange(1.0 - n, n, 2.0)
     # mathematically >= 0; clamp the cancellation residue for equal values
     return max(float(np.dot(weights, xs) / (n * total)), 0.0)
 
@@ -381,7 +421,9 @@ def bpl_gini_series(panel: IncomePanel, pp: PovertyPanel) -> BplGiniReport:
     out = np.full(n_years, np.nan)
     flags = np.zeros(n_years, dtype=bool)
     for j, year in enumerate(pp.years):
-        subset = panel.column(int(year))[pp.poor[:, j]]
+        # compress: the same values as boolean indexing, several times
+        # faster on an irregular mask
+        subset = np.compress(pp.poor[:, j], panel.column(int(year)))
         if len(subset) == 0:
             continue
         flags[j] = bool(np.any(subset < 0))

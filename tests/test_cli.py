@@ -287,6 +287,50 @@ def test_metrics_panel_meta_missing_key_exit_code(tmp_path, fixtures_dir,
     assert "fingerprint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_config_exit_code(tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.txt"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes("seed = 1\n# caf\u00e9\n".encode("latin-1"))
+    code = run(["calibrate", "--config", str(cfg), "--out",
+                str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "cfg.txt" in err
+
+
+def test_hcr_file_not_utf8_exit_code(tmp_path, fixtures_dir, capsys):
+    hcr = tmp_path / "hcr_latin1.csv"
+    hcr.write_bytes("year,hcr,definition_name\n2000,0.4,pobreza m\u00ednima\n"
+                    .encode("latin-1"))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"panel_dir = {fixtures_dir / 'panel_small'}\n"
+                   f"hcr_latin1 = {hcr}\n")
+    code = run(["metrics", "--config", str(cfg), "--out",
+                str(tmp_path / "run")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "hcr_latin1.csv: not UTF-8" in err
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert "UTF-8" in summary["failed"]["latin1"]
+
+
+def test_panel_meta_is_a_directory_exit_code(tmp_path, fixtures_dir, capsys):
+    panel = tmp_path / "panel"
+    shutil.copytree(fixtures_dir / "panel_small", panel)
+    (panel / "panel_meta.json").unlink()
+    (panel / "panel_meta.json").mkdir()
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"panel_dir = {panel}\n"
+                   f"hcr_small = {fixtures_dir / 'hcr_small.csv'}\n")
+    code = run(["metrics", "--config", str(cfg), "--out",
+                str(tmp_path / "run")])
+    assert code == EXIT_DATA
+    assert "panel_meta.json" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

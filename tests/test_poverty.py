@@ -458,3 +458,148 @@ def test_all_statistics_match_brute_force_scan():
                 p_esc, p_stic = persistence_probs(pp, int(year), t_p)
                 assert p_esc == pytest.approx(o_esc, nan_ok=True, abs=0)
                 assert p_stic == pytest.approx(o_stic, nan_ok=True, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# count table against the oracles (exact, every report and pooling mode)
+
+def _same(a, b):
+    """Bit-for-bit equal floats, NaN equal to NaN."""
+    return (np.isnan(a) and np.isnan(b)) or a == b
+
+
+def _oracle_mean(values):
+    values = [v for v in values if not np.isnan(v)]
+    return float(np.mean(values)) if values else float("nan")
+
+
+def _check_against_oracles(poor, rng):
+    pp = pp_from_flags(poor)
+    n, t = poor.shape
+    tps = sorted({1, 2, t - 1, t, t + 3} - {0})
+    trans = transition_report(pp)
+    persist = persistence_report(pp, tps)
+    for i, year in enumerate(trans.years):
+        j = pp.index_of(int(year))
+        c = oracles.transition_counts(poor, j)
+        p_in, p_out, p_tx = oracles.transition_probs(poor, j)
+        at_risk = (c["n_in"] / c["n_np_prev"] if c["n_np_prev"]
+                   else float("nan"))
+        assert _same(trans.p_in[i], p_in)
+        assert _same(trans.p_out[i], p_out)
+        assert _same(trans.p_tx[i], p_tx)
+        assert _same(trans.p_in_at_risk[i], at_risk)
+        for t_p in tps:
+            o_esc, o_stic = oracles.persistence_probs(poor, j, t_p)
+            stic, esc = persist.by_tp[t_p]
+            assert _same(esc[i], o_esc) and _same(stic[i], o_stic)
+    # a random period, a single-year period and the whole panel
+    a = int(rng.integers(1, t))
+    b = int(rng.integers(a, t))
+    for first_j, last_j in {(a, b), (b, b), (1, t - 1)}:
+        period = (int(pp.years[first_j]), int(pp.years[last_j]))
+        for t_p in tps:
+            pm = pooled_metrics(pp, period, t_p, method="counts")
+            o = oracles.pooled_counts(poor, first_j, last_j, t_p)
+
+            def ratio(x, y):
+                return x / y if y else float("nan")
+            assert _same(pm.p_in, ratio(o["n_in"], o["n_p_cur"]))
+            assert _same(pm.p_out, ratio(o["n_out"], o["n_p_prev"]))
+            assert _same(pm.p_tx, ratio(o["n_in"] + o["n_out"],
+                                        o["n_p_cur"] + o["n_p_prev"]))
+            assert _same(pm.p_esc, ratio(o["n_esc"], o["n_np_cur"]))
+            assert _same(pm.p_stic, ratio(o["n_stick"], o["n_p_cur"]))
+
+            pm = pooled_metrics(pp, period, t_p, method="mean")
+            js = range(first_j, last_j + 1)
+            trs = [oracles.transition_probs(poor, j) for j in js]
+            pes = [oracles.persistence_probs(poor, j, t_p) for j in js]
+            assert _same(pm.p_in, _oracle_mean([x[0] for x in trs]))
+            assert _same(pm.p_out, _oracle_mean([x[1] for x in trs]))
+            assert _same(pm.p_tx, _oracle_mean([x[2] for x in trs]))
+            assert _same(pm.p_esc, _oracle_mean([x[0] for x in pes]))
+            assert _same(pm.p_stic, _oracle_mean([x[1] for x in pes]))
+
+
+def test_count_table_matches_oracles_on_random_panels():
+    rng = np.random.default_rng(19)
+    for _ in range(25):
+        poor = random_poverty_panel(rng, n_max=40, t_max=9)
+        # years with no poor agent, and years where everyone is poor
+        # (hcr = 1, the +inf line in pp_from_flags)
+        for j in rng.choice(poor.shape[1], size=2):
+            poor[:, j] = rng.random() < 0.5
+        _check_against_oracles(poor, rng)
+
+
+def test_count_table_edge_panels():
+    rng = np.random.default_rng(20)
+    _check_against_oracles(np.zeros((4, 5), dtype=bool), rng)
+    _check_against_oracles(np.ones((3, 4), dtype=bool), rng)
+    _check_against_oracles(np.array([[1, 0], [0, 1]], dtype=bool), rng)
+
+
+def test_hcr_one_classifies_everyone_poor():
+    panel = panel_from_matrix(np.random.default_rng(21).uniform(1, 2, (5, 3)))
+    line, pp = classify(panel, AnnualSeries(panel.years, [0.4, 1.0, 1.0]))
+    assert np.isinf(line.z[1]) and pp.poor[:, 1:].all()
+    rep = persistence_report(pp, [1, 2, 5])
+    # p_stic: 2 of 5 poor in the first year, then everyone stays poor
+    assert np.array_equal(rep.by_tp[1][0], [0.4, 1.0])
+    assert np.isnan(rep.by_tp[1][1]).all()  # p_esc: no non-poor agent
+
+
+def test_count_table_is_built_once_per_panel(monkeypatch):
+    import povdyn.poverty as poverty
+    pp = pp_from_flags(random_poverty_panel(np.random.default_rng(22)))
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(poverty.np, "bincount",
+                        lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    transition_report(pp)
+    persistence_report(pp)
+    for t_p in (1, 2, 3):
+        pooled_metrics(pp, (int(pp.years[0]), int(pp.years[-1])), t_p)
+    transition_probs(pp, int(pp.years[-1]))
+    persistence_probs(pp, int(pp.years[-1]), 2)
+    assert len(calls) == len(pp.years) - 1
+
+
+def test_pooled_rejects_threshold_below_one():
+    pp = pp_from_flags(np.ones((3, 4), dtype=bool))
+    for method in ("counts", "mean"):
+        with pytest.raises(ValueError):
+            pooled_metrics(pp, (2001, 2003), 0, method=method)
+
+
+# ---------------------------------------------------------------------------
+# year-major income panel
+
+def test_income_panel_keeps_agents_major_view():
+    mat = np.random.default_rng(23).normal(size=(7, 4))
+    panel = panel_from_matrix(mat)
+    assert panel.incomes.shape == (7, 4)
+    assert np.array_equal(panel.incomes, mat)
+    assert not np.shares_memory(panel.incomes, mat)  # (N, T) input: one copy
+    for j, year in enumerate(panel.years):
+        col = panel.column(int(year))
+        assert col.flags.c_contiguous
+        assert np.array_equal(col, mat[:, j])
+    assert panel.n_agents == 7
+
+
+def test_income_panel_takes_year_major_view_without_copy():
+    by_year = np.random.default_rng(24).normal(size=(4, 7))
+    panel = IncomePanel(years=np.arange(2000, 2004), incomes=by_year.T,
+                        seed=0, fingerprint="t")
+    assert np.shares_memory(panel.incomes, by_year)
+    assert panel.incomes.shape == (7, 4)
+    assert np.shares_memory(panel.column(2002), by_year[2])
+
+
+def test_income_panel_rejects_non_finite():
+    mat = np.ones((3, 2))
+    mat[1, 1] = np.inf
+    with pytest.raises(DataError):
+        panel_from_matrix(mat)
