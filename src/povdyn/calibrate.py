@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import config_digest
-from .errors import (DataError, NonContiguousSeriesError,
+from .errors import (DataError, InvalidTargetError, NonContiguousSeriesError,
                      UndefinedShareError)
 from .poverty import IncomePanel
 from .rgbm import (ModelParams, Population, apply_rate, bottom_share_of,
@@ -70,7 +70,14 @@ class YearFit:
 
 @dataclass
 class CalibrationResult:
-    """Fitted rates, their smoothed version, and both share trajectories."""
+    """Fitted rates, their smoothed version, and both share trajectories.
+
+    ``panel`` is the income panel of the validation replay under
+    ``tau_effective`` (initial year first), the one
+    ``replay(initial, tau_effective, ..., collect_panel=True)`` returns;
+    it is kept only when :func:`fit_series` is asked to collect it, and
+    is ``None`` otherwise.
+    """
 
     tau: AnnualSeries
     tau_effective: AnnualSeries
@@ -79,6 +86,7 @@ class CalibrationResult:
     fitted_shares: PartialSeries
     divergent_years: tuple[int, ...] = ()
     clamped_years: tuple[int, ...] = ()
+    panel: IncomePanel | None = None
 
 
 def _share_or_nan(incomes: np.ndarray, degenerate: list[int],
@@ -175,7 +183,8 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     Returns (tau, residual, clamped).
     """
     if not (0.0 < target_s50 < 1.0):
-        raise ValueError(f"target share must be in (0, 1), got {target_s50!r}")
+        raise InvalidTargetError(
+            f"target share must be in (0, 1), got {target_s50!r}")
 
     # the reallocation term sums to zero, so total income after the step is
     # the same for every rate; a non-positive total (tiny degenerate
@@ -216,6 +225,7 @@ def _trailing_mean(v: np.ndarray, window: int) -> np.ndarray:
     ``v[:i + 1]``: the trailing mean of a prefix equals the prefix of the
     trailing mean bit for bit.
     """
+    window = min(window, len(v))  # a longer window averages the prefix
     css = np.concatenate(([0.0], np.cumsum(v)))
     idx = np.arange(len(v))
     lo = np.maximum(0, idx - window + 1)
@@ -231,6 +241,25 @@ def effective_tau(tau: AnnualSeries, window: int = 5) -> AnnualSeries:
     if window < 1:
         raise ValueError("window must be >= 1")
     return AnnualSeries(tau.years.copy(), _trailing_mean(tau.values, window))
+
+
+def _replay_panel(rows: np.ndarray, start_year: int, rates: AnnualSeries,
+                  params: ModelParams, seed: int) -> IncomePanel:
+    """The panel of a replay from ``start_year`` under ``rates``.
+
+    ``rows`` is the year-major (T + 1, N) income array, the initial year
+    first. The fingerprint identifies the replay's inputs, so a panel
+    collected during the fit and one replayed afterwards carry the same.
+    """
+    years = np.arange(start_year, rates.last_year + 1, dtype=np.int64)
+    fingerprint = config_digest({
+        "seed": seed, "mu": params.mu, "sigma": params.sigma,
+        "dt": params.dt, "n_agents": params.n_agents,
+        "start_year": start_year,
+        "rates": [(int(y), float(v)) for y, v in rates],
+    })
+    return IncomePanel(years=years, incomes=rows.T, seed=seed,
+                       fingerprint=fingerprint)
 
 
 def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
@@ -269,15 +298,7 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     _warn_undefined(degenerate)
     panel = None
     if rows is not None:
-        years = np.arange(initial.year, rates.last_year + 1, dtype=np.int64)
-        fingerprint = config_digest({
-            "seed": seed, "mu": params.mu, "sigma": params.sigma,
-            "dt": params.dt, "n_agents": params.n_agents,
-            "start_year": initial.year,
-            "rates": [(int(y), float(v)) for y, v in rates],
-        })
-        panel = IncomePanel(years=years, incomes=rows.T, seed=seed,
-                            fingerprint=fingerprint)
+        panel = _replay_panel(rows, initial.year, rates, params, seed)
     return PartialSeries(rates.years.copy(), shares), panel
 
 
@@ -291,8 +312,8 @@ def replay_with_effective(initial: Population, result: CalibrationResult,
 
 
 def fit_series(initial: Population, targets: AnnualSeries,
-               params: ModelParams, cfg: CalibrationConfig, seed: int
-               ) -> CalibrationResult:
+               params: ModelParams, cfg: CalibrationConfig, seed: int,
+               collect_panel: bool = False) -> CalibrationResult:
     """Fit the rate year by year along an observed share series.
 
     The forward state is propagated under each year's fitted rate (or the
@@ -303,6 +324,12 @@ def fit_series(initial: Population, targets: AnnualSeries,
     depends only on the rates fitted so far, so the shares equal those of
     ``replay(initial, result.tau_effective, params, seed)`` bit for bit,
     and each year's noise is drawn once.
+
+    With ``collect_panel`` the validation trajectory is also kept, year by
+    year, in ``result.panel``: the same panel, fingerprint included, as
+    ``replay(..., collect_panel=True)`` under ``result.tau_effective``
+    returns, without stepping the trajectory a second time. It costs one
+    (T + 1, N) array; without it ``result.panel`` is ``None``.
     """
     if not targets.is_contiguous():
         raise NonContiguousSeriesError(
@@ -319,6 +346,10 @@ def fit_series(initial: Population, targets: AnnualSeries,
     residuals = np.empty(len(targets))
     fitted_shares = np.empty(len(targets))
     replay_shares = np.empty(len(targets))
+    rows = None
+    if collect_panel:
+        rows = np.empty((len(targets) + 1, initial.n))
+        rows[0] = initial.incomes
     divergent: list[int] = []
     clamped_years: list[int] = []
     degenerate: list[int] = []
@@ -350,15 +381,20 @@ def fit_series(initial: Population, targets: AnnualSeries,
         replayed = step_with_noise(replayed, params, float(tau_eff[i]), noise)
         del noise
         replay_shares[i] = _share_or_nan(replayed.incomes, degenerate, year)
+        if rows is not None:
+            rows[i + 1] = replayed.incomes
     _warn_undefined(degenerate)
 
     years = targets.years
+    tau_effective = AnnualSeries(years.copy(), tau_eff)
     return CalibrationResult(
         tau=AnnualSeries(years.copy(), taus),
-        tau_effective=AnnualSeries(years.copy(), tau_eff),
+        tau_effective=tau_effective,
         residuals=AnnualSeries(years.copy(), residuals),
         replay_shares=PartialSeries(years.copy(), replay_shares),
         fitted_shares=PartialSeries(years.copy(), fitted_shares),
         divergent_years=tuple(divergent),
         clamped_years=tuple(clamped_years),
+        panel=(None if rows is None else
+               _replay_panel(rows, initial.year, tau_effective, params, seed)),
     )

@@ -29,7 +29,7 @@ from .errors import (CalibrationDivergenceError, ConfigError, DataError,
 from .poverty import (IncomePanel, bpl_gini_series, classify,
                       persistence_report, pooled_metrics, sample_paths,
                       transition_report)
-from .rgbm import ModelParams, Population, init_lognormal
+from .rgbm import ModelParams, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
 EXIT_OK = 0
@@ -204,8 +204,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         paths_above=_typed(kv, "paths_above", int, 20),
         panel_format=kv.get("panel_format", "npy"),
         out_dir=Path(kv.get("out_dir", "out")),
-        threads=_typed(kv, "threads", int,
-                       int(os.environ.get("POVDYN_THREADS", "1"))),
+        threads=_typed(kv, "threads", int, _env_threads()),
         init_s50=_typed(kv, "init_s50", float, None),
         start_year=_typed(kv, "start_year", int, None),
     )
@@ -227,7 +226,19 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("tp_max must be >= 1")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if cfg.paths_below < 0 or cfg.paths_above < 0:
+        raise ConfigError("paths_below and paths_above must be >= 0")
+    if cfg.init_s50 is not None and not np.isfinite(cfg.init_s50):
+        raise ConfigError("init_s50 must be finite")
     return cfg
+
+
+def _env_threads() -> int:
+    text = os.environ.get("POVDYN_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"POVDYN_THREADS: cannot parse {text!r}") from None
 
 
 def _optional_path(value: str | None) -> Path | None:
@@ -282,14 +293,18 @@ def _flag_share_range(name: str, series: AnnualSeries) -> None:
               "(negative incomes present)")
 
 
-def _run_calibration(cfg: PipelineConfig, manifest: RunManifest
-                     ) -> tuple[Population, CalibrationResult]:
-    """Fit and write the calibration outputs; returns the initial
-    population it started from, so a later stage need not draw it again."""
+def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
+                     collect_panel: bool = False) -> CalibrationResult:
+    """Fit and write the calibration outputs.
+
+    With ``collect_panel`` the result also carries the income panel of the
+    validation replay under ``tau_effective`` (see :func:`fit_series`).
+    """
     pop, targets = _initial_population(cfg)
     if targets is None:
         raise ConfigError("calibration needs inequality_csv")
-    result = fit_series(pop, targets, cfg.model, cfg.calib, cfg.seed)
+    result = fit_series(pop, targets, cfg.model, cfg.calib, cfg.seed,
+                        collect_panel=collect_panel)
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -318,7 +333,7 @@ def _run_calibration(cfg: PipelineConfig, manifest: RunManifest
         if cfg.strict:
             raise CalibrationDivergenceError(
                 f"targets unreachable in years {result.divergent_years}")
-    return pop, result
+    return result
 
 
 def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
@@ -412,6 +427,27 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
     }
 
 
+def _remove_stale_reports(out: Path, written) -> None:
+    """Delete the report files in ``out`` of definitions not ``written``.
+
+    Those are definitions since removed from the config, or ones that
+    failed in this run; their ``metrics_``, ``pooled_`` and ``paths_``
+    CSVs would otherwise sit beside this run's under an older manifest
+    digest. Only those three name patterns directly in ``out`` are
+    touched.
+    """
+    for prefix in ("metrics_", "pooled_", "paths_"):
+        for path in out.glob(f"{prefix}*.csv"):
+            name = path.name[len(prefix):-len(".csv")]
+            if name in written or not path.is_file():
+                continue
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise OutputError(f"cannot remove stale report {path}: "
+                                  f"{exc.strerror or exc}") from None
+
+
 def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
                  panel: IncomePanel) -> dict:
     if not cfg.hcr_files:
@@ -428,6 +464,7 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
         except PovdynError as exc:
             summary["failed"][name] = str(exc)
             print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
+    _remove_stale_reports(out, summary["definitions"])
     write_json(summary, out / "summary.json")
     if cfg.hcr_files and not summary["definitions"]:
         raise DataError("all poverty-line definitions failed")
@@ -483,10 +520,8 @@ def cmd_pipeline(args) -> int:
     manifest = _make_manifest(cfg, inputs)
     stage = "calibrate"
     try:
-        pop, result = _run_calibration(cfg, manifest)
+        panel = _run_calibration(cfg, manifest, collect_panel=True).panel
         stage = "simulate"
-        _, panel = replay(pop, result.tau_effective, cfg.model, cfg.seed,
-                          threads=cfg.threads, collect_panel=True)
         write_panel(panel, cfg.out_dir, fmt=cfg.panel_format)
         stage = "metrics"
         _run_metrics(cfg, manifest, panel)
@@ -510,7 +545,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
                         help="agent slices stepped in parallel per year "
-                             "(never changes results); "
+                             "by simulate; calibrate and pipeline step on "
+                             "one thread (never changes results); "
                              "default from POVDYN_THREADS")
     parser.add_argument("--strict", action="store_true",
                         help="treat calibration divergence as fatal")

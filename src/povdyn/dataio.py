@@ -64,6 +64,11 @@ def file_digest(path) -> str:
 # ---------------------------------------------------------------------------
 # annual series
 
+# years are stored as int64
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _parse_series(path, year_col: str, value_col: str,
                   name_col: str | None = None
                   ) -> tuple[AnnualSeries, set[str]]:
@@ -102,6 +107,9 @@ def _parse_series(path, year_col: str, value_col: str,
                     raise SeriesFormatError(
                         f"{path}:{lineno}: malformed row {row!r}: {exc}"
                     ) from None
+                if not _INT64_MIN <= year <= _INT64_MAX:
+                    raise SeriesFormatError(
+                        f"{path}:{lineno}: year {year} out of range")
                 if not math.isfinite(value):
                     raise SeriesFormatError(
                         f"{path}:{lineno}: non-finite value for year {year}")
@@ -113,6 +121,8 @@ def _parse_series(path, year_col: str, value_col: str,
     except UnicodeDecodeError as exc:
         raise SeriesFormatError(
             f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:
+        raise SeriesFormatError(f"{path}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}"
                         ) from None

@@ -26,7 +26,7 @@ class ExtrapolationRefusedError(DataError):
 
 
 class InvalidTargetError(PovdynError):
-    """Initialization target share outside its admissible range."""
+    """Initialization or calibration target share outside its range."""
 
 
 class PropagationOverflowError(PovdynError):

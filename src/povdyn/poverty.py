@@ -434,6 +434,30 @@ def bpl_gini_series(panel: IncomePanel, pp: PovertyPanel) -> BplGiniReport:
                          negatives_floored=flags)
 
 
+def _nearest(col: np.ndarray, idx: np.ndarray, k: int,
+             largest: bool) -> np.ndarray:
+    """The ``k`` agents of ``idx`` with the largest (or smallest) values.
+
+    Ties at the k-th value go to the highest indices when ``largest`` and
+    to the lowest otherwise: the agents a stable sort of ``col`` puts
+    nearest the line. ``idx`` is ascending and so is the result; fewer
+    than ``k`` candidates returns them all.
+    """
+    if k >= len(idx):
+        return idx
+    if k == 0:
+        return idx[:0]
+    vals = col[idx]
+    pos = len(vals) - k if largest else k - 1
+    kth = np.partition(vals, pos)[pos]
+    inside = vals > kth if largest else vals < kth
+    ties = np.flatnonzero(vals == kth)
+    need = k - int(np.count_nonzero(inside))
+    ties = ties[len(ties) - need:] if largest else ties[:need]
+    inside[ties] = True
+    return idx[inside]
+
+
 def sample_paths(panel: IncomePanel, line: PovertyLineSeries, k_above: int,
                  k_below: int, seed: int) -> TrajectoryBundle:
     """Extract income paths straddling the first-year poverty line.
@@ -449,18 +473,15 @@ def sample_paths(panel: IncomePanel, line: PovertyLineSeries, k_above: int,
         raise ValueError("requested more paths than agents")
     year0 = int(line.years[0])
     col = panel.column(year0)
-    order = np.argsort(col, kind="stable")
-    split = int(np.searchsorted(col[order], line.z[0], side="left"))
-    below = order[max(0, split - k_below):split]
-    above = order[split:split + k_above]
+    is_below = col < line.z[0]
+    below = _nearest(col, np.flatnonzero(is_below), k_below, largest=True)
+    above = _nearest(col, np.flatnonzero(~is_below), k_above, largest=False)
     truncated = len(below) < k_below or len(above) < k_above
     if truncated:
         warnings.warn(
             f"only {len(below)} below / {len(above)} above the line at "
             f"{year0}; requested {k_below}/{k_above}"
         )
-    below = np.sort(below)
-    above = np.sort(above)
     return TrajectoryBundle(
         years=panel.years.copy(),
         line_years=line.years.copy(),

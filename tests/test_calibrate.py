@@ -246,11 +246,25 @@ def test_fused_replay_matches_separate_replay(forward_rate):
     tau_true = np.linspace(0.04, -0.02, 12)
     pop0, targets = make_targets(params, seed=21, tau_true=tau_true)
     cfg = CalibrationConfig(forward_rate=forward_rate, smoothing_window=4)
-    res = fit_series(pop0, targets, params, cfg, seed=21)
+    res = fit_series(pop0, targets, params, cfg, seed=21, collect_panel=True)
     assert np.array_equal(res.tau_effective.values,
                           effective_tau(res.tau, 4).values)
-    shares, _ = replay(pop0, res.tau_effective, params, seed=21)
-    assert np.array_equal(res.replay_shares.values, shares.values)
+    for threads in (1, 3):
+        shares, panel = replay(pop0, res.tau_effective, params, seed=21,
+                               threads=threads, collect_panel=True)
+        assert np.array_equal(res.replay_shares.values, shares.values)
+        assert np.array_equal(res.panel.incomes, panel.incomes)
+        assert np.array_equal(res.panel.years, panel.years)
+        assert res.panel.years.dtype == panel.years.dtype
+        assert res.panel.seed == panel.seed
+        assert res.panel.fingerprint == panel.fingerprint
+    # the panel is only kept on request, and never changes the fit
+    plain = fit_series(pop0, targets, params, cfg, seed=21)
+    assert plain.panel is None
+    for name in ("tau", "tau_effective", "residuals"):
+        assert getattr(plain, name) == getattr(res, name)
+    assert np.array_equal(plain.replay_shares.values,
+                          res.replay_shares.values)
 
 
 def test_fit_series_draws_step_noise_once_per_year(monkeypatch):

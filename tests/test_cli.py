@@ -168,8 +168,89 @@ def test_calibration_residuals_small_on_fixture(pipeline_runs):
     assert float(residuals.values.max()) <= 1e-4
 
 
+def test_pipeline_steps_each_year_once(tmp_path, fixtures_dir, monkeypatch):
+    # the panel comes from the calibration's validation replay: no
+    # second replay, and one noise draw per year (plus the initial one)
+    from povdyn import calibrate, cli
+    from povdyn.rng import RngStream
+    monkeypatch.chdir(fixtures_dir)
+    calls = {"replay": 0, "normals": 0}
+    replay, normals = calibrate.replay, RngStream.normals
+
+    def counting_replay(*args, **kwargs):
+        calls["replay"] += 1
+        return replay(*args, **kwargs)
+
+    def counting_normals(self, *args, **kwargs):
+        calls["normals"] += 1
+        return normals(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "replay", counting_replay)
+    monkeypatch.setattr(calibrate, "replay", counting_replay)
+    monkeypatch.setattr(RngStream, "normals", counting_normals)
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", "pipeline_small.cfg",
+                 "--out", str(out), "--threads", "3"]) == EXIT_OK
+    targets = read_series("s50_synthetic.csv", value_col="s50")
+    assert calls == {"replay": 0, "normals": len(targets)}
+
+
 # ---------------------------------------------------------------------------
 # reruns and degenerate sizes
+
+def test_rerun_removes_reports_of_definitions_not_written(tmp_path,
+                                                          fixtures_dir,
+                                                          monkeypatch):
+    monkeypatch.chdir(fixtures_dir)
+    out = tmp_path / "run"
+    common = "panel_dir = panel_small\npool_periods = 2001-2007\n"
+    both = tmp_path / "both.cfg"
+    both.write_text(common + "hcr_small = hcr_small.csv\n"
+                    "hcr_other = hcr_small.csv\n")
+    one = tmp_path / "one.cfg"
+    one.write_text(common + "hcr_small = hcr_small.csv\n")
+    reports = [f"{kind}_{name}.csv" for kind in ("metrics", "pooled", "paths")
+               for name in ("small", "other")]
+    assert run(["metrics", "--config", str(both), "--out", str(out)]) == \
+        EXIT_OK
+    assert all((out / name).is_file() for name in reports)
+    # files the cleanup must leave alone: other names, other directories
+    keep = [out / "notes.csv", out / "metrics_other.txt",
+            out / "sub" / "metrics_other.csv"]
+    (out / "sub").mkdir()
+    (out / "paths_dir.csv").mkdir()
+    for path in keep:
+        path.write_text("x")
+
+    assert run(["metrics", "--config", str(one), "--out", str(out)]) == \
+        EXIT_OK
+    for name in reports:
+        assert (out / name).exists() == name.endswith("_small.csv"), name
+    assert all(path.read_text() == "x" for path in keep)
+    assert (out / "paths_dir.csv").is_dir()
+    # a rerun writes what a fresh run writes, byte for byte
+    fresh = tmp_path / "fresh"
+    assert run(["metrics", "--config", str(one), "--out", str(fresh)]) == \
+        EXIT_OK
+    extra = {"notes.csv", "metrics_other.txt", "sub", "paths_dir.csv"}
+    assert {p.name for p in out.iterdir()} == \
+        {p.name for p in fresh.iterdir()} | extra
+    for path in fresh.iterdir():
+        if path.name != "manifest.json":  # it records the run's time
+            assert filecmp.cmp(path, out / path.name, shallow=False), \
+                path.name
+
+    # a definition that fails this run loses its old reports too
+    bad = tmp_path / "hcr_bad.csv"
+    bad.write_text("year,hcr\n1990,0.5\n1991,0.5\n")
+    (out / "metrics_bad.csv").write_text("stale")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(common + f"hcr_small = hcr_small.csv\nhcr_bad = {bad}\n")
+    assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_OK
+    assert not (out / "metrics_bad.csv").exists()
+    assert (out / "metrics_small.csv").is_file()
+
 
 def test_rerun_same_seed_identical_digests(tmp_path, fixtures_dir,
                                            monkeypatch):
@@ -215,6 +296,30 @@ def test_bad_config_value_exit_code(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("sigma = -5\n")
     assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", [
+    "paths_below = -1", "paths_above = -3", "init_s50 = nan",
+    "init_s50 = inf",
+])
+def test_bad_report_or_start_value_exit_code(tmp_path, capsys, text):
+    # checked when the config is built; before, a negative path count
+    # was a ValueError traceback in the metrics stage and a non-finite
+    # init_s50 one in the manifest
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"init_s50 = 0.3\nstart_year = 1950\n{text}\n")
+    code = run(["calibrate", "--config", str(cfg), "--out",
+                str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert text.split()[0] in capsys.readouterr().err
+
+
+def test_bad_threads_env_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("POVDYN_THREADS", "two")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("init_s50 = 0.3\nstart_year = 1950\n")
+    assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "POVDYN_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [

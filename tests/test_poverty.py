@@ -1,15 +1,17 @@
 """Poverty lines, durations, transitions, persistence, Gini."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from povdyn.errors import (DataError, NonContiguousSeriesError,
                            UndefinedGiniError)
-from povdyn.poverty import (IncomePanel, bpl_gini_series, classify, gini,
-                            persistence_probs, persistence_report,
-                            pooled_metrics, poverty_line_from_hcr,
-                            sample_paths, transition_probs,
-                            transition_report)
+from povdyn.poverty import (IncomePanel, PovertyLineSeries, bpl_gini_series,
+                            classify, gini, persistence_probs,
+                            persistence_report, pooled_metrics,
+                            poverty_line_from_hcr, sample_paths,
+                            transition_probs, transition_report)
 from povdyn.rgbm import Population
 from povdyn.series import AnnualSeries
 
@@ -436,6 +438,41 @@ def test_sample_paths_truncates_with_warning():
         bundle = sample_paths(panel, line, k_above=2, k_below=5, seed=0)
     assert bundle.truncated
     assert len(bundle.below_agents) == 2  # only 2 poor at 20% of 10
+
+
+def _argsort_selection(col, z, k_below, k_above):
+    """Reference: the agents a stable sort puts nearest the line."""
+    order = np.argsort(col, kind="stable")
+    split = int(np.searchsorted(col[order], z, side="left"))
+    return (np.sort(order[max(0, split - k_below):split]),
+            np.sort(order[split:split + k_above]))
+
+
+def test_sample_paths_matches_stable_argsort_selection():
+    rng = np.random.default_rng(19)
+    for trial in range(400):
+        n = int(rng.integers(2, 120))
+        # few distinct values, so ties at the k-th value are common
+        col = rng.integers(-3, int(rng.integers(1, 12)), n).astype(float)
+        col[rng.random(n) < 0.1] = -0.0
+        panel = panel_from_matrix(np.column_stack([col, rng.random(n)]))
+        z = (float(rng.choice(col)) if trial % 3 else  # line on a value
+             float(rng.choice([rng.uniform(-4, 12), np.inf])))
+        line = PovertyLineSeries("t", panel.years.copy(), np.full(2, z))
+        k_below = int(rng.integers(0, n + 1))
+        k_above = int(rng.integers(0, n - k_below + 1))
+        want_below, want_above = _argsort_selection(col, z, k_below, k_above)
+        truncated = (len(want_below) < k_below or len(want_above) < k_above)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bundle = sample_paths(panel, line, k_above, k_below, seed=0)
+        assert np.array_equal(bundle.below_agents, want_below), trial
+        assert np.array_equal(bundle.above_agents, want_above), trial
+        assert bundle.below_agents.dtype == want_below.dtype
+        assert bundle.truncated == truncated
+        assert len(caught) == int(truncated)
+        assert np.array_equal(bundle.below_paths, panel.incomes[want_below])
+        assert np.array_equal(bundle.above_paths, panel.incomes[want_above])
 
 
 # ---------------------------------------------------------------------------
