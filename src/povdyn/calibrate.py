@@ -6,28 +6,36 @@ of the rate. The share is non-decreasing in the rate (reallocation
 transfers toward below-mean agents), so the signed gap is bracketed and
 bisected; a golden-section fallback covers numerically non-monotone cases,
 and unreachable targets clamp to the nearer bracket endpoint with a
-divergence warning instead of aborting a long historical run.
+divergence warning instead of aborting a long historical run. A rate so
+large that the stepped total income overflows or loses its sign is
+unusable, and the search moves away from it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import config_digest
 from .errors import (DataError, InvalidTargetError, NonContiguousSeriesError,
-                     UndefinedShareError)
+                     UndefinedShareError, UnusableBracketError)
 from .poverty import IncomePanel
-from .rgbm import (ModelParams, Population, apply_rate, bottom_share_of,
-                   step, step_components, step_with_noise)
+from .rgbm import (ModelParams, Population, _checked, _components, apply_rate,
+                   bottom_share_of, step, step_components)
 from .rng import STEP_TAG, RngStream
 from .series import AnnualSeries, PartialSeries
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+# Draws per block of the noise prefetch. The draw runs beside the search,
+# so its two block buffers add to peak memory: 128 KiB, where the default
+# block's 1 MiB would be two thirds of a vector at 200k agents.
+_PREFETCH_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,10 @@ class CalibrationConfig:
     def __post_init__(self):
         if not self.tau_min < self.tau_max:
             raise ValueError("tau bracket must satisfy tau_min < tau_max")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+        if not (math.isfinite(self.tau_min) and math.isfinite(self.tau_max)):
+            raise ValueError("tau_min and tau_max must be finite")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be > 0 and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.smoothing_window < 1:
@@ -90,16 +100,17 @@ class CalibrationResult:
 
 
 def _share_or_nan(incomes: np.ndarray, degenerate: list[int],
-                  year: int) -> float:
+                  year: int, overwrite_input: bool = False) -> float:
     """Bottom share with the degenerate-population rescue.
 
     A non-positive income total (only reachable for tiny populations under
     extreme noise) leaves the share undefined; record NaN, which the
     writers turn into an empty field, and note the year so long runs
-    survive with a loud flag instead of aborting.
+    survive with a loud flag instead of aborting. ``overwrite_input`` is
+    that of :func:`bottom_share_of`.
     """
     try:
-        return bottom_share_of(incomes, 0.5)
+        return bottom_share_of(incomes, 0.5, overwrite_input=overwrite_input)
     except UndefinedShareError:
         degenerate.append(int(year))
         return math.nan
@@ -117,7 +128,10 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
 
     Returns (tau, |gap(tau)|, clamped). ``gap`` must be deterministic;
     monotone non-decreasing is assumed but not required (golden-section
-    fallback when the endpoint signs are reversed).
+    fallback when the endpoint signs are reversed). The gap of an unusable
+    rate is infinite, with the rate's sign, so the bisection moves from it
+    toward zero; an infinite ``|gap(tau)|`` in the result means that the
+    search found no usable rate.
     """
     g_lo = gap(lo)
     g_hi = gap(hi)
@@ -137,6 +151,8 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
     best_tau, best_abs = (lo, abs(g_lo)) if abs(g_lo) < abs(g_hi) else (hi, abs(g_hi))
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo + hi overflowed, or no float lies between them
         g_mid = gap(mid)
         if abs(g_mid) < best_abs:
             best_tau, best_abs = mid, abs(g_mid)
@@ -175,12 +191,20 @@ def _golden_section(gap, lo: float, hi: float, tolerance: float,
 
 
 def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
-             dt: float, cfg: CalibrationConfig) -> tuple[float, float, bool]:
-    """Fit one year's rate under frozen noise.
+             dt: float, cfg: CalibrationConfig, year: int
+             ) -> tuple[float, float, bool]:
+    """Fit the rate of ``year`` under frozen noise.
 
     ``base`` and ``relief`` come from :func:`step_components`; the stepped
     incomes for any rate ``t`` are ``apply_rate(base, relief, t, dt)``.
-    Returns (tau, residual, clamped).
+    A rate is unusable when its stepped total income is not positive and
+    finite, or when the bottom-half sum overflows; the search never
+    returns one. Returns (tau, residual, clamped).
+
+    Raises
+    ------
+    UnusableBracketError
+        If the search finds no usable rate in the bracket.
     """
     if not (0.0 < target_s50 < 1.0):
         raise InvalidTargetError(
@@ -197,12 +221,26 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     scratch = np.empty_like(base)
 
     def gap(tau: float) -> float:
-        return (bottom_share_of(apply_rate(base, relief, tau, dt, out=scratch),
-                                0.5, overwrite_input=True)
-                - target_s50)
+        try:
+            share = bottom_share_of(
+                apply_rate(base, relief, tau, dt, out=scratch), 0.5,
+                overwrite_input=True)
+        except UndefinedShareError:
+            share = math.nan
+        if not math.isfinite(share):
+            return math.copysign(math.inf, tau)  # unusable rate
+        return share - target_s50
 
-    return _search_tau(gap, cfg.tau_min, cfg.tau_max, cfg.tolerance,
-                       cfg.max_iterations)
+    # unusable rates overflow on purpose: no warning for them
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
+                                             cfg.tolerance,
+                                             cfg.max_iterations)
+    if math.isinf(residual):
+        raise UnusableBracketError(
+            f"year {year}: no rate in the bracket [{cfg.tau_min!r}, "
+            f"{cfg.tau_max!r}] steps to a positive, finite total income")
+    return tau, residual, clamped
 
 
 def fit_tau_year(state: Population, target_s50: float, params: ModelParams,
@@ -210,7 +248,7 @@ def fit_tau_year(state: Population, target_s50: float, params: ModelParams,
     """Fit the reallocation rate for one year and step the state under it."""
     base, relief = step_components(state, params, rng)
     tau, residual, clamped = _fit_one(base, relief, target_s50, params.dt,
-                                      cfg)
+                                      cfg, state.year + 1)
     nxt = Population(apply_rate(base, relief, tau, params.dt, out=relief),
                      state.year + 1)
     return YearFit(tau=tau, population=nxt, residual=residual,
@@ -311,6 +349,18 @@ def replay_with_effective(initial: Population, result: CalibrationResult,
     return shares
 
 
+def _replay_parts(replayed: Population, noise: np.ndarray,
+                  params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(base, relief)`` of the validation step; uses up ``noise``.
+
+    ``relief`` is built in the noise buffer itself, so the parts cost one
+    new vector. :func:`apply_rate` under the year's smoothed rate then
+    gives the step :func:`step` takes from ``replayed``, bit for bit.
+    """
+    x = replayed.incomes
+    return _components(x, float(np.mean(x)), noise, params, relief=noise)
+
+
 def fit_series(initial: Population, targets: AnnualSeries,
                params: ModelParams, cfg: CalibrationConfig, seed: int,
                collect_panel: bool = False) -> CalibrationResult:
@@ -325,11 +375,29 @@ def fit_series(initial: Population, targets: AnnualSeries,
     ``replay(initial, result.tau_effective, params, seed)`` bit for bit,
     and each year's noise is drawn once.
 
+    Each year runs in two stages on two threads. One helper thread lives
+    for the whole call. While the main thread searches year t's rate, the
+    helper builds the validation step's rate-free parts for year t (see
+    :func:`_replay_parts`) and then draws year t+1's noise. The main
+    thread finishes the validation step once year t's smoothed rate is
+    known. That leaves the search, the forward state and one
+    :func:`apply_rate` on the critical path. Every draw is a pure function
+    of its stream coordinates, so no value depends on which thread makes
+    it or when. The prefetched noise costs one N-vector of peak memory.
+
     With ``collect_panel`` the validation trajectory is also kept, year by
     year, in ``result.panel``: the same panel, fingerprint included, as
     ``replay(..., collect_panel=True)`` under ``result.tau_effective``
     returns, without stepping the trajectory a second time. It costs one
     (T + 1, N) array; without it ``result.panel`` is ``None``.
+
+    Raises
+    ------
+    UnusableBracketError
+        If no rate in the bracket can step some year's forward state.
+    PropagationOverflowError
+        If the validation replay overflows, naming the agent and year
+        that ``replay`` under ``result.tau_effective`` would name.
     """
     if not targets.is_contiguous():
         raise NonContiguousSeriesError(
@@ -339,7 +407,8 @@ def fit_series(initial: Population, targets: AnnualSeries,
             f"targets start {targets.first_year}, expected "
             f"{initial.year + 1} (initial year + 1)"
         )
-    stream = RngStream(seed)
+    stream = RngStream(seed, block=_PREFETCH_BLOCK)
+    n, dt = initial.n, params.dt
     state = replayed = initial
     taus = np.empty(len(targets))
     tau_eff = np.empty(len(targets))
@@ -348,41 +417,62 @@ def fit_series(initial: Population, targets: AnnualSeries,
     replay_shares = np.empty(len(targets))
     rows = None
     if collect_panel:
-        rows = np.empty((len(targets) + 1, initial.n))
+        rows = np.empty((len(targets) + 1, n))
         rows[0] = initial.incomes
     divergent: list[int] = []
     clamped_years: list[int] = []
     degenerate: list[int] = []
-    for i, (year, target) in enumerate(targets):
-        noise = stream.normals(state.year, STEP_TAG, 0, state.n, params.dt)
-        base, relief = step_components(state, params, stream, noise)
-        del state  # not needed past here; frees a vector before the search
-        tau, residual, clamped = _fit_one(base, relief, float(target),
-                                          params.dt, cfg)
-        taus[i] = tau
-        residuals[i] = residual
-        if clamped:
-            clamped_years.append(year)
-            if residual > cfg.divergence_threshold:
-                divergent.append(year)
-        if cfg.forward_rate == "effective":
-            lo = max(0, i - cfg.smoothing_window + 1)
-            rate = float(np.mean(taus[lo:i + 1]))
-        else:
-            rate = tau
-        state = Population(apply_rate(base, relief, rate, params.dt,
-                                      out=relief), year)
-        del base
-        fitted_shares[i] = _share_or_nan(state.incomes, [], year)
+    # Each vector is dropped as soon as its last reader is done, futures
+    # included, so that peak memory is the fit's three vectors (base,
+    # relief, scratch), the validation parts and the prefetched noise.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        nxt = helper.submit(stream.normals, initial.year, STEP_TAG, 0, n, dt)
+        for i, (year, target) in enumerate(targets):
+            noise = nxt.result()
+            nxt = None
+            base, relief = step_components(state, params, stream, noise)
+            del state
+            # the fit has read the noise: the helper may now use it up
+            parts = helper.submit(_replay_parts, replayed, noise, params)
+            del replayed, noise
+            if i + 1 < len(targets):
+                nxt = helper.submit(stream.normals, year, STEP_TAG, 0, n, dt)
 
-        # validation replay, stepped only after the fit year's vectors
-        # are freed so that peak memory stays that of the fit
-        tau_eff[i] = _trailing_mean(taus[:i + 1], cfg.smoothing_window)[-1]
-        replayed = step_with_noise(replayed, params, float(tau_eff[i]), noise)
-        del noise
-        replay_shares[i] = _share_or_nan(replayed.incomes, degenerate, year)
-        if rows is not None:
-            rows[i + 1] = replayed.incomes
+            tau, residual, clamped = _fit_one(base, relief, float(target), dt,
+                                              cfg, year)
+            taus[i] = tau
+            residuals[i] = residual
+            if clamped:
+                clamped_years.append(year)
+                if residual > cfg.divergence_threshold:
+                    divergent.append(year)
+            if cfg.forward_rate == "effective":
+                lo = max(0, i - cfg.smoothing_window + 1)
+                rate = float(np.mean(taus[lo:i + 1]))
+            else:
+                rate = tau
+            state = Population(apply_rate(base, relief, rate, dt, out=relief),
+                               year)
+            np.copyto(base, state.incomes)
+            fitted_shares[i] = _share_or_nan(base, [], year,
+                                             overwrite_input=True)
+            del base
+
+            # finish the validation step under the smoothed rate
+            tau_eff[i] = _trailing_mean(taus[:i + 1], cfg.smoothing_window)[-1]
+            v_base, v_relief = parts.result()
+            parts = None
+            replayed = _checked(apply_rate(v_base, v_relief, float(tau_eff[i]),
+                                           dt, out=v_relief), year - 1)
+            # the name would keep the replayed incomes alive through the
+            # next year's search, after the helper has used them up
+            del v_relief
+            np.copyto(v_base, replayed.incomes)
+            replay_shares[i] = _share_or_nan(v_base, degenerate, year,
+                                             overwrite_input=True)
+            del v_base
+            if rows is not None:
+                rows[i + 1] = replayed.incomes
     _warn_undefined(degenerate)
 
     years = targets.years

@@ -545,8 +545,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
                         help="agent slices stepped in parallel per year "
-                             "by simulate; calibrate and pipeline step on "
-                             "one thread (never changes results); "
+                             "by simulate (never changes results); "
+                             "calibrate and pipeline always use one "
+                             "helper thread beside the fit and ignore it; "
                              "default from POVDYN_THREADS")
     parser.add_argument("--strict", action="store_true",
                         help="treat calibration divergence as fatal")

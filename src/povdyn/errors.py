@@ -40,6 +40,10 @@ class PropagationOverflowError(PovdynError):
         )
 
 
+class UnusableBracketError(PovdynError):
+    """No rate in the calibration bracket steps to a usable population."""
+
+
 class UndefinedShareError(PovdynError):
     """Bottom share is undefined (total income is not positive)."""
 

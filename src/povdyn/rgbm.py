@@ -14,6 +14,7 @@ Gini layer floors them, with a flag.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -117,19 +118,23 @@ def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
             if b > a]
 
 
-def _components(x: np.ndarray, m: float, w: np.ndarray, params: ModelParams
+def _components(x: np.ndarray, m: float, w: np.ndarray, params: ModelParams,
+                relief: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """``(base, relief)`` for incomes ``x`` under the noise ``w``.
 
     ``base = x + x*(mu*dt) + x*(sigma*w)`` and ``relief = x - m``, in that
     operation order (products commute, so each value is the one the
-    written-out expression gives), built in two arrays. The stream is
-    exact on agent slices, so the result for a slice of ``x`` and its
+    written-out expression gives). ``base`` is a new array; ``relief`` is
+    built in the ``relief`` buffer when one is given, which may be ``w``
+    itself (the noise is then used up), and in a new array otherwise: the
+    operations are the same either way, and so are the values. The stream
+    is exact on agent slices, so the result for a slice of ``x`` and its
     noise slice does not depend on how the agent range is split.
     """
     base = np.multiply(x, params.mu * params.dt)
     np.add(x, base, out=base)
-    relief = np.multiply(w, params.sigma)
+    relief = np.multiply(w, params.sigma, out=relief)
     np.multiply(x, relief, out=relief)
     np.add(base, relief, out=base)
     np.subtract(x, m, out=relief)
@@ -179,22 +184,6 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     return _checked(out, pop.year)
 
 
-def step_with_noise(pop: Population, params: ModelParams, tau: float,
-                    noise: np.ndarray) -> Population:
-    """:func:`step` on one thread, under the year's noise already drawn.
-
-    ``noise`` must be ``rng.normals(pop.year, STEP_TAG, 0, pop.n,
-    params.dt)``; the result is then bit-identical to ``step``. It lets two
-    trajectories stepped from the same year share one draw.
-    """
-    if not np.isfinite(tau):
-        raise ValueError("tau must be finite")
-    x = pop.incomes
-    base, relief = _components(x, float(np.mean(x)), noise, params)
-    return _checked(apply_rate(base, relief, tau, params.dt, out=relief),
-                    pop.year)
-
-
 def step_components(pop: Population, params: ModelParams, rng: RngStream,
                     noise: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +193,9 @@ def step_components(pop: Population, params: ModelParams, rng: RngStream,
     and ``relief = x - m``; :func:`apply_rate` turns them into the stepped
     incomes for any ``tau``, bit-identical to :func:`step`. That lets the
     calibration search evaluate many rates from one noise draw. A caller
-    that already holds the year's draw passes it as ``noise`` (see
-    :func:`step_with_noise`), and ``rng`` is then not read.
+    that already holds the year's draw, ``rng.normals(pop.year, STEP_TAG,
+    0, pop.n, params.dt)``, passes it as ``noise``, and ``rng`` is then
+    not read; ``noise`` is left unchanged.
     """
     if noise is None:
         noise = rng.normals(pop.year, STEP_TAG, 0, pop.n, params.dt)
@@ -238,7 +228,7 @@ def bottom_share(pop: Population, fraction: float = 0.5) -> float:
     Raises
     ------
     UndefinedShareError
-        If total income is not positive.
+        If total income is not positive and finite.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
@@ -253,8 +243,9 @@ def bottom_share_of(incomes: np.ndarray, fraction: float,
     order is lost, instead of in a copy; the result is the same.
     """
     total = float(np.sum(incomes))
-    if total <= 0:
-        raise UndefinedShareError(f"total income {total} is not positive")
+    if not 0.0 < total < math.inf:
+        raise UndefinedShareError(
+            f"total income {total} is not positive and finite")
     k = int(np.floor(fraction * len(incomes)))
     if k == 0:
         return 0.0

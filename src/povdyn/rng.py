@@ -14,10 +14,12 @@ started there. Uniforms are mapped to normals by inverting the standard
 normal CDF, which consumes exactly one uniform per draw (no rejection),
 so draw ``i`` never depends on draws ``0..i-1``.
 
-A request is filled in fixed blocks of ``_BLOCK`` draws: each block runs
-the integer mix on reused buffers and is then converted, inverted and
-scaled while it is still in cache. The operations per element are the
-same whatever the block size, so the block size never changes a value.
+A request is filled in fixed blocks of draws (``_BLOCK`` unless the
+stream is given another size): each block runs the integer mix in the
+output's own memory, with two reused block-sized buffers, and is then
+converted, inverted and scaled while it is still in cache. The
+operations per element are the same whatever the block size, so the
+block size never changes a value.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ _MIX_B = 0x94D049BB133111EB
 _YEAR_SALT = 0xD1B54A32D192ED03
 _TAG_SALT = 0x8CB92BA72F3D8DD7
 
-# Draws per block: large enough that a threaded step does not hand the
-# interpreter lock over once per small call, small enough that a block's
-# three integer buffers and its output (4 x 512 KiB) fit a 2 MiB L2 cache.
+# Draws per block by default: large enough that a threaded step does not
+# hand the interpreter lock over once per small call, small enough that a
+# block's two integer buffers and its output (3 x 512 KiB) fit a 2 MiB L2
+# cache.
 _BLOCK = 1 << 16
 
 # Substream tags.
@@ -69,10 +72,17 @@ class RngStream:
     ----------
     seed : int
         Stream seed; reduced mod 2^64.
+    block : int, optional
+        Draws filled at a time; ``_BLOCK`` by default. A draw holds two
+        buffers of ``block`` 8-byte words beside its output, and each
+        block costs a dozen NumPy calls. Never changes a value.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, block: int | None = None):
+        if block is not None and block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
         self.seed = int(seed) & _MASK64
+        self.block = block
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"
@@ -94,17 +104,19 @@ class RngStream:
         if hi < lo:
             raise ValueError(f"invalid agent range [{lo}, {hi})")
         out = np.empty(hi - lo)
+        # the integer mix runs in the output's memory, viewed as uint64
+        bits = out.view(np.uint64)
         origin = stream_origin(self.seed, year, tag)
         # agent i reads output i of the stream, origin + (i+1)*golden, so a
         # block starting at agent a is origin + (a+1)*golden + j*golden
-        steps = (np.arange(min(_BLOCK, hi - lo), dtype=np.uint64)
+        block = _BLOCK if self.block is None else self.block
+        steps = (np.arange(min(block, hi - lo), dtype=np.uint64)
                  * np.uint64(_GOLDEN))
-        z = np.empty_like(steps)
         t = np.empty_like(steps)
         scale = np.sqrt(dt) if normal and dt != 1.0 else None
-        for start in range(0, hi - lo, _BLOCK):
-            o = out[start:start + _BLOCK]
-            zb, tb = z[:len(o)], t[:len(o)]
+        for start in range(0, hi - lo, block):
+            o = out[start:start + block]
+            zb, tb = bits[start:start + len(o)], t[:len(o)]
             first = (origin + (lo + 1 + start) * _GOLDEN) & _MASK64
             np.add(steps[:len(o)], np.uint64(first), out=zb)
             # SplitMix64 finalizer
@@ -114,7 +126,8 @@ class RngStream:
                 np.multiply(zb, np.uint64(mult), out=zb)
             np.right_shift(zb, np.uint64(31), out=tb)
             np.bitwise_xor(zb, tb, out=zb)
-            # 53 significant bits, offset by half an ulp: result in (0, 1)
+            # 53 significant bits, offset by half an ulp: result in (0, 1);
+            # the conversion overwrites the mixed state in zb
             np.right_shift(zb, np.uint64(11), out=tb)
             o[...] = tb
             o += 0.5

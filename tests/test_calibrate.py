@@ -1,13 +1,20 @@
 """Rate fitting: frozen noise, monotone gap, self-consistency, smoothing."""
 
 import hashlib
+import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from povdyn import calibrate
 from povdyn.calibrate import (CalibrationConfig, effective_tau, fit_series,
                               fit_tau_year, replay, replay_with_effective)
-from povdyn.errors import DataError, NonContiguousSeriesError
+from povdyn.errors import (DataError, InvalidTargetError,
+                           NonContiguousSeriesError, PropagationOverflowError,
+                           UnusableBracketError)
 from povdyn.rgbm import (ModelParams, Population, apply_rate, bottom_share,
                          bottom_share_of, init_lognormal, step,
                          step_components)
@@ -100,6 +107,10 @@ def test_config_validation():
         CalibrationConfig(smoothing_window=0)
     with pytest.raises(ValueError):
         CalibrationConfig(forward_rate="both")
+    for kwargs in ({"tau_min": -math.inf}, {"tau_max": math.inf},
+                   {"tolerance": math.inf}, {"tolerance": math.nan}):
+        with pytest.raises(ValueError):
+            CalibrationConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +382,171 @@ def test_calibration_outputs_keep_their_bytes(tmp_path, monkeypatch,
         body = "".join(line for line in text.splitlines(keepends=True)
                        if not line.startswith("# manifest:"))
         assert hashlib.sha256(body.encode()).hexdigest() == digest, name
+
+
+# ---------------------------------------------------------------------------
+# unusable rates
+
+def test_search_moves_away_from_unusable_rates():
+    # a model whose stepped total overflows for |tau| > 10: the gap of
+    # an unusable rate is infinite with the rate's sign
+    def gap(tau):
+        return tau - 0.1 if abs(tau) <= 10.0 else math.copysign(math.inf, tau)
+
+    tau, residual, clamped = calibrate._search_tau(gap, -1e308, 1e308, 1e-9,
+                                                   2000)
+    assert abs(tau - 0.1) <= 1e-9 and residual <= 1e-9 and not clamped
+    # one unusable endpoint: the usable one wins within a few steps
+    tau, residual, _ = calibrate._search_tau(gap, -1e308, 5.0, 1e-9, 3)
+    assert tau == 5.0 and residual == pytest.approx(4.9)
+    # no usable rate at either end of a one-sided bracket
+    _, residual, clamped = calibrate._search_tau(gap, 20.0, 1e308, 1e-9, 50)
+    assert math.isinf(residual) and clamped
+    # finite but meaningless gaps at huge rates, of opposite signs: lo + hi
+    # overflows, and the bisection stops instead of trying an infinite
+    # rate max_iterations times
+    rates = []
+
+    def noise_gap(tau):
+        rates.append(tau)
+        return -1.0 if tau < 1.5e308 else 1.0
+
+    tau, residual, _ = calibrate._search_tau(noise_gap, 1e308, 1.7e308, 1e-9,
+                                             10**6)
+    assert tau == 1.7e308 and residual == 1.0
+    assert rates == [1e308, 1.7e308]
+
+
+def test_wide_bracket_fit_stays_finite():
+    params = ModelParams(n_agents=10)
+    pop0, targets = make_targets(params, seed=3, tau_true=[0.01, 0.02])
+    cfg = CalibrationConfig(tau_min=-1e308, tau_max=1e308)
+    res = fit_series(pop0, targets, params, cfg, seed=3)
+    assert np.all(np.isfinite(res.tau.values))
+    assert np.all(np.isfinite(res.tau_effective.values))
+    assert np.all(np.isfinite(res.fitted_shares.values))
+    assert np.all(np.isfinite(res.replay_shares.values))
+
+
+def test_bracket_without_usable_rate_is_a_typed_error():
+    # tau*relief overflows for every rate of the bracket (the richest
+    # agents are more than 1.8 above the mean)
+    params = ModelParams(n_agents=2000)
+    pop = init_lognormal(params, 0.2, seed=4, year=1960)
+    cfg = CalibrationConfig(tau_min=1e308, tau_max=1.5e308)
+    with pytest.raises(UnusableBracketError,
+                       match=r"year 1961: .*\[1e\+308, 1\.5e\+308\]"):
+        fit_tau_year(pop, 0.25, params, cfg, RngStream(4))
+
+
+# ---------------------------------------------------------------------------
+# the helper thread
+
+def test_validation_overflow_names_the_replay_agent_and_year(monkeypatch):
+    # fitted rates chosen so that the validation step of the third year
+    # overflows; window 1 makes the smoothed rates the fitted ones
+    params = ModelParams(n_agents=500)
+    pop0, targets = make_targets(params, seed=24, tau_true=[0.0] * 4,
+                                 init_share=0.2)
+    rates = iter([0.0, 0.01, 1.7e308, 0.0])
+    monkeypatch.setattr(calibrate, "_search_tau",
+                        lambda *args: (next(rates), 0.0, False))
+    cfg = CalibrationConfig(smoothing_window=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PropagationOverflowError) as fit_error:
+            fit_series(pop0, targets, params, cfg, seed=24)
+        with pytest.raises(PropagationOverflowError) as replay_error:
+            replay(pop0, AnnualSeries(targets.years,
+                                      np.array([0.0, 0.01, 1.7e308, 0.0])),
+                   params, seed=24)
+    assert fit_error.value.year == replay_error.value.year == 1952
+    assert fit_error.value.agent == replay_error.value.agent
+
+
+def _raising_parts(*args):
+    raise RuntimeError("helper failed")
+
+
+@pytest.mark.parametrize("case", ["returns", "main raises", "helper raises"])
+def test_fit_series_leaves_no_thread_behind(monkeypatch, case):
+    params = ModelParams(n_agents=2000)
+    pop0, targets = make_targets(params, seed=25, tau_true=[0.01] * 5)
+    if case == "main raises":
+        # the third year's target is invalid: the main thread raises while
+        # the helper holds that year's parts and the next year's draw
+        targets = AnnualSeries(targets.years,
+                               np.where(np.arange(5) == 2, 1.5,
+                                        targets.values))
+    if case == "helper raises":
+        monkeypatch.setattr(calibrate, "_replay_parts", _raising_parts)
+    before = set(threading.enumerate())
+    if case == "returns":
+        fit_series(pop0, targets, params, CalibrationConfig(), seed=25)
+    else:
+        error = (InvalidTargetError if case == "main raises"
+                 else RuntimeError)
+        with pytest.raises(error):
+            fit_series(pop0, targets, params, CalibrationConfig(), seed=25)
+    assert set(threading.enumerate()) == before
+
+
+def test_fit_series_peak_memory_is_one_vector_above_serial():
+    # Peak, counted in float64 N-vectors, for every interleaving of the
+    # main thread and the helper. While the main thread searches year t
+    # it holds the fit's base, relief and scratch vector (3). The helper
+    # then holds the validation step's parts (2): it builds them from the
+    # replayed incomes and the noise, and the relief goes into the noise
+    # buffer itself. It also holds the noise of year t+1 that it draws (1).
+    # Every other vector is dropped before the helper is given work. That
+    # makes 6. Stepping both trajectories on one thread peaked at 5 plus
+    # the overflow check's boolean mask (1/8): base, relief and scratch
+    # beside the replayed incomes and the noise. So the bound is
+    # 6 + 1/8 vectors. What is left is the prefetch draw's two 64 KiB
+    # block buffers and a few small Python objects.
+    n = 200_000
+    params = ModelParams(n_agents=n)
+    pop0 = init_lognormal(params, 0.3, seed=26, year=1950)
+    targets = AnnualSeries(np.arange(1951, 1957),
+                           np.linspace(0.30, 0.28, 6))
+    fit_series(pop0, AnnualSeries(targets.years[:1], targets.values[:1]),
+               params, CalibrationConfig(), seed=26)  # warm up
+    tracemalloc.start()
+    try:
+        fit_series(pop0, targets, params, CalibrationConfig(), seed=26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (6 + 1 / 8) * 8 * n
+
+
+def _fit_bytes(pop0, targets, params, seed):
+    res = fit_series(pop0, targets, params, CalibrationConfig(), seed=seed,
+                     collect_panel=True)
+    return (res.tau.values.tobytes() + res.replay_shares.values.tobytes()
+            + res.fitted_shares.values.tobytes() + res.panel.incomes.tobytes())
+
+
+def test_concurrent_fits_under_fast_thread_switching_keep_their_bytes():
+    # three fits at once (six threads on fewer cores) with the interpreter
+    # switching threads every microsecond: each must equal a lone fit, so a
+    # noise buffer used up before the fit has read it would show
+    params = ModelParams(n_agents=20_000)
+    pop0, targets = make_targets(params, seed=27, tau_true=[0.02] * 8)
+    want = _fit_bytes(pop0, targets, params, 27)
+    got = [None] * 3
+
+    def run(k):
+        got[k] = _fit_bytes(pop0, targets, params, 27)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * 3

@@ -344,6 +344,23 @@ def test_gappy_inequality_instructs_interpolation(tmp_path, capsys):
     assert "interpolate" in capsys.readouterr().err
 
 
+def test_overflowing_bracket_fits_without_undefined_share(tmp_path, capsys):
+    # with this bracket the search's end rates overflow the step; that
+    # used to raise "total income ... is not positive" out of the search
+    src = tmp_path / "s50.csv"
+    src.write_text("year,s50\n1950,0.25\n1951,0.24\n1952,0.23\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"inequality_csv = {src}\nn_agents = 10\n"
+                   "tau_min = -1e308\ntau_max = 1e308\n")
+    out = tmp_path / "o"
+    code = run(["calibrate", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    tau = read_series(out / "tau.csv")
+    assert list(tau.years) == [1951, 1952]
+    assert np.all(np.isfinite(tau.values))
+
+
 def test_strict_divergence_exit_code(tmp_path):
     src = tmp_path / "s50.csv"
     src.write_text("year,s50\n1951,0.27\n1952,0.45\n")  # unreachable jump

@@ -191,3 +191,59 @@ def test_calibrate_cli_returns_documented_exit_codes(data, lines, n_agents,
     assert (code == EXIT_CONFIG) == message.startswith("config error:"), \
         message
     assert (code == EXIT_OK) == (message == ""), message
+
+
+# extreme and non-finite floats for the calibration's float keys
+calibration_floats = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e+308", "5e-324",
+                     "-5e-324", "0", "-0.0", "inf", "-inf", "nan"]),
+)
+
+
+@SETTINGS
+@given(tau_min=calibration_floats, tau_max=calibration_floats,
+       tolerance=calibration_floats,
+       max_iterations=st.one_of(st.integers(-2, 12).map(str),
+                                st.sampled_from(["1e3", "0x10", "nan"])),
+       forward_rate=st.one_of(st.sampled_from(["fitted", "effective"]),
+                              st.text(max_size=8)),
+       n_agents=st.integers(2, 12), shares=st.sampled_from([
+           (0.25, 0.24, 0.23), (0.3, 0.45, 0.05), (0.45, 0.45, 0.45, 0.45)]))
+@example(tau_min="-1e308", tau_max="1e308", tolerance="0.0001",
+         max_iterations="12", forward_rate="fitted", n_agents=10,
+         shares=(0.25, 0.24, 0.23))
+@example(tau_min="1e308", tau_max="1.7976931348623157e+308",
+         tolerance="5e-324", max_iterations="12", forward_rate="effective",
+         n_agents=10, shares=(0.25, 0.24, 0.23))
+def test_calibration_keys_fit_or_fail_typed(tau_min, tau_max, tolerance,
+                                            max_iterations, forward_rate,
+                                            n_agents, shares):
+    lines = [f"tau_min = {tau_min}", f"tau_max = {tau_max}",
+             f"tolerance = {tolerance}", f"max_iterations = {max_iterations}",
+             f"forward_rate = {forward_rate}", f"n_agents = {n_agents}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rows = [f"{1950 + i},{v!r}" for i, v in enumerate(shares)]
+        (tmp / "s50.csv").write_text("\n".join(["year,s50", *rows]))
+        (tmp / "run.cfg").write_text(
+            "\n".join([f"inequality_csv = {tmp / 's50.csv'}", *lines]),
+            encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["calibrate", "--config", str(tmp / "run.cfg"),
+                         "--out", str(tmp / "out")])
+        message = err.getvalue()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), (code, message)
+        assert (code == EXIT_CONFIG) == message.startswith("config error:"), \
+            message
+        assert (code == EXIT_OK) == (message == ""), message
+        # an undefined share never escapes the search
+        assert "is not positive" not in message, message
+        if code == EXIT_OK:
+            for name in ("tau.csv", "tau_effective.csv"):
+                text = (tmp / "out" / name).read_text(encoding="utf-8")
+                body = text.lower().split("year,value", 1)[1]
+                assert "inf" not in body and "nan" not in body, text

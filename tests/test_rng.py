@@ -54,6 +54,16 @@ def test_block_size_never_changes_a_value(monkeypatch, block):
     assert np.array_equal(s.uniforms(1990, STEP_TAG, 5, 2505), want_u)
 
 
+@pytest.mark.parametrize("block", [1, 7, 8192, 100_000])
+def test_stream_block_never_changes_a_value(block):
+    want = RngStream(11).normals(1990, STEP_TAG, 5, 70_005, dt=0.5)
+    got = RngStream(11, block=block).normals(1990, STEP_TAG, 5, 70_005,
+                                             dt=0.5)
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        RngStream(11, block=0)
+
+
 def test_draws_are_pure_functions_of_coordinates():
     s = RngStream(42)
     a = s.normals(1963, STEP_TAG, 0, 500)
