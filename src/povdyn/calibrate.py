@@ -281,23 +281,30 @@ def effective_tau(tau: AnnualSeries, window: int = 5) -> AnnualSeries:
     return AnnualSeries(tau.years.copy(), _trailing_mean(tau.values, window))
 
 
-def _replay_panel(rows: np.ndarray, start_year: int, rates: AnnualSeries,
-                  params: ModelParams, seed: int) -> IncomePanel:
-    """The panel of a replay from ``start_year`` under ``rates``.
-
-    ``rows`` is the year-major (T + 1, N) income array, the initial year
-    first. The fingerprint identifies the replay's inputs, so a panel
-    collected during the fit and one replayed afterwards carry the same.
-    """
-    years = np.arange(start_year, rates.last_year + 1, dtype=np.int64)
-    fingerprint = config_digest({
+def panel_fingerprint(start_year: int, rates: AnnualSeries,
+                      params: ModelParams, seed: int) -> str:
+    """The fingerprint of the panel of a replay from ``start_year`` under
+    ``rates``: it identifies the replay's inputs, so a panel collected
+    during the fit and one replayed afterwards carry the same."""
+    return config_digest({
         "seed": seed, "mu": params.mu, "sigma": params.sigma,
         "dt": params.dt, "n_agents": params.n_agents,
         "start_year": start_year,
         "rates": [(int(y), float(v)) for y, v in rates],
     })
+
+
+def _replay_panel(rows: np.ndarray, start_year: int, rates: AnnualSeries,
+                  params: ModelParams, seed: int) -> IncomePanel:
+    """The panel of a replay from ``start_year`` under ``rates``.
+
+    ``rows`` is the year-major (T + 1, N) income array, the initial year
+    first.
+    """
+    years = np.arange(start_year, rates.last_year + 1, dtype=np.int64)
     return IncomePanel(years=years, incomes=rows.T, seed=seed,
-                       fingerprint=fingerprint)
+                       fingerprint=panel_fingerprint(start_year, rates,
+                                                     params, seed))
 
 
 def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
@@ -363,7 +370,8 @@ def _replay_parts(replayed: Population, noise: np.ndarray,
 
 def fit_series(initial: Population, targets: AnnualSeries,
                params: ModelParams, cfg: CalibrationConfig, seed: int,
-               collect_panel: bool = False) -> CalibrationResult:
+               collect_panel: bool = False, *, _sink=None
+               ) -> CalibrationResult:
     """Fit the rate year by year along an observed share series.
 
     The forward state is propagated under each year's fitted rate (or the
@@ -385,11 +393,17 @@ def fit_series(initial: Population, targets: AnnualSeries,
     of its stream coordinates, so no value depends on which thread makes
     it or when. The prefetched noise costs one N-vector of peak memory.
 
-    With ``collect_panel`` the validation trajectory is also kept, year by
-    year, in ``result.panel``: the same panel, fingerprint included, as
-    ``replay(..., collect_panel=True)`` under ``result.tau_effective``
-    returns, without stepping the trajectory a second time. It costs one
-    (T + 1, N) array; without it ``result.panel`` is ``None``.
+    Each row of the validation trajectory, the initial incomes first, is
+    handed as ``(year, incomes)`` to one row hook on the main thread as
+    soon as it is stepped; the vector must not be changed or kept. With
+    ``collect_panel`` the hook keeps the rows in ``result.panel``: the
+    same panel, fingerprint included, as ``replay(..., collect_panel=True)``
+    under ``result.tau_effective`` returns, without stepping the
+    trajectory a second time. It costs one (T + 1, N) array; without it
+    ``result.panel`` is ``None``. The private ``_sink`` hook, used when
+    ``collect_panel`` is false, lets a caller consume the rows one year at
+    a time instead (the ``pipeline`` command spools them to disk and
+    measures poverty on them), so memory does not grow with the years.
 
     Raises
     ------
@@ -418,7 +432,11 @@ def fit_series(initial: Population, targets: AnnualSeries,
     rows = None
     if collect_panel:
         rows = np.empty((len(targets) + 1, n))
-        rows[0] = initial.incomes
+
+        def _sink(year: int, incomes: np.ndarray) -> None:
+            rows[year - initial.year] = incomes
+    if _sink is not None:
+        _sink(initial.year, initial.incomes)
     divergent: list[int] = []
     clamped_years: list[int] = []
     degenerate: list[int] = []
@@ -471,8 +489,8 @@ def fit_series(initial: Population, targets: AnnualSeries,
             replay_shares[i] = _share_or_nan(v_base, degenerate, year,
                                              overwrite_input=True)
             del v_base
-            if rows is not None:
-                rows[i + 1] = replayed.incomes
+            if _sink is not None:
+                _sink(year, replayed.incomes)
     _warn_undefined(degenerate)
 
     years = targets.years

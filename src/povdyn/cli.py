@@ -19,17 +19,16 @@ import numpy as np
 
 from . import __version__
 from .calibrate import (CalibrationConfig, CalibrationResult, fit_series,
-                        replay)
-from .dataio import (RunManifest, json_value, read_hcr_file, read_panel,
-                     read_series, write_json, write_manifest, write_panel,
-                     write_paths_csv, write_pooled_csv, write_report_csv,
-                     write_series)
+                        panel_fingerprint, replay)
+from .dataio import (PanelSpool, RunManifest, json_value, read_hcr_file,
+                     read_panel, read_series, write_json, write_manifest,
+                     write_panel, write_paths_csv, write_pooled_csv,
+                     write_report_csv, write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
-from .poverty import (IncomePanel, bpl_gini_series, classify,
-                      persistence_report, pooled_metrics, sample_paths,
-                      transition_report)
-from .rgbm import ModelParams, init_lognormal
+from .poverty import (IncomePanel, PovertyAccumulator, TrajectoryBundle,
+                      persistence_report, pooled_metrics, transition_report)
+from .rgbm import ModelParams, Population, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
 EXIT_OK = 0
@@ -40,6 +39,12 @@ EXIT_IO = 5
 
 _DEFAULT_PERIODS = ((1962, 1971), (1972, 1981), (1982, 1991),
                     (1992, 2001), (2002, 2006))
+
+# Caps on the config values that size the run. A typo above them would
+# ask for any amount of memory; the caps reject it before allocating.
+# 1e8 agents is 800 MB per income vector (a fit holds about ten).
+MAX_AGENTS = 10**8
+MAX_TP = 1000
 
 
 @dataclass
@@ -224,6 +229,12 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("panel_format must be 'npy' or 'csv'")
     if cfg.tp_max < 1:
         raise ConfigError("tp_max must be >= 1")
+    if cfg.tp_max > MAX_TP:
+        raise ConfigError(f"tp_max = {cfg.tp_max} is above its cap of "
+                          f"{MAX_TP}")
+    if cfg.model.n_agents > MAX_AGENTS:
+        raise ConfigError(f"n_agents = {cfg.model.n_agents} is above its "
+                          f"cap of {MAX_AGENTS}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
     if cfg.paths_below < 0 or cfg.paths_above < 0:
@@ -293,18 +304,24 @@ def _flag_share_range(name: str, series: AnnualSeries) -> None:
               "(negative incomes present)")
 
 
-def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
-                     collect_panel: bool = False) -> CalibrationResult:
-    """Fit and write the calibration outputs.
-
-    With ``collect_panel`` the result also carries the income panel of the
-    validation replay under ``tau_effective`` (see :func:`fit_series`).
-    """
+def _calibration_inputs(cfg: PipelineConfig
+                        ) -> tuple[Population, AnnualSeries]:
     pop, targets = _initial_population(cfg)
     if targets is None:
         raise ConfigError("calibration needs inequality_csv")
+    return pop, targets
+
+
+def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
+                     pop: Population, targets: AnnualSeries,
+                     sink=None) -> CalibrationResult:
+    """Fit and write the calibration outputs.
+
+    ``sink`` is handed each year's row of the validation replay under
+    ``tau_effective`` as it is stepped (see :func:`fit_series`).
+    """
     result = fit_series(pop, targets, cfg.model, cfg.calib, cfg.seed,
-                        collect_panel=collect_panel)
+                        _sink=sink)
 
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -373,23 +390,97 @@ def _metric_rows(line, trans, persist, bpl):
     return rows
 
 
+def _accumulator(cfg: PipelineConfig, name: str, n_agents: int,
+                 first_year: int, last_year: int) -> PovertyAccumulator:
+    """Read one definition's HCR file and set up its accumulator."""
+    hcr, file_name = read_hcr_file(cfg.hcr_files[name])
+    # cap path requests at the population size (tiny smoke runs)
+    k_below = min(cfg.paths_below, n_agents // 2)
+    k_above = min(cfg.paths_above, n_agents - k_below)
+    return PovertyAccumulator(hcr, n_agents, (first_year, last_year),
+                              k_below, k_above, name=file_name or name)
+
+
+def _panel_definition(cfg: PipelineConfig, panel: IncomePanel, name: str
+                      ) -> tuple[PovertyAccumulator, TrajectoryBundle]:
+    """One definition measured on an in-memory panel, year by year."""
+    acc = _accumulator(cfg, name, panel.n_agents, panel.first_year,
+                       panel.last_year)
+    for year in acc.line.years:
+        acc.push(panel.column(int(year)))
+    return acc, acc.bundle(panel.years, panel.incomes[acc.below],
+                           panel.incomes[acc.above], cfg.seed)
+
+
+class _PipelineSink:
+    """The pipeline's row hook on the calibration's validation replay.
+
+    Each year's incomes are appended to the panel spool and pushed to the
+    accumulator of every definition whose HCR years include that year, so
+    the statistics are done when the fit is. A definition whose HCR file
+    cannot be used keeps its error, reported in the metrics stage.
+    """
+
+    def __init__(self, cfg: PipelineConfig, spool: PanelSpool):
+        self.cfg, self.spool = cfg, spool
+        self.definitions: dict[str, PovertyAccumulator | PovdynError] = {}
+        for name in sorted(cfg.hcr_files):
+            try:
+                self.definitions[name] = _accumulator(
+                    cfg, name, spool.n_agents, spool.first_year,
+                    spool.last_year)
+            except PovdynError as exc:
+                self.definitions[name] = exc
+        self._paths: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _accumulators(self):
+        return [(name, acc) for name, acc in self.definitions.items()
+                if isinstance(acc, PovertyAccumulator)]
+
+    def __call__(self, year: int, incomes: np.ndarray) -> None:
+        self.spool.append(incomes)
+        for _, acc in self._accumulators():
+            if acc.line.years[0] <= year <= acc.line.years[-1]:
+                acc.push(incomes)
+
+    def write_panel(self) -> None:
+        """Write the panel files from the spool; the path bundles' incomes
+        are read in the same pass."""
+        n_years = len(self.spool.years)
+        picked = []
+        for name, acc in self._accumulators():
+            self._paths[name] = (np.empty((len(acc.below), n_years)),
+                                 np.empty((len(acc.above), n_years)))
+            picked += zip((acc.below, acc.above), self._paths[name])
+
+        def gather(a0: int, block: np.ndarray) -> None:
+            for agents, rows in picked:  # agents ascending
+                lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
+                rows[lo:hi] = block[agents[lo:hi] - a0]
+
+        write_panel(self.spool, self.cfg.out_dir, fmt=self.cfg.panel_format,
+                    on_block=gather)
+
+    def definition(self, name: str
+                   ) -> tuple[PovertyAccumulator, TrajectoryBundle]:
+        acc = self.definitions[name]
+        if isinstance(acc, PovdynError):
+            raise acc
+        return acc, acc.bundle(self.spool.years, *self._paths[name],
+                               self.cfg.seed)
+
+
 def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
-                        panel: IncomePanel, name: str) -> dict:
+                        name: str, acc: PovertyAccumulator,
+                        bundle: TrajectoryBundle) -> dict:
     """Write the reports of one poverty-line definition.
 
-    Returns its summary entry. Its flags, durations and count table are
-    freed on return, before the next definition is classified.
+    Returns its summary entry.
     """
     out = cfg.out_dir
-    hcr, file_name = read_hcr_file(cfg.hcr_files[name])
-    line, pp = classify(panel, hcr, name=file_name or name)
+    line, pp, bpl = acc.line, acc.poverty_panel(), acc.bpl
     trans = transition_report(pp)
     persist = persistence_report(pp, range(1, cfg.tp_max + 1))
-    bpl = bpl_gini_series(panel, pp)
-    # cap path requests at the population size (tiny smoke runs)
-    k_below = min(cfg.paths_below, panel.n_agents // 2)
-    k_above = min(cfg.paths_above, panel.n_agents - k_below)
-    bundle = sample_paths(panel, line, k_above, k_below, cfg.seed)
 
     write_report_csv(_metric_rows(line, trans, persist, bpl),
                      out / f"metrics_{name}.csv",
@@ -449,18 +540,23 @@ def _remove_stale_reports(out: Path, written) -> None:
 
 
 def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
-                 panel: IncomePanel) -> dict:
+                 fingerprint: str, definition) -> dict:
+    """Write every definition's reports and ``summary.json``.
+
+    ``definition(name)`` returns the definition's finished accumulator and
+    path bundle, or raises the PovdynError that makes it fail.
+    """
     if not cfg.hcr_files:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     summary: dict = {"manifest_digest": manifest.digest,
-                     "panel_fingerprint": panel.fingerprint,
+                     "panel_fingerprint": fingerprint,
                      "definitions": {}, "failed": {}}
     for name in sorted(cfg.hcr_files):
         try:
             summary["definitions"][name] = _definition_metrics(
-                cfg, manifest, panel, name)
+                cfg, manifest, name, *definition(name))
         except PovdynError as exc:
             summary["failed"][name] = str(exc)
             print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
@@ -488,7 +584,7 @@ def cmd_interpolate(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = build_config(args)
     manifest = _make_manifest(cfg, [cfg.inequality_csv])
-    _run_calibration(cfg, manifest)
+    _run_calibration(cfg, manifest, *_calibration_inputs(cfg))
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 
@@ -509,7 +605,8 @@ def cmd_metrics(args) -> int:
     panel_dir = cfg.panel_dir or cfg.out_dir
     panel = read_panel(panel_dir)
     manifest = _make_manifest(cfg, cfg.hcr_files.values())
-    _run_metrics(cfg, manifest, panel)
+    _run_metrics(cfg, manifest, panel.fingerprint,
+                 lambda name: _panel_definition(cfg, panel, name))
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 
@@ -520,11 +617,21 @@ def cmd_pipeline(args) -> int:
     manifest = _make_manifest(cfg, inputs)
     stage = "calibrate"
     try:
-        panel = _run_calibration(cfg, manifest, collect_panel=True).panel
-        stage = "simulate"
-        write_panel(panel, cfg.out_dir, fmt=cfg.panel_format)
+        # The calibration's validation replay is the panel. Its rows go,
+        # as they are stepped, to a spool file in the output directory and
+        # to each definition's accumulator; no (years, agents) array is
+        # ever held. The spool is deleted however the block is left.
+        pop, targets = _calibration_inputs(cfg)
+        years = np.arange(pop.year, targets.last_year + 1)
+        with PanelSpool(cfg.out_dir, years, pop.n, cfg.seed) as spool:
+            sink = _PipelineSink(cfg, spool)
+            result = _run_calibration(cfg, manifest, pop, targets, sink=sink)
+            stage = "simulate"
+            spool.fingerprint = panel_fingerprint(
+                pop.year, result.tau_effective, cfg.model, cfg.seed)
+            sink.write_panel()
         stage = "metrics"
-        _run_metrics(cfg, manifest, panel)
+        _run_metrics(cfg, manifest, spool.fingerprint, sink.definition)
     except PovdynError:
         print(f"pipeline aborted in stage '{stage}'", file=sys.stderr)
         raise

@@ -180,40 +180,123 @@ def write_series(series: AnnualSeries, path, value_col: str = "value",
 # income panels
 
 # agents per block when the panel moves between its year-major memory
-# and the agents-major file. The block buffer (1024 x 60 years: 480 KiB)
-# stays small next to a panel of 10k agents; on a 2-core Xeon 1024 read
-# and wrote a 400k x 60 panel as fast as any size from 256 to 8192
+# (or spool file) and the agents-major file. The block buffer (1024 x 60
+# years: 480 KiB) stays small next to a panel of 10k agents; on a 2-core
+# Xeon 1024 read and wrote a 400k x 60 panel as fast as any size from 256
+# to 8192
 _PANEL_BLOCK = 1024
 
+SPOOL_NAME = "panel_spool.tmp"
 
-def _write_incomes_npy(path: Path, by_year: np.ndarray) -> None:
-    """Write a year-major (T, N) array as the (N, T) C-order ``.npy``.
 
-    The bytes equal ``np.save`` of the agents-major array: the same
-    header, then the rows of agent blocks transposed through one reused
-    buffer, so no full-size copy is made.
+class PanelSpool:
+    """An income panel that arrives one year at a time, spooled to disk.
+
+    Each year's incomes are appended to ``panel_spool.tmp`` in the output
+    directory as one float64 row: a year-major (T, N) file, never held in
+    memory. It goes beside the outputs, not to a temporary directory,
+    which may be memory-backed. :func:`write_panel` reads it back 1,024
+    agents at a time with ``os.pread`` to write the agents-major panel
+    file. Use it as a context manager: leaving the ``with`` block, by an
+    error too, closes and deletes the spool. ``fingerprint`` is set by the
+    caller once the run's rates are known.
+
+    Raises OutputError when the spool cannot be created or written. A
+    failed read is an OSError, which :func:`write_panel` reports as an
+    OutputError.
     """
-    n_years, n_agents = by_year.shape
-    header = {"descr": np.lib.format.dtype_to_descr(by_year.dtype),
-              "fortran_order": False, "shape": (n_agents, n_years)}
-    buf = np.empty((min(_PANEL_BLOCK, n_agents), n_years), by_year.dtype)
-    with open(path, "wb") as f:
-        np.lib.format.write_array_header_1_0(f, header)
-        for a0 in range(0, n_agents, _PANEL_BLOCK):
-            block = buf[:min(_PANEL_BLOCK, n_agents - a0)]
-            np.copyto(block, by_year[:, a0:a0 + len(block)].T)
-            f.write(block)
+
+    def __init__(self, out_dir, years: np.ndarray, n_agents: int,
+                 seed: int):
+        self.path = Path(out_dir) / SPOOL_NAME
+        self.years = np.asarray(years, dtype=np.int64)
+        self.n_agents = n_agents
+        self.seed = seed
+        self.fingerprint = ""
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(self.path, "w+b")
+        except OSError as exc:
+            raise OutputError(f"cannot create {self.path}: {exc}") from exc
+
+    @property
+    def first_year(self) -> int:
+        return int(self.years[0])
+
+    @property
+    def last_year(self) -> int:
+        return int(self.years[-1])
+
+    def append(self, row: np.ndarray) -> None:
+        """Spool the incomes of the next year."""
+        try:
+            self._file.write(row)
+        except OSError as exc:
+            raise OutputError(f"cannot write {self.path}: {exc}") from exc
+
+    def read_agents(self, a0: int, out: np.ndarray) -> None:
+        """Fill ``out`` ((k, T), agents-major) with agents ``a0 .. a0+k-1``.
+
+        One ``pread`` per year: the agents' stretch of that year's row.
+        """
+        self._file.flush()
+        fd = self._file.fileno()
+        row_bytes = self.n_agents * 8
+        nbytes = out.shape[0] * 8
+        for t in range(out.shape[1]):
+            data = os.pread(fd, nbytes, t * row_bytes + a0 * 8)
+            if len(data) != nbytes:
+                raise OSError(f"{self.path}: year {int(self.years[t])} "
+                              "is cut short")
+            out[:, t] = np.frombuffer(data)
+
+    def close(self) -> None:
+        """Close and delete the spool file."""
+        try:
+            self._file.close()  # flushes, which can fail on a full disk
+        finally:
+            self.path.unlink(missing_ok=True)
+
+    def __enter__(self) -> "PanelSpool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def write_panel(panel, out_dir, fmt: str = "npy") -> list[Path]:
+def _agent_blocks(panel):
+    """``(a0, block)`` over a panel's agents, 1,024 at a time.
+
+    ``block`` is the (k, T) agents-major incomes of agents ``a0 ..
+    a0+k-1``, in one buffer reused for every block, so no full-size copy
+    is made. An in-memory panel is transposed from its year-major rows;
+    a :class:`PanelSpool` is read from its file.
+    """
+    n_agents, n_years = panel.n_agents, len(panel.years)
+    buf = np.empty((min(_PANEL_BLOCK, n_agents), n_years))
+    for a0 in range(0, n_agents, _PANEL_BLOCK):
+        block = buf[:min(_PANEL_BLOCK, n_agents - a0)]
+        if isinstance(panel, PanelSpool):
+            panel.read_agents(a0, block)
+        else:
+            np.copyto(block, panel.incomes[a0:a0 + len(block)])
+        yield a0, block
+
+
+def write_panel(panel, out_dir, fmt: str = "npy", on_block=None
+                ) -> list[Path]:
     """Persist an income panel plus its metadata sidecar.
 
     ``npy`` writes raw arrays (exact, compact); ``csv`` writes a matrix at
     12 significant digits (readable, lossy) for small panels. On disk the
     incomes are agents-major, one row per agent: ``panel_incomes.npy``
     holds the (N, T) C-order array, byte for byte what ``np.save`` of
-    ``panel.incomes`` as a C-order array gives. The year-major memory of
-    the panel is transposed into it one block of agents at a time.
+    ``panel.incomes`` as a C-order array gives. ``panel`` is an
+    ``IncomePanel``, whose year-major memory is transposed into the file
+    one block of agents at a time, or a :class:`PanelSpool`, whose file is
+    transposed the same way (a blocked external transpose). Each block
+    ``(a0, block)`` is also handed to ``on_block``, if given, before it is
+    written; the buffer is reused for the next block.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,18 +312,27 @@ def write_panel(panel, out_dir, fmt: str = "npy") -> list[Path]:
     try:
         if fmt == "npy":
             np.save(out_dir / "panel_years.npy", panel.years)
-            _write_incomes_npy(out_dir / "panel_incomes.npy",
-                               panel.incomes.T)
-            written += [out_dir / "panel_years.npy",
-                        out_dir / "panel_incomes.npy"]
+            path = out_dir / "panel_incomes.npy"
+            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                      "fortran_order": False,
+                      "shape": (panel.n_agents, len(panel.years))}
+            with open(path, "wb") as f:
+                np.lib.format.write_array_header_1_0(f, header)
+                for a0, block in _agent_blocks(panel):
+                    if on_block is not None:
+                        on_block(a0, block)
+                    f.write(block)
+            written += [out_dir / "panel_years.npy", path]
         elif fmt == "csv":
             path = out_dir / "panel.csv"
             with open(path, "w", newline="", encoding="utf-8") as f:
                 w = csv.writer(f, lineterminator="\n")
                 w.writerow(["agent"] + [f"y{int(y)}" for y in panel.years])
-                for i in range(panel.n_agents):
-                    w.writerow([i] + [fmt_value(float(v))
-                                      for v in panel.incomes[i]])
+                for a0, block in _agent_blocks(panel):
+                    if on_block is not None:
+                        on_block(a0, block)
+                    for i, row in enumerate(block, start=a0):
+                        w.writerow([i] + [fmt_value(float(v)) for v in row])
             written.append(path)
         else:
             raise ValueError(f"unknown panel format {fmt!r}")

@@ -25,6 +25,7 @@ serialize them as nulls so "no poor population" stays distinct from
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -97,24 +98,40 @@ class PovertyLineSeries:
 
 @dataclass
 class PovertyPanel:
-    """Per-agent poverty flags and consecutive-poor-year counters.
+    """Per-agent poverty flags and the count table behind the statistics.
 
-    :func:`classify` stores both arrays year-major, (t, n) C-contiguous;
-    ``poor`` and ``duration`` are their transposed (n, t) views. The
-    count table behind every transition, persistence and pooled
-    statistic is built from them on first use and kept (see
-    :func:`_count_table`), so the flags must not change afterwards.
+    :func:`classify` stores the flags year-major, (t, n) C-contiguous;
+    ``poor`` is their transposed (n, t) view. ``duration``, the
+    consecutive-poor-year counters, is computed from the flags each time
+    it is read and not kept. The count table behind every transition,
+    persistence and pooled statistic is built from the flags on first use
+    and kept (see :func:`_count_table`), so the flags must not change
+    afterwards. The panel of a :class:`PovertyAccumulator` holds only the
+    count table, built year by year, and its ``poor`` is ``None``.
     """
 
-    years: np.ndarray       # int64, consecutive
-    poor: np.ndarray        # (n, t) bool
-    duration: np.ndarray    # (n, t) int32; 0 when non-poor
-    _tail: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    years: np.ndarray          # int64, consecutive
+    poor: np.ndarray | None    # (n, t) bool
+    _tail: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_agents(self) -> int:
         return self.poor.shape[0]
+
+    @property
+    def duration(self) -> np.ndarray:
+        """(n, t) int32 consecutive-poor-year counts; 0 when non-poor.
+
+        Left-censored: agents poor in the first year start at 1. A new
+        array, the transposed view of year-major storage, on every read.
+        """
+        if self.poor is None:
+            raise ValueError("this poverty panel keeps no per-agent flags")
+        by_year = np.empty(self.poor.T.shape, dtype=np.int32)
+        prev = np.zeros(self.n_agents, dtype=np.int32)
+        for row, poor in zip(by_year, self.poor.T):
+            prev = _next_duration(prev, poor, out=row)
+        return by_year.T
 
     def index_of(self, year: int) -> int:
         i = int(year) - int(self.years[0])
@@ -222,36 +239,87 @@ def poverty_line_from_hcr(pop, hcr: float) -> tuple[float, int]:
     return z, int(np.count_nonzero(x < z))
 
 
-def classify(panel: IncomePanel, hcr: AnnualSeries, name: str = "poverty"
-             ) -> tuple[PovertyLineSeries, PovertyPanel]:
-    """Derive the poverty-line series and flag/duration panel from HCR data.
-
-    The HCR years must be contiguous and lie inside the panel. Durations
-    are left-censored: agents poor in the first classified year start at 1.
-    """
+def _check_hcr(hcr: AnnualSeries, first_year: int, last_year: int) -> None:
+    """The HCR years must be contiguous and lie inside the panel's."""
     if not hcr.is_contiguous():
         raise NonContiguousSeriesError(
             "HCR series has gaps; run interpolation first")
-    if hcr.first_year < panel.first_year or hcr.last_year > panel.last_year:
+    if hcr.first_year < first_year or hcr.last_year > last_year:
         raise DataError(
             f"HCR years {hcr.first_year}..{hcr.last_year} outside panel "
-            f"years {panel.first_year}..{panel.last_year}"
+            f"years {first_year}..{last_year}"
         )
-    n_years = len(hcr)
-    z = np.empty(n_years)
-    # year-major storage: every per-year read below is contiguous
-    poor = np.empty((n_years, panel.n_agents), dtype=bool)
+
+
+def _classify_row(col: np.ndarray, hcr: float, out: np.ndarray) -> float:
+    """The poverty line of one year; its poor flags go into ``out``."""
+    z = _line(col, hcr)
+    np.less(col, z, out=out)
+    return z
+
+
+def _next_duration(prev: np.ndarray, poor: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Spell lengths of a year from the previous year's (zeros before the
+    first), into ``out``; ``out`` may be ``prev``."""
+    np.add(prev, 1, out=out)
+    return np.multiply(out, poor, out=out)
+
+
+class _Spells:
+    """Spell lengths and the count table, fed one year of flags at a time.
+
+    Keeps two int32 rows of spell lengths, the previous year's and the
+    current one, and the (T - 1, T + 1, 2) table of counts. Row ``j - 1``
+    of the table is ``bincount(duration[j - 1] * 2 + poor[j])``: the
+    agents by spell length at ``j - 1`` and status at ``j`` (0 non-poor,
+    1 poor).
+    """
+
+    def __init__(self, n_agents: int, n_years: int):
+        self.counts = np.zeros((max(n_years - 1, 0), n_years + 1, 2),
+                               dtype=np.int64)
+        self._duration = np.zeros(n_agents, dtype=np.int32)
+        self._spare = np.empty(n_agents, dtype=np.int32)
+        self._j = 0
+
+    def push(self, poor: np.ndarray) -> None:
+        j = self._j
+        if j:
+            key = np.multiply(self._duration, 2, dtype=np.intp)
+            key += poor
+            self.counts[j - 1] = np.bincount(
+                key, minlength=self.counts[j - 1].size).reshape(-1, 2)
+        self._duration, self._spare = (
+            _next_duration(self._duration, poor, out=self._spare),
+            self._duration)
+        self._j = j + 1
+
+    def tail(self) -> np.ndarray:
+        """The counts summed from the longest spell down (see
+        :func:`_count_table`)."""
+        return np.ascontiguousarray(
+            np.cumsum(self.counts[:, ::-1], axis=1)[:, ::-1])
+
+
+def classify(panel: IncomePanel, hcr: AnnualSeries, name: str = "poverty"
+             ) -> tuple[PovertyLineSeries, PovertyPanel]:
+    """Derive the poverty-line series and flag panel from HCR data.
+
+    The HCR years must be contiguous and lie inside the panel. The flags
+    are kept, one (T, N) bool array; durations are computed from them on
+    request (see :class:`PovertyPanel`), left-censored: agents poor in the
+    first classified year start at 1. :class:`PovertyAccumulator` gives
+    the same lines and statistics without keeping any per-agent array.
+    """
+    _check_hcr(hcr, panel.first_year, panel.last_year)
+    z = np.empty(len(hcr))
+    # year-major storage: every per-year read is contiguous
+    poor = np.empty((len(hcr), panel.n_agents), dtype=bool)
     for j, (year, h) in enumerate(hcr):
-        col = panel.column(year)
-        z[j] = _line(col, float(h))
-        np.less(col, z[j], out=poor[j])
-    duration = np.empty(poor.shape, dtype=np.int32)
-    duration[0] = poor[0]
-    for j in range(1, n_years):
-        np.multiply(duration[j - 1] + 1, poor[j], out=duration[j])
+        z[j] = _classify_row(panel.column(year), float(h), out=poor[j])
     line = PovertyLineSeries(name=name, years=hcr.years.copy(), z=z)
-    return line, PovertyPanel(years=hcr.years.copy(), poor=poor.T,
-                              duration=duration.T)
+    return line, PovertyPanel(years=hcr.years.copy(), poor=poor.T)
 
 
 def _count_table(pp: PovertyPanel) -> np.ndarray:
@@ -261,24 +329,15 @@ def _count_table(pp: PovertyPanel) -> np.ndarray:
     ``tail[j - 1, d, s]`` counts the agents whose spell length at ``j - 1``
     is at least ``d`` and whose status at ``j`` is ``s`` (0 non-poor,
     1 poor). Each row is the reverse cumulative sum over ``d`` of one
-    ``bincount(duration[j - 1] * 2 + poor[j])``. Spell lengths at ``j - 1``
-    never exceed ``j``, so the last column (``d = T``) is all zeros and
-    every ``t_p >= T`` reads it.
+    ``bincount(duration[j - 1] * 2 + poor[j])`` (see :class:`_Spells`).
+    Spell lengths at ``j - 1`` never exceed ``j``, so the last column
+    (``d = T``) is all zeros and every ``t_p >= T`` reads it.
     """
     if pp._tail is None:
-        n_years = len(pp.years)
-        # year-major rows: contiguous for panels built by classify
-        duration, poor = pp.duration.T, pp.poor.T
-        counts = np.zeros((max(n_years - 1, 0), n_years + 1, 2),
-                          dtype=np.int64)
-        key = np.empty(pp.n_agents, dtype=np.intp)
-        for j in range(1, n_years):
-            np.multiply(duration[j - 1], 2, out=key)
-            key += poor[j]
-            counts[j - 1] = np.bincount(
-                key, minlength=counts[j - 1].size).reshape(-1, 2)
-        pp._tail = np.ascontiguousarray(
-            np.cumsum(counts[:, ::-1], axis=1)[:, ::-1])
+        spells = _Spells(pp.n_agents, len(pp.years))
+        for poor in pp.poor.T:  # year-major rows, contiguous from classify
+            spells.push(poor)
+        pp._tail = spells.tail()
     return pp._tail
 
 
@@ -397,7 +456,10 @@ def gini(values) -> float:
 
     Computed through the sorted form equivalent to
     sum_ij |x_i - x_j| / (2 n^2 mean). Callers floor negative values
-    (the pairwise formula is not bounded in [0, 1] otherwise).
+    (the pairwise formula is not bounded in [0, 1] otherwise). The
+    weighted sum is a NumPy pairwise sum, not a BLAS dot product, so
+    its bits do not depend on the BLAS thread count and no BLAS worker
+    thread is woken.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
@@ -412,24 +474,33 @@ def gini(values) -> float:
     # 2i - n - 1 for i = 1..n; exact integers, so the step form is exact
     weights = np.arange(1.0 - n, n, 2.0)
     # mathematically >= 0; clamp the cancellation residue for equal values
-    return max(float(np.dot(weights, xs) / (n * total)), 0.0)
+    weighted = np.sum(np.multiply(weights, xs, out=weights))
+    return max(float(weighted / (n * total)), 0.0)
+
+
+def _bpl_gini(col: np.ndarray, poor: np.ndarray) -> tuple[float, bool]:
+    """Within-poor Gini of one year and whether negatives were floored.
+
+    NaN when no agent is poor or every poor income floors to 0.
+    """
+    # compress: the same values as boolean indexing, several times
+    # faster on an irregular mask
+    subset = np.compress(poor, col)
+    if len(subset) == 0:
+        return math.nan, False
+    floored = bool(np.any(subset < 0))
+    np.maximum(subset, 0.0, out=subset)
+    if float(np.sum(subset)) > 0:
+        return gini(subset), floored
+    return math.nan, floored
 
 
 def bpl_gini_series(panel: IncomePanel, pp: PovertyPanel) -> BplGiniReport:
     """Within-poor Gini per year, negatives floored to 0 and flagged."""
-    n_years = len(pp.years)
-    out = np.full(n_years, np.nan)
-    flags = np.zeros(n_years, dtype=bool)
+    out = np.full(len(pp.years), np.nan)
+    flags = np.zeros(len(pp.years), dtype=bool)
     for j, year in enumerate(pp.years):
-        # compress: the same values as boolean indexing, several times
-        # faster on an irregular mask
-        subset = np.compress(pp.poor[:, j], panel.column(int(year)))
-        if len(subset) == 0:
-            continue
-        flags[j] = bool(np.any(subset < 0))
-        floored = np.maximum(subset, 0.0)
-        if float(np.sum(floored)) > 0:
-            out[j] = gini(floored)
+        out[j], flags[j] = _bpl_gini(panel.column(int(year)), pp.poor[:, j])
     return BplGiniReport(years=pp.years.copy(), gini=out,
                          negatives_floored=flags)
 
@@ -458,6 +529,39 @@ def _nearest(col: np.ndarray, idx: np.ndarray, k: int,
     return idx[inside]
 
 
+def _path_agents(col: np.ndarray, is_below: np.ndarray, k_below: int,
+                 k_above: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k_below`` agents nearest below the line and the ``k_above``
+    nearest at or above it; ``is_below`` flags ``col`` below the line."""
+    return (_nearest(col, np.flatnonzero(is_below), k_below, largest=True),
+            _nearest(col, np.flatnonzero(~is_below), k_above,
+                     largest=False))
+
+
+def _bundle(years: np.ndarray, line: PovertyLineSeries, below: np.ndarray,
+            above: np.ndarray, below_paths: np.ndarray,
+            above_paths: np.ndarray, k_below: int, k_above: int,
+            seed: int) -> TrajectoryBundle:
+    """The bundle of the selected agents; warns when it is short."""
+    truncated = len(below) < k_below or len(above) < k_above
+    if truncated:
+        warnings.warn(
+            f"only {len(below)} below / {len(above)} above the line at "
+            f"{int(line.years[0])}; requested {k_below}/{k_above}"
+        )
+    return TrajectoryBundle(
+        years=years.copy(),
+        line_years=line.years.copy(),
+        line_values=line.z.copy(),
+        below_agents=below,
+        above_agents=above,
+        below_paths=below_paths,
+        above_paths=above_paths,
+        seed=seed,
+        truncated=truncated,
+    )
+
+
 def sample_paths(panel: IncomePanel, line: PovertyLineSeries, k_above: int,
                  k_below: int, seed: int) -> TrajectoryBundle:
     """Extract income paths straddling the first-year poverty line.
@@ -471,25 +575,82 @@ def sample_paths(panel: IncomePanel, line: PovertyLineSeries, k_above: int,
         raise ValueError("path counts must be >= 0")
     if k_above + k_below > panel.n_agents:
         raise ValueError("requested more paths than agents")
-    year0 = int(line.years[0])
-    col = panel.column(year0)
-    is_below = col < line.z[0]
-    below = _nearest(col, np.flatnonzero(is_below), k_below, largest=True)
-    above = _nearest(col, np.flatnonzero(~is_below), k_above, largest=False)
-    truncated = len(below) < k_below or len(above) < k_above
-    if truncated:
-        warnings.warn(
-            f"only {len(below)} below / {len(above)} above the line at "
-            f"{year0}; requested {k_below}/{k_above}"
-        )
-    return TrajectoryBundle(
-        years=panel.years.copy(),
-        line_years=line.years.copy(),
-        line_values=line.z.copy(),
-        below_agents=below,
-        above_agents=above,
-        below_paths=panel.incomes[below, :].copy(),
-        above_paths=panel.incomes[above, :].copy(),
-        seed=seed,
-        truncated=truncated,
-    )
+    col = panel.column(int(line.years[0]))
+    below, above = _path_agents(col, col < line.z[0], k_below, k_above)
+    return _bundle(panel.years, line, below, above,
+                   panel.incomes[below, :].copy(),
+                   panel.incomes[above, :].copy(), k_below, k_above, seed)
+
+
+class PovertyAccumulator:
+    """Every statistic of one poverty-line definition, one year at a time.
+
+    :meth:`push` takes the incomes of the HCR years in order. For each
+    year it computes the poverty line (a partition), the poor flags, the
+    spell lengths from the previous year's, the year's row of the count
+    table and the within-poor Gini; in the first year it also picks the
+    ``k_below`` and ``k_above`` agents of the path bundle, as
+    :func:`sample_paths` does. Per agent it keeps one bool row and two
+    int32 rows, whatever the number of years, so a panel that is never
+    held whole (the pipeline's, stepped by the calibration) can be
+    measured as it is made. The results equal those of :func:`classify`,
+    :func:`transition_report`, :func:`persistence_report`,
+    :func:`pooled_metrics`, :func:`bpl_gini_series` and
+    :func:`sample_paths` on the whole panel, bit for bit; those functions
+    run the same per-year steps.
+
+    Raises DataError (or NonContiguousSeriesError) when the HCR years are
+    not contiguous or leave ``panel_years`` (first, last), and when a head
+    count lies outside [0, 1].
+    """
+
+    def __init__(self, hcr: AnnualSeries, n_agents: int,
+                 panel_years: tuple[int, int], k_below: int = 0,
+                 k_above: int = 0, name: str = "poverty"):
+        _check_hcr(hcr, *panel_years)
+        bad = ~((hcr.values >= 0.0) & (hcr.values <= 1.0))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DataError(f"head count ratio {float(hcr.values[j])!r} "
+                            f"in year {int(hcr.years[j])} is outside [0, 1]")
+        self.hcr = hcr
+        self.line = PovertyLineSeries(name=name, years=hcr.years.copy(),
+                                      z=np.empty(len(hcr)))
+        self.bpl = BplGiniReport(years=hcr.years.copy(),
+                                 gini=np.full(len(hcr), np.nan),
+                                 negatives_floored=np.zeros(len(hcr),
+                                                            dtype=bool))
+        self.k_below, self.k_above = k_below, k_above
+        self.below = self.above = np.empty(0, dtype=np.intp)
+        self._poor = np.empty(n_agents, dtype=bool)
+        self._spells = _Spells(n_agents, len(hcr))
+        self._j = 0
+
+    def push(self, col: np.ndarray) -> None:
+        """Take the incomes of the next HCR year."""
+        j = self._j
+        poor = self._poor
+        self.line.z[j] = _classify_row(col, float(self.hcr.values[j]),
+                                       out=poor)
+        self._spells.push(poor)
+        self.bpl.gini[j], self.bpl.negatives_floored[j] = _bpl_gini(col,
+                                                                     poor)
+        if j == 0:
+            self.below, self.above = _path_agents(col, poor, self.k_below,
+                                                  self.k_above)
+        self._j = j + 1
+
+    def poverty_panel(self) -> PovertyPanel:
+        """The count table of every pushed year, as a flag-free panel."""
+        if self._j != len(self.hcr):
+            raise ValueError(f"{self._j} of {len(self.hcr)} HCR years pushed")
+        return PovertyPanel(years=self.hcr.years.copy(), poor=None,
+                            _tail=self._spells.tail())
+
+    def bundle(self, years: np.ndarray, below_paths: np.ndarray,
+               above_paths: np.ndarray, seed: int) -> TrajectoryBundle:
+        """The path bundle of the picked agents, given their incomes over
+        the panel ``years`` (rows in the order of ``below``/``above``)."""
+        return _bundle(years, self.line, self.below, self.above,
+                       below_paths, above_paths, self.k_below, self.k_above,
+                       seed)

@@ -1,16 +1,22 @@
 """End-to-end CLI runs on the committed fixtures."""
 
 import filecmp
+import itertools
 import json
+import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK,
-                        main)
-from povdyn.dataio import read_manifest, read_report_csv, read_series
+from povdyn import calibrate, dataio
+from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
+                        EXIT_OK, MAX_AGENTS, MAX_TP, build_config,
+                        build_parser, main)
+from povdyn.dataio import (SPOOL_NAME, read_manifest, read_report_csv,
+                           read_series)
 
 
 def run(argv):
@@ -195,6 +201,85 @@ def test_pipeline_steps_each_year_once(tmp_path, fixtures_dir, monkeypatch):
     assert calls == {"replay": 0, "normals": len(targets)}
 
 
+@pytest.mark.parametrize("stage", ["none", "calibrate", "simulate"])
+def test_pipeline_leaves_no_spool(tmp_path, fixtures_dir, monkeypatch,
+                                  capsys, stage):
+    # the spool sits in --out while the fit runs and is gone after the
+    # run, also after a fit that raises or a panel write that fails
+    monkeypatch.chdir(fixtures_dir)
+    out = tmp_path / "pipe"
+    seen = []
+    code = EXIT_OK
+    if stage == "calibrate":
+        search, calls = calibrate._search_tau, itertools.count()
+
+        def failing_search(*args):
+            seen.append((out / SPOOL_NAME).is_file())
+            if next(calls) == 3:  # no usable rate in the fourth year
+                return 0.0, math.inf, False
+            return search(*args)
+        monkeypatch.setattr(calibrate, "_search_tau", failing_search)
+        code = EXIT_DATA
+    elif stage == "simulate":
+        def failing_read(self, a0, block):
+            seen.append((out / SPOOL_NAME).is_file())
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(dataio.PanelSpool, "read_agents", failing_read)
+        code = EXIT_IO
+    assert main(["pipeline", "--config", "pipeline_small.cfg",
+                 "--out", str(out)]) == code
+    assert all(seen) and len(seen) == {"none": 0, "calibrate": 4,
+                                       "simulate": 1}[stage]
+    assert not (out / SPOOL_NAME).exists()
+    err = capsys.readouterr().err
+    if stage != "none":
+        assert err.startswith(f"pipeline aborted in stage '{stage}'\n")
+
+
+def _memory_run_inputs(d: Path, n_years: int, n_agents: int) -> Path:
+    """Config of a pipeline over ``n_years`` fitted years, 3 definitions."""
+    s50 = "".join(f"{1950 + i},{0.27 + 0.01 * math.sin(i / 8):.6f}\n"
+                  for i in range(n_years + 1))
+    (d / f"s50_{n_years}.csv").write_text("year,s50\n" + s50)
+    cfg = (f"seed = 3\nn_agents = {n_agents}\n"
+           f"inequality_csv = {d}/s50_{n_years}.csv\n"
+           "pool_periods = 1955-1960\n")
+    for name, h in (("a", 0.2), ("b", 0.35), ("c", 0.5)):
+        rows = "".join(f"{1951 + i},{h}\n" for i in range(n_years))
+        (d / f"hcr_{name}_{n_years}.csv").write_text("year,hcr\n" + rows)
+        cfg += f"hcr_{name} = {d}/hcr_{name}_{n_years}.csv\n"
+    path = d / f"run_{n_years}.cfg"
+    path.write_text(cfg)
+    return path
+
+
+def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
+    # Peak, in float64 N-vectors, while the fit searches a year: the
+    # initial population, which the caller holds for the whole fit (1);
+    # the fit with its helper thread (6, see
+    # test_fit_series_peak_memory_is_one_vector_above_serial); and per
+    # definition the accumulator's two int32 spell rows and its bool flag
+    # row (1 + 1/8, three definitions). That is 10 + 3/8. The per-year
+    # work of the accumulators runs between searches, when the fit holds
+    # three vectors, and needs less. Only arrays of years, or of years
+    # squared (the count tables), grow with the years; the panel is
+    # spooled to disk. What is left under the bound is the prefetch
+    # draw's and the panel writer's block buffers and small objects.
+    n = 200_000
+    peaks = {}
+    for n_years in (20, 60):
+        cfg = _memory_run_inputs(tmp_path, n_years, n)
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out_{n_years}")]) == EXIT_OK
+            _, peaks[n_years] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[60] - peaks[20]) <= 8 * n
+    assert max(peaks.values()) <= (10 + 3 / 8 + 1 / 2) * 8 * n
+
+
 # ---------------------------------------------------------------------------
 # reruns and degenerate sizes
 
@@ -298,6 +383,27 @@ def test_bad_config_value_exit_code(tmp_path):
     assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override, text, key, cap", [
+    (["--n-agents", "100000000000"], "", "n_agents", MAX_AGENTS),
+    ([], f"tp_max = {MAX_TP + 1}", "tp_max", MAX_TP),
+])
+def test_config_above_cap_exit_code(tmp_path, capsys, override, text, key,
+                                    cap):
+    # before the caps, 1e11 agents ended in an untyped ArrayMemoryError
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"init_s50 = 0.3\nstart_year = 1950\n{text}\n")
+    code = run(["calibrate", "--config", str(cfg), "--out",
+                str(tmp_path / "o"), *override])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and str(cap) in err
+    # the caps themselves are allowed
+    cfg.write_text(f"tp_max = {MAX_TP}\n")
+    args = build_parser().parse_args(["calibrate", "--config", str(cfg),
+                                      "--n-agents", str(MAX_AGENTS)])
+    assert build_config(args).model.n_agents == MAX_AGENTS
+
+
 @pytest.mark.parametrize("text", [
     "paths_below = -1", "paths_above = -3", "init_s50 = nan",
     "init_s50 = inf",
@@ -391,6 +497,22 @@ def test_metrics_partial_definition_failure(tmp_path, fixtures_dir,
     assert "bad" in summary["failed"]
     assert (out / "metrics_small.csv").exists()
     assert not (out / "metrics_bad.csv").exists()
+
+
+def test_head_count_outside_unit_interval_fails_its_definition(
+        tmp_path, fixtures_dir, monkeypatch):
+    # used to end in an untyped ValueError traceback
+    monkeypatch.chdir(fixtures_dir)
+    bad = tmp_path / "hcr_bad.csv"
+    bad.write_text("year,hcr\n2001,0.3\n2002,1.5\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"panel_dir = panel_small\nhcr_small = hcr_small.csv\n"
+                   f"hcr_bad = {bad}\npool_periods = 2001-2002\n"
+                   "paths_below = 1\npaths_above = 1\n")
+    out = tmp_path / "run"
+    assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert "outside [0, 1]" in summary["failed"]["bad"]
 
 
 def test_metrics_panel_meta_missing_key_exit_code(tmp_path, fixtures_dir,

@@ -1,13 +1,18 @@
 """Poverty lines, durations, transitions, persistence, Gini."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from povdyn.errors import (DataError, NonContiguousSeriesError,
                            UndefinedGiniError)
-from povdyn.poverty import (IncomePanel, PovertyLineSeries, bpl_gini_series,
+from povdyn.poverty import (IncomePanel, PovertyAccumulator,
+                            PovertyLineSeries, _count_table, bpl_gini_series,
                             classify, gini, persistence_probs,
                             persistence_report, pooled_metrics,
                             poverty_line_from_hcr, sample_paths,
@@ -348,6 +353,23 @@ def test_gini_rejects_bad_input():
         gini(np.array([]))
 
 
+def test_gini_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot product splits its sum by thread count; on this vector
+    # np.dot gave different last bits under 1 and 2 OpenBLAS threads
+    code = ("import numpy as np; from povdyn.poverty import gini; "
+            "x = np.random.default_rng(1).lognormal(0, 1, 50_000); "
+            "print(float.hex(gini(x)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        bits.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=60).stdout)
+    assert bits[0] == bits[1] != ""
+
+
 # ---------------------------------------------------------------------------
 # BPL gini series
 
@@ -640,3 +662,123 @@ def test_income_panel_rejects_non_finite():
     mat[1, 1] = np.inf
     with pytest.raises(DataError):
         panel_from_matrix(mat)
+
+
+# ---------------------------------------------------------------------------
+# the per-year accumulator against the whole-panel functions and oracles
+
+def _oracle_tail(poor):
+    """tail[j - 1, d, s]: agents with spell >= d at j - 1, status s at j."""
+    dur = oracles.durations_by_scan(poor)
+    n, t = poor.shape
+    tail = np.zeros((max(t - 1, 0), t + 1, 2), dtype=np.int64)
+    for j in range(1, t):
+        for i in range(n):
+            for d in range(dur[i, j - 1] + 1):
+                tail[j - 1, d, int(poor[i, j])] += 1
+    return tail
+
+
+def _random_case(rng, trial):
+    """A panel with negatives and a tied column, and an HCR sub-range."""
+    n, t = int(rng.integers(2, 60)), int(rng.integers(1, 10))
+    mat = rng.normal(1.0, 1.5, (n, t))  # poor negatives reach the floor
+    j0 = int(rng.integers(0, t))
+    j1 = int(rng.integers(j0, t)) if trial % 4 else j0  # single HCR year
+    # few distinct values in the line's first year: ties for _nearest
+    mat[:, j0] = rng.integers(-2, int(rng.integers(1, 6)), n)
+    panel = panel_from_matrix(mat, first_year=1990)
+    h = rng.uniform(0, 1, j1 - j0 + 1)
+    h[rng.random(len(h)) < 0.25] = 0.0
+    h[rng.random(len(h)) < 0.25] = 1.0  # the +inf line
+    return panel, AnnualSeries(panel.years[j0:j1 + 1], h)
+
+
+def test_accumulator_matches_whole_panel_functions_and_oracles():
+    rng = np.random.default_rng(26)
+    for trial in range(25):
+        panel, hcr = _random_case(rng, trial)
+        n = panel.n_agents
+        k_below = int(rng.integers(0, n // 2 + 1))
+        k_above = int(rng.integers(0, n - k_below + 1))
+        acc = PovertyAccumulator(hcr, n, (panel.first_year,
+                                          panel.last_year), k_below, k_above)
+        for year in hcr.years:
+            acc.push(panel.column(int(year)))
+        line, pp = classify(panel, hcr)
+        streamed = acc.poverty_panel()
+        assert streamed.poor is None
+
+        cols = [panel.column(int(y)) for y in hcr.years]
+        want_z = [np.sort(c)[k] if k < n else np.inf for c, k in
+                  zip(cols, np.floor(hcr.values * n + 0.5).astype(int))]
+        assert np.array_equal(acc.line.z, want_z), trial
+        assert np.array_equal(acc.line.z, line.z), trial
+
+        poor = np.column_stack([c < z for c, z in zip(cols, want_z)])
+        assert np.array_equal(pp.poor, poor)
+        tail = _count_table(streamed)
+        assert np.array_equal(tail, _oracle_tail(poor)), trial
+        assert np.array_equal(tail, _count_table(pp)), trial
+
+        tps = [1, 2, len(hcr.years) + 2]
+        a, b = transition_report(streamed), transition_report(pp)
+        for field in ("years", "p_in", "p_out", "p_tx", "p_in_at_risk"):
+            assert np.array_equal(getattr(a, field), getattr(b, field),
+                                  equal_nan=True), (trial, field)
+        a, b = persistence_report(streamed, tps), persistence_report(pp, tps)
+        for t_p in tps:
+            assert np.array_equal(a.by_tp[t_p], b.by_tp[t_p],
+                                  equal_nan=True), trial
+        if len(hcr.years) > 1:
+            period = (int(hcr.years[0]), int(hcr.years[-1]))
+            for method in ("counts", "mean"):
+                for t_p in tps:
+                    a = pooled_metrics(streamed, period, t_p, method)
+                    b = pooled_metrics(pp, period, t_p, method)
+                    assert all(_same(x, y) for x, y in
+                               zip(vars(a).values(), vars(b).values())), trial
+
+        bpl = bpl_gini_series(panel, pp)
+        assert np.array_equal(acc.bpl.gini, bpl.gini, equal_nan=True)
+        assert np.array_equal(acc.bpl.negatives_floored,
+                              bpl.negatives_floored)
+        for j, c in enumerate(cols):
+            subset = c[poor[:, j]]
+            assert acc.bpl.negatives_floored[j] == bool((subset < 0).any())
+            floored = np.maximum(subset, 0.0)
+            if floored.sum() > 0:
+                assert acc.bpl.gini[j] == pytest.approx(
+                    oracles.gini_pairwise(floored), rel=1e-12, abs=1e-15)
+            else:
+                assert np.isnan(acc.bpl.gini[j])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = acc.bundle(panel.years, panel.incomes[acc.below],
+                             panel.incomes[acc.above], seed=3)
+            want = sample_paths(panel, line, k_above, k_below, seed=3)
+        want_below, want_above = _argsort_selection(cols[0], want_z[0],
+                                                    k_below, k_above)
+        assert np.array_equal(got.below_agents, want_below), trial
+        assert np.array_equal(got.above_agents, want_above), trial
+        for field in ("years", "line_years", "line_values", "below_agents",
+                      "above_agents", "below_paths", "above_paths"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.truncated == want.truncated
+
+
+def test_accumulator_rejects_bad_head_counts():
+    hcr = AnnualSeries(np.array([2000, 2001]), np.array([0.3, 1.5]))
+    with pytest.raises(DataError, match="outside \\[0, 1\\]"):
+        PovertyAccumulator(hcr, 5, (2000, 2001))
+    with pytest.raises(DataError, match="outside panel years"):
+        PovertyAccumulator(hcr, 5, (2001, 2003))
+
+
+def test_streamed_poverty_panel_has_no_durations():
+    acc = PovertyAccumulator(AnnualSeries(np.array([2000]), [0.5]), 4,
+                             (2000, 2000))
+    acc.push(np.arange(4.0))
+    with pytest.raises(ValueError):
+        acc.poverty_panel().duration
