@@ -294,30 +294,59 @@ def panel_fingerprint(start_year: int, rates: AnnualSeries,
     })
 
 
-def _replay_panel(rows: np.ndarray, start_year: int, rates: AnnualSeries,
-                  params: ModelParams, seed: int) -> IncomePanel:
-    """The panel of a replay from ``start_year`` under ``rates``.
+class _PanelRows:
+    """The row hook of ``collect_panel=True``: it fills the year-major
+    (T + 1, N) income array of a replay from ``initial``."""
 
-    ``rows`` is the year-major (T + 1, N) income array, the initial year
-    first.
-    """
-    years = np.arange(start_year, rates.last_year + 1, dtype=np.int64)
-    return IncomePanel(years=years, incomes=rows.T, seed=seed,
-                       fingerprint=panel_fingerprint(start_year, rates,
-                                                     params, seed))
+    def __init__(self, initial: Population, n_rates: int):
+        self.years = np.arange(initial.year, initial.year + n_rates + 1)
+        self.rows = np.empty((n_rates + 1, initial.n))
+
+    def __call__(self, year: int, incomes: np.ndarray) -> None:
+        self.rows[year - self.years[0]] = incomes
+
+    def panel(self, rates: AnnualSeries, params: ModelParams,
+              seed: int) -> IncomePanel:
+        """The panel of the replay under ``rates``."""
+        return IncomePanel(self.years, self.rows.T, seed, panel_fingerprint(
+            int(self.years[0]), rates, params, seed))
+
+
+def _row_hook(initial: Population, n_rates: int, collect_panel: bool,
+              sink) -> tuple[object, _PanelRows | None]:
+    """The row hook of a stepper from ``initial``, handed the initial row
+    already, and the collector behind it: ``sink``, a new
+    :class:`_PanelRows` with ``collect_panel``, or a hook that drops the
+    rows."""
+    rows = None
+    if collect_panel:
+        if sink is not None:
+            raise ValueError("collect_panel=True and _sink exclude each "
+                             "other")
+        sink = rows = _PanelRows(initial, n_rates)
+    elif sink is None:
+        sink = lambda year, incomes: None
+    sink(initial.year, initial.incomes)
+    return sink, rows
 
 
 def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
-           seed: int, threads: int = 1, collect_panel: bool = False
-           ) -> tuple[PartialSeries, IncomePanel | None]:
+           seed: int, threads: int = 1, collect_panel: bool = False, *,
+           _sink=None) -> tuple[PartialSeries, IncomePanel | None]:
     """Propagate from ``initial`` under a given rate series.
 
     Uses the same noise stream coordinates as calibration, so a replay
     with identical rates reproduces the fit trajectory bit for bit.
     Returns the bottom-half share per stepped year (NaN where total income
-    is not positive) and, optionally, the full income panel (initial year
-    included as the first column), filled year by year into its
-    year-major storage.
+    is not positive) and the income panel, or ``None``.
+
+    Each row of the trajectory, the initial incomes first, is handed as
+    ``(year, incomes)`` to one row hook on the calling thread as soon as
+    it is stepped; the vector must not be changed or kept. With
+    ``collect_panel`` the hook fills the panel's year-major (T + 1, N)
+    array. The private ``_sink`` hook lets a caller take the rows one
+    year at a time instead (``simulate`` spools them to disk). Passing
+    both is a ValueError.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -326,24 +355,18 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
         )
     if not rates.is_contiguous():
         raise NonContiguousSeriesError("rate series has gaps")
+    sink, rows = _row_hook(initial, len(rates), collect_panel, _sink)
     stream = RngStream(seed)
     state = initial
-    rows = None
-    if collect_panel:
-        rows = np.empty((len(rates) + 1, len(initial.incomes)))
-        rows[0] = initial.incomes
     shares = np.empty(len(rates))
     degenerate: list[int] = []
     for i, (year, tau) in enumerate(rates):
         state = step(state, params, float(tau), stream, threads=threads)
         assert state.year == year
         shares[i] = _share_or_nan(state.incomes, degenerate, year)
-        if rows is not None:
-            rows[i + 1] = state.incomes
+        sink(year, state.incomes)
     _warn_undefined(degenerate)
-    panel = None
-    if rows is not None:
-        panel = _replay_panel(rows, initial.year, rates, params, seed)
+    panel = None if rows is None else rows.panel(rates, params, seed)
     return PartialSeries(rates.years.copy(), shares), panel
 
 
@@ -393,17 +416,13 @@ def fit_series(initial: Population, targets: AnnualSeries,
     of its stream coordinates, so no value depends on which thread makes
     it or when. The prefetched noise costs one N-vector of peak memory.
 
-    Each row of the validation trajectory, the initial incomes first, is
-    handed as ``(year, incomes)`` to one row hook on the main thread as
-    soon as it is stepped; the vector must not be changed or kept. With
-    ``collect_panel`` the hook keeps the rows in ``result.panel``: the
-    same panel, fingerprint included, as ``replay(..., collect_panel=True)``
-    under ``result.tau_effective`` returns, without stepping the
-    trajectory a second time. It costs one (T + 1, N) array; without it
-    ``result.panel`` is ``None``. The private ``_sink`` hook, used when
-    ``collect_panel`` is false, lets a caller consume the rows one year at
-    a time instead (the ``pipeline`` command spools them to disk and
-    measures poverty on them), so memory does not grow with the years.
+    The rows of the validation trajectory go to a row hook on the main
+    thread as in :func:`replay`. With ``collect_panel``, ``result.panel``
+    is the panel, fingerprint included, that ``replay(...,
+    collect_panel=True)`` under ``result.tau_effective`` returns, without
+    stepping the trajectory a second time; otherwise it is ``None``. The
+    ``pipeline`` command's ``_sink`` spools the rows and measures poverty
+    on them, so memory does not grow with the years.
 
     Raises
     ------
@@ -429,14 +448,7 @@ def fit_series(initial: Population, targets: AnnualSeries,
     residuals = np.empty(len(targets))
     fitted_shares = np.empty(len(targets))
     replay_shares = np.empty(len(targets))
-    rows = None
-    if collect_panel:
-        rows = np.empty((len(targets) + 1, n))
-
-        def _sink(year: int, incomes: np.ndarray) -> None:
-            rows[year - initial.year] = incomes
-    if _sink is not None:
-        _sink(initial.year, initial.incomes)
+    sink, rows = _row_hook(initial, len(targets), collect_panel, _sink)
     divergent: list[int] = []
     clamped_years: list[int] = []
     degenerate: list[int] = []
@@ -489,8 +501,7 @@ def fit_series(initial: Population, targets: AnnualSeries,
             replay_shares[i] = _share_or_nan(v_base, degenerate, year,
                                              overwrite_input=True)
             del v_base
-            if _sink is not None:
-                _sink(year, replayed.incomes)
+            sink(year, replayed.incomes)
     _warn_undefined(degenerate)
 
     years = targets.years
@@ -503,6 +514,6 @@ def fit_series(initial: Population, targets: AnnualSeries,
         fitted_shares=PartialSeries(years.copy(), fitted_shares),
         divergent_years=tuple(divergent),
         clamped_years=tuple(clamped_years),
-        panel=(None if rows is None else
-               _replay_panel(rows, initial.year, tau_effective, params, seed)),
+        panel=None if rows is None else rows.panel(tau_effective, params,
+                                                   seed),
     )

@@ -20,13 +20,13 @@ import numpy as np
 from . import __version__
 from .calibrate import (CalibrationConfig, CalibrationResult, fit_series,
                         panel_fingerprint, replay)
-from .dataio import (PanelSpool, RunManifest, json_value, read_hcr_file,
-                     read_panel, read_series, write_json, write_manifest,
-                     write_panel, write_paths_csv, write_pooled_csv,
-                     write_report_csv, write_series)
+from .dataio import (PanelSpool, RunManifest, _output_dir, json_value,
+                     read_hcr_file, read_panel, read_series, write_json,
+                     write_manifest, write_panel, write_paths_csv,
+                     write_pooled_csv, write_report_csv, write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
-from .poverty import (IncomePanel, PovertyAccumulator, TrajectoryBundle,
+from .poverty import (PovertyAccumulator, TrajectoryBundle,
                       persistence_report, pooled_metrics, transition_report)
 from .rgbm import ModelParams, Population, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
@@ -323,8 +323,7 @@ def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
     result = fit_series(pop, targets, cfg.model, cfg.calib, cfg.seed,
                         _sink=sink)
 
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg.out_dir)
     write_series(result.tau, out / "tau.csv", manifest_digest=manifest.digest)
     write_series(result.tau_effective, out / "tau_effective.csv",
                  manifest_digest=manifest.digest)
@@ -354,18 +353,23 @@ def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
 
 
 def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
-                    rates: AnnualSeries) -> IncomePanel:
+                    rates: AnnualSeries) -> None:
+    """Replay under ``rates``; each stepped row is spooled to disk, as in
+    ``pipeline``, and the panel file is transposed from the spool."""
     pop, _ = _initial_population(cfg)
-    shares, panel = replay(pop, rates, cfg.model, cfg.seed,
-                           threads=cfg.threads, collect_panel=True)
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    write_series(shares, out / "shares.csv", manifest_digest=manifest.digest)
-    write_panel(panel, out, fmt=cfg.panel_format)
-    print(f"simulated panel: {panel.n_agents} agents, "
-          f"{panel.first_year}-{panel.last_year}")
+    with PanelSpool(out, np.arange(pop.year, rates.last_year + 1), pop.n,
+                    cfg.seed) as spool:
+        shares, _ = replay(pop, rates, cfg.model, cfg.seed,
+                           threads=cfg.threads, _sink=spool)
+        spool.fingerprint = panel_fingerprint(pop.year, rates, cfg.model,
+                                              cfg.seed)
+        write_series(shares, out / "shares.csv",
+                     manifest_digest=manifest.digest)
+        write_panel(spool, out, fmt=cfg.panel_format)
+    print(f"simulated panel: {spool.n_agents} agents, "
+          f"{spool.first_year}-{spool.last_year}")
     _flag_share_range("shares", shares)
-    return panel
 
 
 def _metric_rows(line, trans, persist, bpl):
@@ -390,45 +394,29 @@ def _metric_rows(line, trans, persist, bpl):
     return rows
 
 
-def _accumulator(cfg: PipelineConfig, name: str, n_agents: int,
-                 first_year: int, last_year: int) -> PovertyAccumulator:
-    """Read one definition's HCR file and set up its accumulator."""
-    hcr, file_name = read_hcr_file(cfg.hcr_files[name])
-    # cap path requests at the population size (tiny smoke runs)
-    k_below = min(cfg.paths_below, n_agents // 2)
-    k_above = min(cfg.paths_above, n_agents - k_below)
-    return PovertyAccumulator(hcr, n_agents, (first_year, last_year),
-                              k_below, k_above, name=file_name or name)
+class _Definitions:
+    """The row hook that measures every poverty-line definition.
 
-
-def _panel_definition(cfg: PipelineConfig, panel: IncomePanel, name: str
-                      ) -> tuple[PovertyAccumulator, TrajectoryBundle]:
-    """One definition measured on an in-memory panel, year by year."""
-    acc = _accumulator(cfg, name, panel.n_agents, panel.first_year,
-                       panel.last_year)
-    for year in acc.line.years:
-        acc.push(panel.column(int(year)))
-    return acc, acc.bundle(panel.years, panel.incomes[acc.below],
-                           panel.incomes[acc.above], cfg.seed)
-
-
-class _PipelineSink:
-    """The pipeline's row hook on the calibration's validation replay.
-
-    Each year's incomes are appended to the panel spool and pushed to the
-    accumulator of every definition whose HCR years include that year, so
-    the statistics are done when the fit is. A definition whose HCR file
-    cannot be used keeps its error, reported in the metrics stage.
+    Each year's incomes are pushed to the accumulator of every definition
+    whose HCR years include that year, so the statistics are done when
+    the last row is. A definition whose HCR file cannot be used keeps its
+    error, reported in the metrics stage. :meth:`gather` then collects
+    the incomes of the path bundles' agents from agents-major blocks.
     """
 
-    def __init__(self, cfg: PipelineConfig, spool: PanelSpool):
-        self.cfg, self.spool = cfg, spool
+    def __init__(self, cfg: PipelineConfig, years: np.ndarray,
+                 n_agents: int):
+        self.cfg, self.years = cfg, years
         self.definitions: dict[str, PovertyAccumulator | PovdynError] = {}
+        # cap path requests at the population size (tiny smoke runs)
+        k_below = min(cfg.paths_below, n_agents // 2)
+        k_above = min(cfg.paths_above, n_agents - k_below)
         for name in sorted(cfg.hcr_files):
             try:
-                self.definitions[name] = _accumulator(
-                    cfg, name, spool.n_agents, spool.first_year,
-                    spool.last_year)
+                hcr, file_name = read_hcr_file(cfg.hcr_files[name])
+                self.definitions[name] = PovertyAccumulator(
+                    hcr, n_agents, (int(years[0]), int(years[-1])),
+                    k_below, k_above, name=file_name or name)
             except PovdynError as exc:
                 self.definitions[name] = exc
         self._paths: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -438,35 +426,28 @@ class _PipelineSink:
                 if isinstance(acc, PovertyAccumulator)]
 
     def __call__(self, year: int, incomes: np.ndarray) -> None:
-        self.spool.append(incomes)
         for _, acc in self._accumulators():
             if acc.line.years[0] <= year <= acc.line.years[-1]:
                 acc.push(incomes)
 
-    def write_panel(self) -> None:
-        """Write the panel files from the spool; the path bundles' incomes
-        are read in the same pass."""
-        n_years = len(self.spool.years)
-        picked = []
+    def gather(self, a0: int, block: np.ndarray) -> None:
+        """Keep the path agents' incomes among the (k, T) agents-major
+        ``block`` of agents ``a0 .. a0+k-1``; ``a0 == 0`` starts over."""
         for name, acc in self._accumulators():
-            self._paths[name] = (np.empty((len(acc.below), n_years)),
-                                 np.empty((len(acc.above), n_years)))
-            picked += zip((acc.below, acc.above), self._paths[name])
-
-        def gather(a0: int, block: np.ndarray) -> None:
-            for agents, rows in picked:  # agents ascending
+            if a0 == 0:
+                self._paths[name] = tuple(
+                    np.empty((len(agents), block.shape[1]))
+                    for agents in (acc.below, acc.above))
+            for agents, rows in zip((acc.below, acc.above), self._paths[name]):
                 lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
-                rows[lo:hi] = block[agents[lo:hi] - a0]
-
-        write_panel(self.spool, self.cfg.out_dir, fmt=self.cfg.panel_format,
-                    on_block=gather)
+                rows[lo:hi] = block[agents[lo:hi] - a0]  # agents ascending
 
     def definition(self, name: str
                    ) -> tuple[PovertyAccumulator, TrajectoryBundle]:
         acc = self.definitions[name]
         if isinstance(acc, PovdynError):
             raise acc
-        return acc, acc.bundle(self.spool.years, *self._paths[name],
+        return acc, acc.bundle(self.years, *self._paths[name],
                                self.cfg.seed)
 
 
@@ -548,8 +529,7 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
     """
     if not cfg.hcr_files:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg.out_dir)
     summary: dict = {"manifest_digest": manifest.digest,
                      "panel_fingerprint": fingerprint,
                      "definitions": {}, "failed": {}}
@@ -602,11 +582,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = build_config(args)
-    panel_dir = cfg.panel_dir or cfg.out_dir
-    panel = read_panel(panel_dir)
+    panel = read_panel(cfg.panel_dir or cfg.out_dir)
     manifest = _make_manifest(cfg, cfg.hcr_files.values())
-    _run_metrics(cfg, manifest, panel.fingerprint,
-                 lambda name: _panel_definition(cfg, panel, name))
+    definitions = _Definitions(cfg, panel.years, panel.n_agents)
+    for year in map(int, panel.years):
+        definitions(year, panel.column(year))
+    definitions.gather(0, panel.incomes)
+    _run_metrics(cfg, manifest, panel.fingerprint, definitions.definition)
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 
@@ -624,14 +606,21 @@ def cmd_pipeline(args) -> int:
         pop, targets = _calibration_inputs(cfg)
         years = np.arange(pop.year, targets.last_year + 1)
         with PanelSpool(cfg.out_dir, years, pop.n, cfg.seed) as spool:
-            sink = _PipelineSink(cfg, spool)
+            definitions = _Definitions(cfg, years, pop.n)
+
+            def sink(year: int, incomes: np.ndarray) -> None:
+                spool(year, incomes)
+                definitions(year, incomes)
             result = _run_calibration(cfg, manifest, pop, targets, sink=sink)
             stage = "simulate"
             spool.fingerprint = panel_fingerprint(
                 pop.year, result.tau_effective, cfg.model, cfg.seed)
-            sink.write_panel()
+            # the path bundles' incomes are read in the same pass
+            write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
+                        on_block=definitions.gather)
         stage = "metrics"
-        _run_metrics(cfg, manifest, spool.fingerprint, sink.definition)
+        _run_metrics(cfg, manifest, spool.fingerprint,
+                     definitions.definition)
     except PovdynError:
         print(f"pipeline aborted in stage '{stage}'", file=sys.stderr)
         raise

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tokenize
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,6 +60,47 @@ def file_digest(path) -> str:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}"
                         ) from None
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+@contextmanager
+def _output(path, mode: str = "w"):
+    """Open the output file ``path``: UTF-8 text for ``mode`` "w", binary
+    for a ``mode`` with "b". Any OSError while it is open, its closing
+    included, becomes an OutputError that names it."""
+    path = Path(path)
+    try:
+        with (open(path, mode) if "b" in mode else
+              open(path, mode, newline="", encoding="utf-8")) as f:
+            yield f
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def _output_dir(path) -> Path:
+    """Create the output directory ``path`` if needed; OutputError if it
+    cannot be made (a regular file stands there, say)."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create directory {path}: {exc}"
+                          ) from exc
+    return path
+
+
+def _write_csv(path, header, rows, manifest_digest: str | None = None
+               ) -> None:
+    """A CSV file: the ``# manifest:`` line (if a digest is given), the
+    header, then the rows."""
+    with _output(path) as f:
+        if manifest_digest:
+            f.write(f"# manifest: {manifest_digest}\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +205,9 @@ def read_hcr_file(path) -> tuple[AnnualSeries, str | None]:
 
 def write_series(series: AnnualSeries, path, value_col: str = "value",
                  manifest_digest: str | None = None) -> None:
-    path = Path(path)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            if manifest_digest:
-                f.write(f"# manifest: {manifest_digest}\n")
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["year", value_col])
-            for year, value in series:
-                w.writerow([year, fmt_value(value)])
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, ["year", value_col],
+               ([year, fmt_value(value)] for year, value in series),
+               manifest_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +226,15 @@ SPOOL_NAME = "panel_spool.tmp"
 class PanelSpool:
     """An income panel that arrives one year at a time, spooled to disk.
 
-    Each year's incomes are appended to ``panel_spool.tmp`` in the output
+    A spool is a row hook: ``spool(year, incomes)`` appends each year's
+    incomes, in year order, to ``panel_spool.tmp`` in the output
     directory as one float64 row: a year-major (T, N) file, never held in
     memory. It goes beside the outputs, not to a temporary directory,
     which may be memory-backed. :func:`write_panel` reads it back 1,024
-    agents at a time with ``os.pread`` to write the agents-major panel
-    file. Use it as a context manager: leaving the ``with`` block, by an
-    error too, closes and deletes the spool. ``fingerprint`` is set by the
-    caller once the run's rates are known.
-
-    Raises OutputError when the spool cannot be created or written. A
-    failed read is an OSError, which :func:`write_panel` reports as an
-    OutputError.
+    agents at a time with ``os.pread``. The file is open inside the
+    ``with`` block; leaving the block, by an error too, closes and
+    deletes it, and any OSError inside it is an OutputError naming the
+    spool. ``fingerprint`` is set by the caller once the rates are known.
     """
 
     def __init__(self, out_dir, years: np.ndarray, n_agents: int,
@@ -213,11 +244,6 @@ class PanelSpool:
         self.n_agents = n_agents
         self.seed = seed
         self.fingerprint = ""
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(self.path, "w+b")
-        except OSError as exc:
-            raise OutputError(f"cannot create {self.path}: {exc}") from exc
 
     @property
     def first_year(self) -> int:
@@ -227,12 +253,9 @@ class PanelSpool:
     def last_year(self) -> int:
         return int(self.years[-1])
 
-    def append(self, row: np.ndarray) -> None:
+    def __call__(self, year: int, incomes: np.ndarray) -> None:
         """Spool the incomes of the next year."""
-        try:
-            self._file.write(row)
-        except OSError as exc:
-            raise OutputError(f"cannot write {self.path}: {exc}") from exc
+        self._file.write(incomes)
 
     def read_agents(self, a0: int, out: np.ndarray) -> None:
         """Fill ``out`` ((k, T), agents-major) with agents ``a0 .. a0+k-1``.
@@ -250,27 +273,27 @@ class PanelSpool:
                               "is cut short")
             out[:, t] = np.frombuffer(data)
 
-    def close(self) -> None:
-        """Close and delete the spool file."""
-        try:
-            self._file.close()  # flushes, which can fail on a full disk
-        finally:
-            self.path.unlink(missing_ok=True)
-
     def __enter__(self) -> "PanelSpool":
+        _output_dir(self.path.parent)
+        self._opened = _output(self.path, "w+b")
+        self._file = self._opened.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        try:
+            self._opened.__exit__(*exc)
+        finally:
+            self.path.unlink(missing_ok=True)
 
 
-def _agent_blocks(panel):
+def _agent_blocks(panel, on_block=None):
     """``(a0, block)`` over a panel's agents, 1,024 at a time.
 
     ``block`` is the (k, T) agents-major incomes of agents ``a0 ..
     a0+k-1``, in one buffer reused for every block, so no full-size copy
     is made. An in-memory panel is transposed from its year-major rows;
-    a :class:`PanelSpool` is read from its file.
+    a :class:`PanelSpool` is read from its file. Each block is handed to
+    ``on_block``, if given, before it is yielded.
     """
     n_agents, n_years = panel.n_agents, len(panel.years)
     buf = np.empty((min(_PANEL_BLOCK, n_agents), n_years))
@@ -280,6 +303,8 @@ def _agent_blocks(panel):
             panel.read_agents(a0, block)
         else:
             np.copyto(block, panel.incomes[a0:a0 + len(block)])
+        if on_block is not None:
+            on_block(a0, block)
         yield a0, block
 
 
@@ -293,13 +318,34 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None
     holds the (N, T) C-order array, byte for byte what ``np.save`` of
     ``panel.incomes`` as a C-order array gives. ``panel`` is an
     ``IncomePanel``, whose year-major memory is transposed into the file
-    one block of agents at a time, or a :class:`PanelSpool`, whose file is
-    transposed the same way (a blocked external transpose). Each block
-    ``(a0, block)`` is also handed to ``on_block``, if given, before it is
-    written; the buffer is reused for the next block.
+    one block of agents at a time, or a :class:`PanelSpool` inside its
+    ``with`` block, whose file is transposed the same way (a blocked
+    external transpose). Each block ``(a0, block)`` is also handed to
+    ``on_block``, if given, before it is written; the buffer is reused
+    for the next block. OutputError names a file or directory that
+    cannot be written.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
+    if fmt == "npy":
+        written = [out_dir / "panel_years.npy", out_dir / "panel_incomes.npy"]
+        with _output(written[0], "wb") as f:
+            np.save(f, panel.years)
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                  "fortran_order": False,
+                  "shape": (panel.n_agents, len(panel.years))}
+        with _output(written[1], "wb") as f:
+            np.lib.format.write_array_header_1_0(f, header)
+            for _, block in _agent_blocks(panel, on_block):
+                f.write(block)
+    elif fmt == "csv":
+        written = [out_dir / "panel.csv"]
+        _write_csv(written[0],
+                   ["agent"] + [f"y{int(y)}" for y in panel.years],
+                   ([i] + [fmt_value(float(v)) for v in row]
+                    for a0, block in _agent_blocks(panel, on_block)
+                    for i, row in enumerate(block, start=a0)))
+    else:
+        raise ValueError(f"unknown panel format {fmt!r}")
     meta = {
         "seed": panel.seed,
         "fingerprint": panel.fingerprint,
@@ -308,39 +354,9 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None
         "last_year": panel.last_year,
         "format": fmt,
     }
-    written: list[Path] = []
-    try:
-        if fmt == "npy":
-            np.save(out_dir / "panel_years.npy", panel.years)
-            path = out_dir / "panel_incomes.npy"
-            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-                      "fortran_order": False,
-                      "shape": (panel.n_agents, len(panel.years))}
-            with open(path, "wb") as f:
-                np.lib.format.write_array_header_1_0(f, header)
-                for a0, block in _agent_blocks(panel):
-                    if on_block is not None:
-                        on_block(a0, block)
-                    f.write(block)
-            written += [out_dir / "panel_years.npy", path]
-        elif fmt == "csv":
-            path = out_dir / "panel.csv"
-            with open(path, "w", newline="", encoding="utf-8") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(["agent"] + [f"y{int(y)}" for y in panel.years])
-                for a0, block in _agent_blocks(panel):
-                    if on_block is not None:
-                        on_block(a0, block)
-                    for i, row in enumerate(block, start=a0):
-                        w.writerow([i] + [fmt_value(float(v)) for v in row])
-            written.append(path)
-        else:
-            raise ValueError(f"unknown panel format {fmt!r}")
-        meta_path = out_dir / "panel_meta.json"
-        meta_path.write_text(canonical_json(meta) + "\n", encoding="utf-8")
-        written.append(meta_path)
-    except OSError as exc:
-        raise OutputError(f"cannot write panel under {out_dir}: {exc}") from exc
+    written.append(out_dir / "panel_meta.json")
+    with _output(written[-1]) as f:
+        f.write(canonical_json(meta) + "\n")
     return written
 
 
@@ -484,27 +500,22 @@ def read_panel(directory):
 # ---------------------------------------------------------------------------
 # metric reports
 
+def _stat_fields(t_p, value) -> list:
+    """The ``t_p``, ``value`` and ``defined`` fields of a report row."""
+    defined = 0 if isinstance(value, float) and math.isnan(value) else 1
+    return ["" if t_p is None else int(t_p), fmt_value(float(value)), defined]
+
+
 def write_report_csv(rows, path, manifest_digest: str | None = None) -> None:
     """Write report rows (year, statistic, t_p, value) with defined flags.
 
     NaN values serialize as empty fields with defined=0; an empty row list
     produces a header-only file.
     """
-    path = Path(path)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            if manifest_digest:
-                f.write(f"# manifest: {manifest_digest}\n")
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["year", "statistic", "t_p", "value", "defined"])
-            for year, statistic, t_p, value in rows:
-                defined = 0 if (isinstance(value, float)
-                                and math.isnan(value)) else 1
-                w.writerow([year, statistic,
-                            "" if t_p is None else int(t_p),
-                            fmt_value(float(value)), defined])
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, ["year", "statistic", "t_p", "value", "defined"],
+               ([year, statistic, *_stat_fields(t_p, value)]
+                for year, statistic, t_p, value in rows),
+               manifest_digest)
 
 
 def read_report_csv(path) -> list[tuple]:
@@ -525,54 +536,31 @@ def read_report_csv(path) -> list[tuple]:
 
 def write_pooled_csv(rows, path, manifest_digest: str | None = None) -> None:
     """Write period-pooled rows (first, last, statistic, t_p, value)."""
-    path = Path(path)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            if manifest_digest:
-                f.write(f"# manifest: {manifest_digest}\n")
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["period_start", "period_end", "statistic", "t_p",
-                        "value", "defined"])
-            for first, last, statistic, t_p, value in rows:
-                defined = 0 if (isinstance(value, float)
-                                and math.isnan(value)) else 1
-                w.writerow([first, last, statistic,
-                            "" if t_p is None else int(t_p),
-                            fmt_value(float(value)), defined])
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, ["period_start", "period_end", "statistic", "t_p",
+                      "value", "defined"],
+               ([first, last, statistic, *_stat_fields(t_p, value)]
+                for first, last, statistic, t_p, value in rows),
+               manifest_digest)
 
 
 def write_paths_csv(bundle, path, manifest_digest: str | None = None) -> None:
     """Plot-ready trajectory export: line plus one column per sampled agent."""
-    path = Path(path)
     line_by_year = dict(zip(map(int, bundle.line_years), bundle.line_values))
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            if manifest_digest:
-                f.write(f"# manifest: {manifest_digest}\n")
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["year", "poverty_line"]
-                       + [f"below_{int(a)}" for a in bundle.below_agents]
-                       + [f"above_{int(a)}" for a in bundle.above_agents])
-            for j, year in enumerate(map(int, bundle.years)):
-                line = line_by_year.get(year, float("nan"))
-                w.writerow([year, fmt_value(float(line))]
-                           + [fmt_value(float(v))
-                              for v in bundle.below_paths[:, j]]
-                           + [fmt_value(float(v))
-                              for v in bundle.above_paths[:, j]])
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path,
+               ["year", "poverty_line"]
+               + [f"below_{int(a)}" for a in bundle.below_agents]
+               + [f"above_{int(a)}" for a in bundle.above_agents],
+               ([year, fmt_value(float(line_by_year.get(year, math.nan)))]
+                + [fmt_value(float(v)) for v in bundle.below_paths[:, j]]
+                + [fmt_value(float(v)) for v in bundle.above_paths[:, j]]
+                for j, year in enumerate(map(int, bundle.years))),
+               manifest_digest)
 
 
 def write_json(obj, path) -> None:
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(obj, sort_keys=True, indent=2,
-                                   allow_nan=False) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with _output(path) as f:
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------

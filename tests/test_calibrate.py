@@ -229,6 +229,36 @@ def test_replay_panel_collection():
         assert np.array_equal(panel.incomes[:, j + 1], state.incomes)
 
 
+def test_replay_sink_sees_the_collected_rows():
+    # the row hook gets the rows that collect_panel=True keeps, in order,
+    # the initial row first
+    params = ModelParams(n_agents=300)
+    pop0, targets = make_targets(params, seed=17, tau_true=[0.02] * 5)
+    rates = AnnualSeries(targets.years, np.full(5, 0.01))
+    seen = []
+    shares, none = replay(pop0, rates, params, seed=17, threads=2,
+                          _sink=lambda y, x: seen.append((y, x.copy())))
+    want, panel = replay(pop0, rates, params, seed=17, collect_panel=True)
+    assert none is None
+    assert np.array_equal(shares.values, want.values)
+    assert [y for y, _ in seen] == list(range(pop0.year, 1956))
+    assert np.array_equal(np.stack([x for _, x in seen]), panel.incomes.T)
+
+
+@pytest.mark.parametrize("stepper", ["replay", "fit_series"])
+def test_collect_panel_and_a_sink_exclude_each_other(stepper):
+    params = ModelParams(n_agents=100)
+    pop0, targets = make_targets(params, seed=18, tau_true=[0.0] * 3)
+    sink = lambda year, incomes: None
+    with pytest.raises(ValueError, match="collect_panel"):
+        if stepper == "replay":
+            replay(pop0, AnnualSeries(targets.years, np.zeros(3)), params,
+                   seed=18, collect_panel=True, _sink=sink)
+        else:
+            fit_series(pop0, targets, params, CalibrationConfig(), seed=18,
+                       collect_panel=True, _sink=sink)
+
+
 def test_replay_thread_count_does_not_change_bytes():
     params = ModelParams(n_agents=4000)
     pop0, targets = make_targets(params, seed=15, tau_true=[0.03] * 5)

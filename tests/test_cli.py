@@ -236,6 +236,96 @@ def test_pipeline_leaves_no_spool(tmp_path, fixtures_dir, monkeypatch,
         assert err.startswith(f"pipeline aborted in stage '{stage}'\n")
 
 
+def _simulate_config(d: Path, rates, n_agents: int) -> Path:
+    """Config of a simulate run from 1950 under ``rates`` (1951 on)."""
+    (d / "rates.csv").write_text("year,value\n" + "".join(
+        f"{1951 + i},{r!r}\n" for i, r in enumerate(rates)))
+    path = d / "sim.cfg"
+    path.write_text(f"rates_csv = {d / 'rates.csv'}\ninit_s50 = 0.3\n"
+                    f"start_year = 1950\nn_agents = {n_agents}\nseed = 4\n")
+    return path
+
+
+@pytest.mark.parametrize("stage", ["none", "replay", "write"])
+def test_simulate_leaves_no_spool(tmp_path, monkeypatch, capsys, stage):
+    # the spool sits in --out while the replay runs and is gone after the
+    # run, also after a replay that overflows or a panel write that fails
+    rates = [0.01] * 6
+    if stage == "replay":
+        rates[2:4] = [1e308, 1e308]  # steps some income past the floats
+    cfg = _simulate_config(tmp_path, rates, 300)
+    out = tmp_path / "sim"
+    seen = []
+    step = calibrate.step
+
+    def watched_step(*args, **kwargs):
+        seen.append((out / SPOOL_NAME).is_file())
+        return step(*args, **kwargs)
+    monkeypatch.setattr(calibrate, "step", watched_step)
+    code = EXIT_OK
+    if stage == "replay":
+        code = EXIT_DATA
+    elif stage == "write":
+        def failing_read(self, a0, block):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(dataio.PanelSpool, "read_agents", failing_read)
+        code = EXIT_IO
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(out)]) == code
+    assert seen and all(seen)
+    assert not (out / SPOOL_NAME).exists()
+    err = capsys.readouterr().err
+    assert err.startswith({"none": "", "replay": "error: non-finite income",
+                           "write": "output error: "}[stage])
+
+
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "metrics",
+                                     "pipeline"])
+def test_out_naming_a_file_is_an_output_error(tmp_path, fixtures_dir,
+                                              monkeypatch, capsys, command):
+    monkeypatch.chdir(fixtures_dir)
+    cfg = {"calibrate": "pipeline_small.cfg", "pipeline": "pipeline_small.cfg",
+           "metrics": "metrics_small.cfg"}.get(command)
+    if command == "simulate":
+        cfg = str(_simulate_config(tmp_path, [0.01] * 3, 50))
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"output error: cannot create "
+                                           f"directory {out}")
+    assert "Traceback" not in err
+    assert out.read_text() == "a file\n"
+
+
+def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
+    # Peak, in float64 N-vectors, while a year is stepped: the initial
+    # population, which the command holds for the whole replay (1); the
+    # state being stepped and the stepped vector (2); the year's noise
+    # (1); and the step's base and relief (2). That is 6. The bottom
+    # share's copy and the overflow check's mask come after the step's
+    # temporaries are gone and need less. Only the shares grow with the
+    # years; the panel is spooled to disk. What is left under the bound
+    # is the noise draw's and the panel writer's block buffers and small
+    # objects.
+    n = 200_000
+    peaks = {}
+    for n_years in (20, 60):
+        d = tmp_path / f"in_{n_years}"
+        d.mkdir()
+        cfg = _simulate_config(d, [0.01] * n_years, n)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out_{n_years}")]) == EXIT_OK
+            _, peaks[n_years] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[60] - peaks[20]) <= 8 * n
+    assert max(peaks.values()) <= (6 + 1 / 2) * 8 * n
+
+
 def _memory_run_inputs(d: Path, n_years: int, n_agents: int) -> Path:
     """Config of a pipeline over ``n_years`` fitted years, 3 definitions."""
     s50 = "".join(f"{1950 + i},{0.27 + 0.01 * math.sin(i / 8):.6f}\n"

@@ -6,13 +6,14 @@ import shutil
 import numpy as np
 import pytest
 
-from povdyn.dataio import (RunManifest, read_hcr_file, read_manifest,
-                           read_panel, read_report_csv, read_series,
-                           write_manifest, write_panel, write_report_csv,
-                           write_series)
-from povdyn.errors import (DataError, ExtrapolationRefusedError,
+from povdyn.dataio import (PanelSpool, RunManifest, read_hcr_file,
+                           read_manifest, read_panel, read_report_csv,
+                           read_series, write_json, write_manifest,
+                           write_panel, write_paths_csv, write_pooled_csv,
+                           write_report_csv, write_series)
+from povdyn.errors import (DataError, ExtrapolationRefusedError, OutputError,
                            SeriesFormatError)
-from povdyn.poverty import IncomePanel
+from povdyn.poverty import IncomePanel, TrajectoryBundle
 from povdyn.series import (AnnualSeries, PartialSeries, interpolate_missing,
                            missing_year_blocks)
 
@@ -284,6 +285,47 @@ def test_writer_bytes_deterministic(tmp_path):
     write_report_csv(rows, tmp_path / "a.csv", manifest_digest="z")
     write_report_csv(rows, tmp_path / "b.csv", manifest_digest="z")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _spool(directory):
+    with PanelSpool(directory, np.arange(2000, 2002), 3, seed=1) as spool:
+        spool(2000, np.ones(3))
+
+
+_BUNDLE = TrajectoryBundle(
+    years=np.array([2000]), line_years=np.array([2000]),
+    line_values=np.array([1.0]), below_agents=np.array([0]),
+    above_agents=np.array([1]), below_paths=np.ones((1, 1)),
+    above_paths=np.ones((1, 1)), seed=0)
+
+_WRITERS = {
+    "series": lambda d: write_series(
+        AnnualSeries(np.array([2000]), np.array([1.0])), d / "s.csv"),
+    "report": lambda d: write_report_csv([(2000, "x", None, 0.1)],
+                                         d / "r.csv"),
+    "pooled": lambda d: write_pooled_csv([(2000, 2001, "x", 1, 0.1)],
+                                         d / "p.csv"),
+    "paths": lambda d: write_paths_csv(_BUNDLE, d / "paths.csv"),
+    "json": lambda d: write_json({"v": 1}, d / "s.json"),
+    "manifest": lambda d: write_manifest(
+        RunManifest.create(1, {}, [], "0"), d / "manifest.json"),
+    "panel_npy": lambda d: write_panel(_make_panel(), d, fmt="npy"),
+    "panel_csv": lambda d: write_panel(_make_panel(), d, fmt="csv"),
+    "spool": _spool,
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writers_blocked_by_a_regular_file_raise_output_error(tmp_path,
+                                                              writer, under):
+    # a regular file where the output directory should be (or should
+    # lead to) is a typed error that names the path, never a raw OSError
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    with pytest.raises(OutputError, match="taken"):
+        _WRITERS[writer](blocker / "sub" if under else blocker)
+    assert blocker.read_text() == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------
