@@ -2,13 +2,15 @@
 
 For each year the noise vector is drawn once and frozen, which makes the
 objective |simulated bottom-half share - target| a deterministic function
-of the rate. The share is non-decreasing in the rate (reallocation
-transfers toward below-mean agents), so the signed gap is bracketed and
-bisected; a golden-section fallback covers numerically non-monotone cases,
-and unreachable targets clamp to the nearer bracket endpoint with a
-divergence warning instead of aborting a long historical run. A rate so
-large that the stepped total income overflows or loses its sign is
-unusable, and the search moves away from it.
+of the rate. The stepped incomes are affine in the rate, so the
+bottom-half sum, a minimum over agent subsets of affine sums, is concave
+in it; the stepped total does not depend on it. The share is therefore
+concave in the rate, and endpoint gaps of opposite sign bracket exactly
+one root, which is bisected in either orientation. Unreachable targets
+clamp to the nearer bracket endpoint with a divergence warning instead of
+aborting a long historical run. A rate so large that the stepped total
+income overflows or loses its sign is unusable, and the search moves away
+from it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from .rgbm import (ModelParams, Population, _checked, _components, apply_rate,
                    bottom_share_of, step, step_components)
 from .rng import STEP_TAG, RngStream
 from .series import AnnualSeries, PartialSeries
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 # Draws per block of the noise prefetch. The draw runs beside the search,
 # so its two block buffers add to peak memory: 128 KiB, where the default
@@ -126,12 +125,14 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
                 max_iterations: int) -> tuple[float, float, bool]:
     """Locate the rate minimizing |gap| on [lo, hi].
 
-    Returns (tau, |gap(tau)|, clamped). ``gap`` must be deterministic;
-    monotone non-decreasing is assumed but not required (golden-section
-    fallback when the endpoint signs are reversed). The gap of an unusable
-    rate is infinite, with the rate's sign, so the bisection moves from it
-    toward zero; an infinite ``|gap(tau)|`` in the result means that the
-    search found no usable rate.
+    Returns (tau, |gap(tau)|, clamped). ``gap`` must be deterministic.
+    Endpoint gaps of opposite sign are bisected, keeping the half whose
+    ends still differ in sign; for the concave share of the model that
+    half holds the one root, whether the gap rises or falls across the
+    bracket. Endpoint gaps of the same sign clamp to the nearer endpoint.
+    The gap of an unusable rate is infinite, with the rate's sign, so the
+    bisection moves from it toward zero; an infinite ``|gap(tau)|`` in the
+    result means that the search found no usable rate.
     """
     g_lo = gap(lo)
     g_hi = gap(hi)
@@ -139,14 +140,16 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
         if abs(g_lo) <= abs(g_hi):
             return lo, abs(g_lo), False
         return hi, abs(g_hi), False
-    if g_lo > 0 and g_hi < 0:
-        # endpoint signs reversed: numerically non-monotone objective
-        return _golden_section(gap, lo, hi, tolerance, max_iterations)
-    if g_lo > 0 or g_hi < 0:
+    if (g_lo > 0) == (g_hi > 0):
         # same sign at both endpoints: target unreachable inside bracket
         if abs(g_lo) <= abs(g_hi):
             return lo, abs(g_lo), True
         return hi, abs(g_hi), True
+    # An unusable rate's gap is infinite with the rate's sign, and every
+    # rate further from zero than an unusable one is unusable too. So a
+    # reversed bracket, g(lo) > 0 > g(hi), has usable rates at both ends,
+    # and every rate between them is usable.
+    rising = g_hi > 0
 
     best_tau, best_abs = (lo, abs(g_lo)) if abs(g_lo) < abs(g_hi) else (hi, abs(g_hi))
     for _ in range(max_iterations):
@@ -158,36 +161,13 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
             best_tau, best_abs = mid, abs(g_mid)
         if abs(g_mid) <= tolerance:
             return mid, abs(g_mid), False
-        if g_mid > 0:
+        if (g_mid > 0) == rising:
             hi = mid
         else:
             lo = mid
         if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
             break
     return best_tau, best_abs, False
-
-
-def _golden_section(gap, lo: float, hi: float, tolerance: float,
-                    max_iterations: int) -> tuple[float, float, bool]:
-    """Golden-section minimization of |gap| on [lo, hi]."""
-    f = lambda t: abs(gap(t))
-    a, b = lo, hi
-    c = a + _INV_PHI2 * (b - a)
-    d = a + _INV_PHI * (b - a)
-    yc, yd = f(c), f(d)
-    for _ in range(max_iterations):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = f(d)
-        if min(yc, yd) <= tolerance or (b - a) < 1e-12:
-            break
-    tau = c if yc < yd else d
-    return tau, f(tau), False
 
 
 def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,

@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest, calibrate, replay, classify, export.
 
 Subcommands: calibrate, simulate, metrics, pipeline, interpolate. A flat
-``key = value`` config file mirrors PipelineConfig (see README for the key
-list); ``--seed/--n-agents/--mu/--sigma/--out/--threads`` override it.
+``key = value`` config file mirrors PipelineConfig (``_KEYS`` holds the
+key list, the README documents it); ``--seed/--n-agents/--mu/--sigma/
+--out/--threads`` override it.
 Exit codes: 0 ok, 2 config, 3 data, 4 calibration divergence (strict
 mode), 5 output I/O.
 """
@@ -12,8 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,55 +49,124 @@ MAX_AGENTS = 10**8
 MAX_TP = 1000
 
 
+def _parse_periods(text: str) -> tuple[tuple[int, int], ...]:
+    periods = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            a, b = part.split("-")
+            periods.append((int(a), int(b)))
+        except ValueError:
+            raise ConfigError(
+                f"bad period {part!r}; expected e.g. 1962-1971") from None
+    if not periods:
+        raise ConfigError("pool_periods is empty")
+    return tuple(periods)
+
+
+def _optional_path(value: str) -> Path | None:
+    return Path(value) if value else None
+
+
+def _env_threads() -> int:
+    text = os.environ.get("POVDYN_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"POVDYN_THREADS: cannot parse {text!r}") from None
+
+
+class _Key(NamedTuple):
+    """A config key: the parser of its text, its default, and the flag
+    that overrides it, if any, with the flag's help."""
+
+    parse: Callable[[str], object]
+    default: object
+    flag: str | None = None
+    help: str | None = None
+
+
+# Every config key except hcr_<name>. A flag beats the file and the file
+# beats the default; a default that is a function is called on every
+# build, so a bad POVDYN_THREADS is an error even when it is overridden.
+# ModelParams and CalibrationConfig take the keys named after their
+# fields, PipelineConfig the others.
+_KEYS = {
+    "seed": _Key(int, 0, "--seed"),
+    "n_agents": _Key(int, ModelParams.n_agents, "--n-agents"),
+    "mu": _Key(float, ModelParams.mu, "--mu"),
+    "sigma": _Key(float, ModelParams.sigma, "--sigma"),
+    "dt": _Key(float, ModelParams.dt),
+    "tau_min": _Key(float, CalibrationConfig.tau_min),
+    "tau_max": _Key(float, CalibrationConfig.tau_max),
+    "tolerance": _Key(float, CalibrationConfig.tolerance),
+    "max_iterations": _Key(int, CalibrationConfig.max_iterations),
+    "smoothing_window": _Key(int, CalibrationConfig.smoothing_window),
+    "forward_rate": _Key(str, CalibrationConfig.forward_rate),
+    "inequality_csv": _Key(_optional_path, None),
+    "init_s50": _Key(float, None),
+    "start_year": _Key(int, None),
+    "rates_csv": _Key(_optional_path, None),
+    "panel_dir": _Key(_optional_path, None),
+    "pool_periods": _Key(_parse_periods, _DEFAULT_PERIODS),
+    "pooled_method": _Key(str, "counts"),
+    "tp_max": _Key(int, 10),
+    "paths_below": _Key(int, 20),
+    "paths_above": _Key(int, 20),
+    "panel_format": _Key(str, "npy"),
+    "out_dir": _Key(Path, Path("out"), "--out", "output directory"),
+    "threads": _Key(int, _env_threads, "--threads",
+                    "agent slices stepped in parallel per year by simulate "
+                    "(never changes results); calibrate and pipeline "
+                    "always use one helper thread beside the fit and "
+                    "ignore it; default from POVDYN_THREADS"),
+}
+
+
+def _json_safe(value):
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, tuple):  # pool_periods
+        return [f"{a}-{b}" for a, b in value]
+    return value
+
+
 @dataclass
 class PipelineConfig:
-    """Everything one run needs, resolvable from file + CLI overrides."""
+    """Everything one run needs, as :func:`build_config` resolves it."""
 
-    seed: int = 0
-    model: ModelParams = field(default_factory=ModelParams)
-    calib: CalibrationConfig = field(default_factory=CalibrationConfig)
-    inequality_csv: Path | None = None
-    rates_csv: Path | None = None
-    panel_dir: Path | None = None
-    hcr_files: dict[str, Path] = field(default_factory=dict)
-    pool_periods: tuple[tuple[int, int], ...] = _DEFAULT_PERIODS
-    pooled_method: str = "counts"
-    tp_max: int = 10
-    paths_below: int = 20
-    paths_above: int = 20
-    panel_format: str = "npy"
-    out_dir: Path = Path("out")
-    threads: int = 1
-    strict: bool = False
-    init_s50: float | None = None
-    start_year: int | None = None
+    seed: int
+    model: ModelParams
+    calib: CalibrationConfig
+    inequality_csv: Path | None
+    rates_csv: Path | None
+    panel_dir: Path | None
+    hcr_files: dict[str, Path]
+    pool_periods: tuple[tuple[int, int], ...]
+    pooled_method: str
+    tp_max: int
+    paths_below: int
+    paths_above: int
+    panel_format: str
+    out_dir: Path
+    threads: int
+    strict: bool
+    init_s50: float | None
+    start_year: int | None
 
     def flat(self) -> dict:
-        """Flat, JSON-safe view for the run manifest."""
-        return {
-            "seed": self.seed,
-            "n_agents": self.model.n_agents, "mu": self.model.mu,
-            "sigma": self.model.sigma, "dt": self.model.dt,
-            "tau_min": self.calib.tau_min, "tau_max": self.calib.tau_max,
-            "tolerance": self.calib.tolerance,
-            "max_iterations": self.calib.max_iterations,
-            "smoothing_window": self.calib.smoothing_window,
-            "forward_rate": self.calib.forward_rate,
-            "inequality_csv": _opt_str(self.inequality_csv),
-            "rates_csv": _opt_str(self.rates_csv),
-            "panel_dir": _opt_str(self.panel_dir),
-            "hcr_files": {k: str(v) for k, v in sorted(self.hcr_files.items())},
-            "pool_periods": [f"{a}-{b}" for a, b in self.pool_periods],
-            "pooled_method": self.pooled_method,
-            "tp_max": self.tp_max,
-            "paths_below": self.paths_below, "paths_above": self.paths_above,
-            "panel_format": self.panel_format,
-            "init_s50": self.init_s50, "start_year": self.start_year,
-        }
-
-
-def _opt_str(p) -> str | None:
-    return None if p is None else str(p)
+        """Flat, JSON-safe view for the run manifest: every config key but
+        the deployment settings out_dir and threads (where a run writes
+        and how many threads step it, not what it computes), and the
+        definitions' files."""
+        values = {**vars(self.model), **vars(self.calib), **vars(self)}
+        view = {key: _json_safe(values[key]) for key in _KEYS
+                if key not in ("out_dir", "threads")}
+        view["hcr_files"] = {k: str(v)
+                             for k, v in sorted(self.hcr_files.items())}
+        return view
 
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
@@ -121,107 +192,55 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
     return kv
 
 
-def _parse_periods(text: str) -> tuple[tuple[int, int], ...]:
-    periods = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            a, b = part.split("-")
-            periods.append((int(a), int(b)))
-        except ValueError:
-            raise ConfigError(
-                f"bad period {part!r}; expected e.g. 1962-1971") from None
-    if not periods:
-        raise ConfigError("pool_periods is empty")
-    return tuple(periods)
-
-
-def _typed(kv: dict[str, str], key: str, cast, default):
-    if key not in kv:
-        return default
-    try:
-        return cast(kv[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse "
-                          f"{kv[key]!r}") from None
+def _definition_name(key: str) -> str:
+    """The name of the ``hcr_<name>`` key ``key``. It names the
+    definition's report files, so it must be one plain path component."""
+    name = key[len("hcr_"):]
+    if name in ("", ".", "..") or any(
+            sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"config key {key!r}: a definition name must be "
+                          "non-empty, not '.' or '..', and hold no path "
+                          "separator")
+    return name
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     kv = _parse_kv_file(Path(args.config)) if args.config else {}
-    known = {
-        "seed", "n_agents", "mu", "sigma", "dt", "tau_min", "tau_max",
-        "tolerance", "max_iterations", "smoothing_window", "forward_rate",
-        "inequality_csv", "rates_csv", "panel_dir", "pool_periods",
-        "pooled_method", "tp_max", "paths_below", "paths_above",
-        "panel_format", "out_dir", "threads", "init_s50", "start_year",
-    }
-    for key in kv:
-        if key not in known and not key.startswith("hcr_"):
+    hcr_files = {}
+    for key, text in kv.items():
+        if key.startswith("hcr_"):
+            hcr_files[_definition_name(key)] = Path(text)
+        elif key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
-    def model_value(key, cast):
-        # a command-line override wins over the config file
-        given = getattr(args, key)
+    def value(key: str):
+        parse, default, flag, _ = _KEYS[key]
+        if callable(default):
+            default = default()
+        given = getattr(args, flag[2:].replace("-", "_")) if flag else None
         if given is not None:
             return given
-        return _typed(kv, key, cast, getattr(ModelParams, key))
+        if key not in kv:
+            return default
+        try:
+            return parse(kv[key])
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: cannot parse "
+                              f"{kv[key]!r}") from None
+
+    def values(cls) -> dict:
+        # in the order of the class's fields, which is the order of the
+        # checks: the first bad value found is the one reported
+        return {f.name: value(f.name) for f in fields(cls) if f.name in _KEYS}
 
     try:
-        model = ModelParams(
-            mu=model_value("mu", float),
-            sigma=model_value("sigma", float),
-            dt=_typed(kv, "dt", float, ModelParams.dt),
-            n_agents=model_value("n_agents", int),
-        )
-        calib = CalibrationConfig(
-            tau_min=_typed(kv, "tau_min", float, CalibrationConfig.tau_min),
-            tau_max=_typed(kv, "tau_max", float, CalibrationConfig.tau_max),
-            tolerance=_typed(kv, "tolerance", float,
-                             CalibrationConfig.tolerance),
-            max_iterations=_typed(kv, "max_iterations", int,
-                                  CalibrationConfig.max_iterations),
-            smoothing_window=_typed(kv, "smoothing_window", int,
-                                    CalibrationConfig.smoothing_window),
-            forward_rate=kv.get("forward_rate",
-                                CalibrationConfig.forward_rate),
-        )
+        model = ModelParams(**values(ModelParams))
+        calib = CalibrationConfig(**values(CalibrationConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    hcr_files = {key[len("hcr_"):]: Path(val) for key, val in kv.items()
-                 if key.startswith("hcr_")}
-
-    cfg = PipelineConfig(
-        seed=_typed(kv, "seed", int, 0),
-        model=model,
-        calib=calib,
-        inequality_csv=_optional_path(kv.get("inequality_csv")),
-        rates_csv=_optional_path(kv.get("rates_csv")),
-        panel_dir=_optional_path(kv.get("panel_dir")),
-        hcr_files=hcr_files,
-        pool_periods=(_parse_periods(kv["pool_periods"])
-                      if "pool_periods" in kv else _DEFAULT_PERIODS),
-        pooled_method=kv.get("pooled_method", "counts"),
-        tp_max=_typed(kv, "tp_max", int, 10),
-        paths_below=_typed(kv, "paths_below", int, 20),
-        paths_above=_typed(kv, "paths_above", int, 20),
-        panel_format=kv.get("panel_format", "npy"),
-        out_dir=Path(kv.get("out_dir", "out")),
-        threads=_typed(kv, "threads", int, _env_threads()),
-        init_s50=_typed(kv, "init_s50", float, None),
-        start_year=_typed(kv, "start_year", int, None),
-    )
-
-    # remaining command-line overrides (model ones are applied above)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
-    if args.threads is not None:
-        cfg.threads = args.threads
-    cfg.strict = bool(getattr(args, "strict", False))
+    cfg = PipelineConfig(model=model, calib=calib, hcr_files=hcr_files,
+                         strict=bool(getattr(args, "strict", False)),
+                         **values(PipelineConfig))
 
     if cfg.pooled_method not in ("counts", "mean"):
         raise ConfigError("pooled_method must be 'counts' or 'mean'")
@@ -242,18 +261,6 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if cfg.init_s50 is not None and not np.isfinite(cfg.init_s50):
         raise ConfigError("init_s50 must be finite")
     return cfg
-
-
-def _env_threads() -> int:
-    text = os.environ.get("POVDYN_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"POVDYN_THREADS: cannot parse {text!r}") from None
-
-
-def _optional_path(value: str | None) -> Path | None:
-    return Path(value) if value else None
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +292,8 @@ def _initial_population(cfg: PipelineConfig):
 
 
 def _make_manifest(cfg: PipelineConfig, inputs) -> RunManifest:
+    """An input that cannot be read gets a null digest; the stage that
+    reads it fails, so an unreadable HCR file fails only its definition."""
     existing = [p for p in inputs if p is not None]
     return RunManifest.create(cfg.seed, cfg.flat(), existing, __version__)
 
@@ -324,15 +333,10 @@ def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
                         _sink=sink)
 
     out = _output_dir(cfg.out_dir)
-    write_series(result.tau, out / "tau.csv", manifest_digest=manifest.digest)
-    write_series(result.tau_effective, out / "tau_effective.csv",
-                 manifest_digest=manifest.digest)
-    write_series(result.residuals, out / "residuals.csv",
-                 manifest_digest=manifest.digest)
-    write_series(result.replay_shares, out / "replay_shares.csv",
-                 manifest_digest=manifest.digest)
-    write_series(result.fitted_shares, out / "fitted_shares.csv",
-                 manifest_digest=manifest.digest)
+    for name in ("tau", "tau_effective", "residuals", "replay_shares",
+                 "fitted_shares"):
+        write_series(getattr(result, name), out / f"{name}.csv",
+                     manifest_digest=manifest.digest)
 
     print(f"calibrated {len(result.tau)} years "
           f"({result.tau.first_year}-{result.tau.last_year})")
@@ -525,7 +529,8 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
     """Write every definition's reports and ``summary.json``.
 
     ``definition(name)`` returns the definition's finished accumulator and
-    path bundle, or raises the PovdynError that makes it fail.
+    path bundle, or raises the PovdynError that makes it fail. A report
+    that cannot be written is an OutputError, which ends the run.
     """
     if not cfg.hcr_files:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
@@ -537,6 +542,8 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
         try:
             summary["definitions"][name] = _definition_metrics(
                 cfg, manifest, name, *definition(name))
+        except OutputError:
+            raise  # a report that cannot be written ends the run
         except PovdynError as exc:
             summary["failed"][name] = str(exc)
             print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
@@ -634,17 +641,9 @@ def cmd_pipeline(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--n-agents", type=int, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="agent slices stepped in parallel per year "
-                             "by simulate (never changes results); "
-                             "calibrate and pipeline always use one "
-                             "helper thread beside the fit and ignore it; "
-                             "default from POVDYN_THREADS")
+    for key in _KEYS.values():
+        if key.flag:
+            parser.add_argument(key.flag, type=key.parse, help=key.help)
     parser.add_argument("--strict", action="store_true",
                         help="treat calibration divergence as fatal")
 
@@ -656,24 +655,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", help="fit reallocation rates to an "
-                                         "inequality series")
-    _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("simulate", help="propagate a panel under a given "
-                                        "rate series")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("metrics", help="poverty metrics from a stored panel")
-    _add_common(p)
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("pipeline", help="calibrate, simulate, and compute "
-                                        "metrics in one run")
-    _add_common(p)
-    p.set_defaults(func=cmd_pipeline)
+    for name, func, text in (
+            ("calibrate", cmd_calibrate,
+             "fit reallocation rates to an inequality series"),
+            ("simulate", cmd_simulate,
+             "propagate a panel under a given rate series"),
+            ("metrics", cmd_metrics, "poverty metrics from a stored panel"),
+            ("pipeline", cmd_pipeline,
+             "calibrate, simulate, and compute metrics in one run")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("interpolate", help="fill interior gaps in a "
                                            "year-indexed CSV")

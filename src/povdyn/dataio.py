@@ -376,7 +376,7 @@ def _check_npy_header(f, path: Path, dtype, shape: tuple[int, ...]) -> None:
             raise ValueError("unsupported .npy format version")
         file_shape, fortran_order, file_dtype = \
             np.lib.format.read_array_header_1_0(f)
-    except (ValueError, SyntaxError, tokenize.TokenError) as exc:
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
         raise DataError(f"{path}: unreadable .npy header ({exc})") from None
     if file_dtype != dtype or file_shape != shape or fortran_order:
         order = "Fortran" if fortran_order else "C"
@@ -572,6 +572,9 @@ class RunManifest:
 
     ``digest`` covers seed, config, inputs, and version (not the
     timestamp), so reruns with identical inputs produce identical digests.
+    An input that cannot be read is recorded with a null digest: the
+    stage that reads it raises the DataError, so that an unreadable file
+    fails only what needs it.
     """
 
     seed: int
@@ -584,7 +587,12 @@ class RunManifest:
     @classmethod
     def create(cls, seed: int, config: dict, input_paths, version: str
                ) -> "RunManifest":
-        inputs = {str(p): file_digest(p) for p in sorted(map(str, input_paths))}
+        inputs = {}
+        for path in sorted(map(str, input_paths)):
+            try:
+                inputs[path] = file_digest(path)
+            except DataError:
+                inputs[path] = None
         digest = config_digest({"seed": seed, "config": config,
                                 "inputs": inputs, "version": version})
         return cls(seed=seed, config=config, inputs=inputs, version=version,

@@ -447,6 +447,32 @@ def test_search_moves_away_from_unusable_rates():
     assert rates == [1e308, 1.7e308]
 
 
+def test_search_bisects_a_falling_or_concave_gap():
+    # the share is concave in the rate, so endpoint gaps of opposite sign
+    # bracket one root whichever way the gap crosses it; both are bisected
+    def falling(tau):
+        return 0.1 - tau
+
+    tau, residual, clamped = calibrate._search_tau(falling, -0.5, 0.5, 1e-9,
+                                                   200)
+    assert abs(tau - 0.1) <= 1e-9 and residual <= 1e-9 and not clamped
+
+    # g(lo) > 0 > g(hi), rising first: |gap| has a second local minimum
+    # at lo, where a golden-section search on |gap| ends (residual 0.01)
+    # instead of at the root 0.5
+    def concave(tau):
+        return min(0.01 + tau, 5.0 - 10.0 * tau)
+
+    tau, residual, clamped = calibrate._search_tau(concave, 0.0, 1.0, 1e-9,
+                                                   200)
+    assert abs(tau - 0.5) <= 1e-9 and residual <= 1e-9 and not clamped
+    # endpoint gaps of the same sign still clamp to the nearer endpoint
+    assert calibrate._search_tau(lambda t: t + 1.0, -0.5, 0.5, 1e-9, 200) \
+        == (-0.5, 0.5, True)
+    assert calibrate._search_tau(lambda t: -1.0 - t, -0.5, 0.5, 1e-9, 200) \
+        == (-0.5, 0.5, True)
+
+
 def test_wide_bracket_fit_stays_finite():
     params = ModelParams(n_agents=10)
     pop0, targets = make_targets(params, seed=3, tau_true=[0.01, 0.02])

@@ -4,6 +4,8 @@ import filecmp
 import itertools
 import json
 import math
+import os
+import re
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -11,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povdyn import calibrate, dataio
+from povdyn import calibrate, cli, dataio
 from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
                         EXIT_OK, MAX_AGENTS, MAX_TP, build_config,
                         build_parser, main)
-from povdyn.dataio import (SPOOL_NAME, read_manifest, read_report_csv,
-                           read_series)
+from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
+                           read_report_csv, read_series)
 
 
 def run(argv):
@@ -715,3 +717,162 @@ def test_out_of_range_share_note(capsys):
                                               np.array([0.4, -0.02, np.nan])))
     out = capsys.readouterr().out
     assert "[2001]" in out
+
+
+# ---------------------------------------------------------------------------
+# one definition fails alone; a report that cannot be written ends the run
+
+def _two_definitions(d: Path, fixtures: Path, command: str, other) -> Path:
+    """Config of ``command`` on the fixtures with the definitions ``good``
+    and ``other``, ``other`` read from the file ``other``."""
+    if command == "metrics":
+        good = fixtures / "hcr_small.csv"
+        lines = [f"panel_dir = {fixtures / 'panel_small'}",
+                 "pool_periods = 2001-2003", "paths_below = 2",
+                 "paths_above = 2"]
+    else:
+        good = fixtures / "hcr_base.csv"
+        lines = ["n_agents = 200",
+                 f"inequality_csv = {fixtures / 's50_synthetic.csv'}",
+                 "pool_periods = 1962-1971"]
+    path = d / "two.cfg"
+    path.write_text("\n".join([*lines, f"hcr_good = {good}",
+                               f"hcr_other = {other or good}"]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["metrics", "pipeline"])
+def test_report_that_cannot_be_written_exits_5(tmp_path, fixtures_dir,
+                                               capsys, command):
+    # a report that cannot be written is an output error, not a failed
+    # definition: the run ends with exit 5
+    out = tmp_path / "run"
+    (out / "metrics_other.csv").mkdir(parents=True)
+    cfg = _two_definitions(tmp_path, fixtures_dir, command, None)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_IO
+    err = capsys.readouterr().err
+    if command == "pipeline":
+        assert err.startswith("pipeline aborted in stage 'metrics'\n")
+    assert f"output error: cannot write {out / 'metrics_other.csv'}" in err
+    assert (out / "metrics_good.csv").is_file()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "pipeline"])
+def test_unreadable_hcr_file_fails_only_its_definition(tmp_path,
+                                                      fixtures_dir, capsys,
+                                                      command):
+    gone = tmp_path / "gone" / "hcr.csv"
+    cfg = _two_definitions(tmp_path, fixtures_dir, command, gone)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary["definitions"]) == ["good"]
+    assert summary["failed"]["other"].startswith(f"cannot read {gone}")
+    for prefix in ("metrics", "pooled", "paths"):
+        assert (out / f"{prefix}_good.csv").is_file()
+        assert not (out / f"{prefix}_other.csv").exists()
+    # the manifest records the input it could not read as null
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest.inputs[str(gone)] is None and manifest.verify()
+    assert f"metrics[other] failed: cannot read {gone}" in \
+        capsys.readouterr().err
+
+    # every definition unreadable: the run fails as a data error
+    cfg.write_text(cfg.read_text().replace(
+        str(fixtures_dir / ("hcr_small.csv" if command == "metrics"
+                            else "hcr_base.csv")), str(gone)))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_DATA
+    assert "all poverty-line definitions failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["", "a/b", ".", "..", "../up",
+                                  f"x{os.sep}y"])
+def test_bad_definition_name_is_a_config_error(tmp_path, capsys, name):
+    # the name is part of the report files' names: a bad one is caught
+    # when the config is built, not at the first write after the fit
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"init_s50 = 0.3\nstart_year = 1950\n"
+                   f"hcr_{name} = hcr.csv\n")
+    assert run(["pipeline", "--config", str(cfg), "--out",
+                str(tmp_path / "o")]) == EXIT_CONFIG
+    assert repr(f"hcr_{name}") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # dots inside a name are fine
+    cfg.write_text("hcr_wb.1.90 = hcr.csv\n")
+    args = build_parser().parse_args(["pipeline", "--config", str(cfg)])
+    assert list(build_config(args).hcr_files) == ["wb.1.90"]
+
+
+# ---------------------------------------------------------------------------
+# the config surface: README, table and manifest agree
+
+def _readme_config_section() -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    start = text.index("### Config file")
+    return text[start:text.index("\n### ", start + 1)]
+
+
+def _config(path: Path, text: str):
+    path.write_text(text, encoding="utf-8")
+    return build_config(build_parser().parse_args(
+        ["pipeline", "--config", str(path)]))
+
+
+def test_readme_config_example_parses_and_names_every_key(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.delenv("POVDYN_THREADS", raising=False)
+    section = _readme_config_section()
+    example = _config(tmp_path / "readme.cfg", section.split("```")[1])
+    assert example.seed == 42
+    assert set(example.hcr_files) == {"lakdawala", "wb190"}
+    # the example shows the defaults, but for the seed and the files
+    default = _config(tmp_path / "empty.cfg", "")
+    files = ("seed", "inequality_csv", "hcr_files")
+    assert {k: v for k, v in example.flat().items() if k not in files} == \
+        {k: v for k, v in default.flat().items() if k not in files}
+    assert (example.out_dir, example.threads) == \
+        (default.out_dir, default.threads)
+    missing = [key for key in cli._KEYS
+               if not re.search(rf"\b{key}\b", section)]
+    assert not missing, f"README's config section does not name {missing}"
+
+
+# a value other than the default for every key of the config table
+_OTHER_VALUES = {
+    "seed": "1", "n_agents": "50", "mu": "0.03", "sigma": "0.2",
+    "dt": "0.5", "tau_min": "-0.4", "tau_max": "0.4", "tolerance": "1e-3",
+    "max_iterations": "50", "smoothing_window": "3",
+    "forward_rate": "effective", "inequality_csv": "a.csv",
+    "init_s50": "0.3", "start_year": "1950", "rates_csv": "r.csv",
+    "panel_dir": "p", "pool_periods": "1962-1970", "pooled_method": "mean",
+    "tp_max": "5", "paths_below": "3", "paths_above": "4",
+    "panel_format": "csv", "out_dir": "elsewhere", "threads": "2",
+}
+_DEPLOYMENT = ("out_dir", "threads")
+
+
+def test_manifest_records_every_key_but_the_deployment_settings(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv("POVDYN_THREADS", raising=False)
+    assert set(_OTHER_VALUES) == set(cli._KEYS)
+
+    def digest(cfg) -> str:
+        return RunManifest.create(cfg.seed, cfg.flat(), [], "0").digest
+
+    default = _config(tmp_path / "run.cfg", "")
+    assert set(default.flat()) == \
+        set(cli._KEYS) - set(_DEPLOYMENT) | {"hcr_files"}
+    for key, value in _OTHER_VALUES.items():
+        cfg = _config(tmp_path / "run.cfg", f"{key} = {value}\n")
+        if key in _DEPLOYMENT:
+            assert getattr(cfg, key) != getattr(default, key)
+            assert cfg.flat() == default.flat(), key
+        else:
+            assert digest(cfg) != digest(default), key
+    cfg = _config(tmp_path / "run.cfg", "hcr_x = x.csv\n")
+    assert digest(cfg) != digest(default)

@@ -138,6 +138,18 @@ def test_damaged_panel_files_raise_data_error(n_agents, n_years, name, data):
             read_panel(tmp)
 
 
+def test_npy_header_with_a_bytes_key_is_data_error(tmp_path):
+    # a byte turned into "b" can make a header key a bytes literal; NumPy
+    # then fails sorting the keys with a TypeError
+    write_panel(_panel(6, 3), tmp_path)
+    path = tmp_path / "panel_incomes.npy"
+    raw = path.read_bytes()
+    assert raw.count(b" 'shape'") == 1
+    path.write_bytes(raw.replace(b" 'shape'", b"b'shape'"))
+    with pytest.raises(DataError, match="unreadable .npy header"):
+        read_panel(tmp_path)
+
+
 @SETTINGS
 @given(name=st.sampled_from(FILES), data=st.data())
 def test_any_byte_damage_is_data_error_or_a_panel(name, data):
