@@ -11,10 +11,77 @@ clamp to the nearer bracket endpoint with a divergence warning instead of
 aborting a long historical run. A rate so large that the stepped total
 income overflows or loses its sign is unusable, and the search moves away
 from it.
+
+Endpoint gaps of the same sign are clamped even when the bracket holds
+two roots: past ``|tau*dt|`` of about 1 the reallocation overshoots the
+mean and the share falls again, so a share that peaks above the target
+inside the bracket crosses it twice with both endpoint gaps negative.
+The search does not look for that peak; a bracket that wide is the
+caller's to avoid.
+
+The certified search
+--------------------
+The bisection defines the fitted rate, and most of its midpoints serve
+only to give the sign of the gap far from the root. For a concave ``f``
+the chord between two rates lies below ``f`` between them, and the line
+through two rates lies above ``f`` outside them. So once a few gaps are
+known exactly, the sign of many midpoints is proved without a partition.
+:func:`_search_tau`, given a rounding margin, evaluates the endpoints,
+takes two Illinois steps (the modified regula falsi of Dowell and
+Jarratt, BIT 11, 1971) and keeps every gap. It then runs the bisection
+unchanged, but skips a midpoint whose gap the bounds put beyond the
+tolerance on a proven side: the bisection would take the same branch
+there and not stop. The first midpoint within the tolerance cannot be
+proved, so it is evaluated, and the rate returned is the plain
+bisection's, with the same residual, to the last bit.
+
+The margin. The concave function is ``f(t) = B(t)/T0 - target``, where
+``B(t)`` is the exact sum of the ``k = floor(N/2)`` smallest of
+``y_i(t) = base_i - t*dt*relief_i`` (``base`` and ``relief`` as stored)
+and ``T0`` is the exact sum of ``base``. The written gap differs from it
+by at most ``E(t)``. With unit roundoff ``u = 2**-53``,
+``gamma_j = j*u/(1 - j*u)``, ``A = sum|base_i|``, ``Q = sum|relief_i|``
+and ``r = |t*dt|``:
+
+* ``apply_rate`` rounds ``t*dt``, the product and the difference once
+  each, so ``|yhat_i - y_i| <= u|base_i| + gamma_3*r|relief_i|``, plus
+  ``eta(1 + |relief_i|)`` for an underflowed product (``eta`` the least
+  subnormal). Summed: ``D = u*A + gamma_3*r*Q + eta*(N + Q)``. A sum of
+  the ``k`` smallest moves by at most the sum of the moves of the terms,
+  and so does ``B``.
+* Any summation order of ``N`` terms is off by at most
+  ``gamma_N * sum|yhat_i|`` (Higham, Accuracy and Stability of
+  Numerical Algorithms, ch. 4), and
+  ``sum|yhat_i| <= S = M + D`` with ``M = A + r*Q``. So the computed
+  bottom sum is within ``eB = D + gamma_N*S`` of ``B(t)``.
+* The computed total is not free of ``t``: ``sum relief_i`` is not zero
+  once ``relief`` is rounded. The exact total is ``T0 - t*dt*R`` with
+  ``|R| <= |Rhat| + gamma_N*Q`` for the computed ``Rhat = sum relief``.
+  So the computed total is within ``eT = eB + r*(|Rhat| + gamma_N*Q)`` of
+  ``T0``, and ``T0 >= T_lo = That0 - gamma_N*A`` for the computed
+  ``That0 = sum base``.
+* The quotient: ``|Bhat/That - B/T0| <= eB/T_hat + M*eT/(T_hat*T_lo)``
+  with ``T_hat = T_lo - eT``, and the division and the subtraction of
+  the target round once each, by at most ``u*S/T_hat + eta`` and
+  ``u*(S/T_hat + |target|)``.
+
+``E(t)`` is twice the sum of these terms, which covers the rounding of
+the formula itself and the ``u**2`` terms it drops; it is infinite where
+``T_hat <= 0``, and nothing is proved there. ``A``, ``Q``, ``Rhat`` and
+``That0`` are summed once per year (:func:`_gap_margin`). At 400,000
+agents ``E`` is about 3e-10, far below the default tolerance of 1e-4.
+Each bound is widened once more for its own two-term arithmetic.
+
+The search falls back to the plain bisection when a gap is not finite
+(an unusable rate, or a gap the bounds do not model), when a regula
+falsi point is not strictly inside its bracket, and when the bisection
+ends without meeting the tolerance, because its best rate so far needs
+the exact gap of every midpoint.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -121,8 +188,113 @@ def _warn_undefined(degenerate: list[int]) -> None:
                       f"in years {degenerate}; left empty")
 
 
+# unit roundoff and least subnormal of float64 (see the module docstring)
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+# regula falsi steps before the bisection; each is one exact evaluation
+_ILLINOIS_STEPS = 2
+# relative widening of a bound for its own arithmetic: 8 eps
+_SLACK = 16.0 * _U
+
+
+def _gamma(j: float) -> float:
+    return j * _U / (1.0 - j * _U)
+
+
+class _ConcaveBounds:
+    """The gaps evaluated so far, and what concavity proves from them.
+
+    ``margin(t)`` bounds the distance between the computed gap at ``t``
+    and a concave function ``f``; each evaluated rate then brackets
+    ``f(t)`` in ``[gap - margin, gap + margin]``.
+    """
+
+    def __init__(self, margin, tolerance: float):
+        self.margin = margin
+        self.tolerance = tolerance
+        self.rates: list[float] = []
+        self.low: list[float] = []
+        self.high: list[float] = []
+
+    def add(self, tau: float, g: float) -> bool:
+        """Keep the exact gap ``g`` of ``tau``; False if it is not finite."""
+        if not math.isfinite(g):
+            return False
+        i = bisect.bisect_left(self.rates, tau)
+        if i == len(self.rates) or self.rates[i] != tau:
+            e = self.margin(tau)
+            self.rates.insert(i, tau)
+            self.low.insert(i, g - e)
+            self.high.insert(i, g + e)
+        return True
+
+    def sign(self, tau: float) -> int:
+        """1 if ``gap(tau) > tolerance`` is proved, -1 if
+        ``gap(tau) < -tolerance`` is, 0 otherwise.
+
+        The chord of the nearest rates on either side bounds ``f(tau)``
+        from below; the line through the two nearest rates on one side,
+        extended to ``tau``, bounds it from above. Each bound is widened
+        by ``_SLACK`` times the size of its terms: it takes at most ten
+        roundings of values of that size, and ``8 eps`` exceeds
+        ``gamma_10``. A comparison with NaN is false, so an infinite
+        margin proves nothing.
+        """
+        rates, low, high = self.rates, self.low, self.high
+        i = bisect.bisect_left(rates, tau)
+        e = self.margin(tau)
+        if 0 < i < len(rates):
+            a, b = rates[i - 1], rates[i]
+            t1 = low[i - 1] * ((b - tau) / (b - a))
+            t2 = low[i] * ((tau - a) / (b - a))
+            size = abs(t1) + abs(t2) + e
+            if t1 + t2 - e - _SLACK * size > self.tolerance:
+                return 1
+        upper = math.inf
+        # the two nearest rates below tau, then the two at or above it
+        for q, p in ((i - 1, i - 2), (i, i + 1)):
+            if min(p, q) < 0 or max(p, q) >= len(rates):
+                continue
+            lam = (tau - rates[q]) / (rates[q] - rates[p])
+            t2 = (high[q] - low[p]) * lam
+            size = abs(high[q]) + (abs(high[q]) + abs(low[p])) * lam + e
+            upper = min(upper, high[q] + t2 + e + _SLACK * size)
+        return -1 if upper < -self.tolerance else 0
+
+
+def _illinois(gap, bounds: _ConcaveBounds, lo: float, g_lo: float,
+              hi: float, g_hi: float) -> bool:
+    """Take the Illinois steps from the bracket ``[lo, hi]`` and keep every
+    gap in ``bounds``.
+
+    The latest point starts at the endpoint whose gap is positive: the
+    chord lies below the concave gap, so the first point lands where the
+    gap is non-negative too, the other endpoint's gap is halved, and the
+    second step tends to fall on the far side of the root. False when a
+    point is not strictly inside its bracket or its gap is not finite.
+    """
+    (a, fa), (b, fb) = ((lo, g_lo), (hi, g_hi)) if g_hi > 0 else \
+        ((hi, g_hi), (lo, g_lo))
+    for _ in range(_ILLINOIS_STEPS):
+        c = (a * fb - b * fa) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            return False
+        fc = gap(c)
+        if not bounds.add(c, fc):
+            return False
+        if fc == 0.0:
+            break
+        if (fc > 0) != (fb > 0):
+            a, fa = b, fb
+        else:
+            fa = 0.5 * fa
+        b, fb = c, fc
+    return True
+
+
 def _search_tau(gap, lo: float, hi: float, tolerance: float,
-                max_iterations: int) -> tuple[float, float, bool]:
+                max_iterations: int, margin=None
+                ) -> tuple[float, float, bool]:
     """Locate the rate minimizing |gap| on [lo, hi].
 
     Returns (tau, |gap(tau)|, clamped). ``gap`` must be deterministic.
@@ -133,6 +305,17 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
     The gap of an unusable rate is infinite, with the rate's sign, so the
     bisection moves from it toward zero; an infinite ``|gap(tau)|`` in the
     result means that the search found no usable rate.
+
+    ``margin(t)``, when given, bounds the distance between ``gap(t)`` and
+    a concave function. The search then certifies (module docstring):
+    after the endpoints it takes the Illinois steps, and it evaluates
+    only the midpoints whose branch the bounds do not prove. The result
+    is the plain bisection's bit for bit, for any gap within its margin
+    of a concave function. A non-finite gap, a regula falsi point not
+    strictly inside its bracket, or a bisection that ends without meeting
+    the tolerance hands the search back to the plain bisection. Without
+    ``margin`` the search evaluates exactly the endpoints and the
+    midpoints of the plain bisection.
     """
     g_lo = gap(lo)
     g_hi = gap(hi)
@@ -151,23 +334,69 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
     # and every rate between them is usable.
     rising = g_hi > 0
 
+    bounds = None
+    if margin is not None:
+        bounds = _ConcaveBounds(margin, tolerance)
+        if not (bounds.add(lo, g_lo) and bounds.add(hi, g_hi)
+                and _illinois(gap, bounds, lo, g_lo, hi, g_hi)):
+            bounds = None  # nothing skipped yet: the plain loop follows
+    bracket = lo, hi
+
     best_tau, best_abs = (lo, abs(g_lo)) if abs(g_lo) < abs(g_hi) else (hi, abs(g_hi))
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo + hi overflowed, or no float lies between them
-        g_mid = gap(mid)
-        if abs(g_mid) < best_abs:
-            best_tau, best_abs = mid, abs(g_mid)
-        if abs(g_mid) <= tolerance:
-            return mid, abs(g_mid), False
-        if (g_mid > 0) == rising:
+        side = 0 if bounds is None else bounds.sign(mid)
+        if side:
+            above = side > 0
+        else:
+            g_mid = gap(mid)
+            if bounds is not None and not bounds.add(mid, g_mid):
+                return _search_tau(gap, *bracket, tolerance, max_iterations)
+            if abs(g_mid) < best_abs:
+                best_tau, best_abs = mid, abs(g_mid)
+            if abs(g_mid) <= tolerance:
+                return mid, abs(g_mid), False
+            above = g_mid > 0
+        if above == rising:
             hi = mid
         else:
             lo = mid
         if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
             break
+    if bounds is not None:
+        return _search_tau(gap, *bracket, tolerance, max_iterations)
     return best_tau, best_abs, False
+
+
+def _gap_margin(base: np.ndarray, relief: np.ndarray, total: float,
+                target_s50: float, dt: float, scratch: np.ndarray):
+    """The margin ``E(t)`` of the gap that :func:`_fit_one` evaluates, from
+    sums taken once per year; ``total`` is the computed sum of ``base``
+    and ``scratch`` is overwritten. Derived in the module docstring."""
+    n = len(base)
+    gn = _gamma(n)
+    g3 = _gamma(3)
+    a = float(np.sum(np.abs(base, out=scratch)))
+    q = float(np.sum(np.abs(relief, out=scratch)))
+    r_sum = abs(float(np.sum(relief))) + gn * q
+    t_lo = total - gn * a
+
+    def margin(tau: float) -> float:
+        r = abs(tau * dt)
+        m = a + r * q
+        d = _U * a + g3 * r * q + _ETA * (n + q)
+        s = m + d
+        e_b = d + gn * s
+        e_t = e_b + r * r_sum
+        t_hat = t_lo - e_t
+        if not t_hat > 0.0:
+            return math.inf
+        return 2.0 * ((e_b + 2.0 * _U * s) / t_hat + m * e_t / (t_hat * t_lo)
+                      + _U * abs(target_s50) + _ETA)
+
+    return margin
 
 
 def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
@@ -179,7 +408,9 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     incomes for any rate ``t`` are ``apply_rate(base, relief, t, dt)``.
     A rate is unusable when its stepped total income is not positive and
     finite, or when the bottom-half sum overflows; the search never
-    returns one. Returns (tau, residual, clamped).
+    returns one. The search certifies its midpoints with the rounding
+    margin of :func:`_gap_margin`, and returns what the plain bisection
+    returns. Returns (tau, residual, clamped).
 
     Raises
     ------
@@ -193,12 +424,14 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     # the reallocation term sums to zero, so total income after the step is
     # the same for every rate; a non-positive total (tiny degenerate
     # populations) leaves the share undefined for the whole bracket
-    if float(np.sum(base)) <= 0.0:
+    total = float(np.sum(base))
+    if total <= 0.0:
         return 0.0, abs(target_s50), True
 
     # each evaluation steps into one scratch vector and partitions it in
     # place after taking its total: no allocation per evaluation
     scratch = np.empty_like(base)
+    margin = _gap_margin(base, relief, total, target_s50, dt, scratch)
 
     def gap(tau: float) -> float:
         try:
@@ -215,7 +448,7 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     with np.errstate(over="ignore", invalid="ignore"):
         tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
                                              cfg.tolerance,
-                                             cfg.max_iterations)
+                                             cfg.max_iterations, margin)
     if math.isinf(residual):
         raise UnusableBracketError(
             f"year {year}: no rate in the bracket [{cfg.tau_min!r}, "
@@ -395,6 +628,8 @@ def fit_series(initial: Population, targets: AnnualSeries,
     :func:`apply_rate` on the critical path. Every draw is a pure function
     of its stream coordinates, so no value depends on which thread makes
     it or when. The prefetched noise costs one N-vector of peak memory.
+    The fit keeps no reference to ``initial`` past the first year, so a
+    caller that holds none frees that vector there.
 
     The rows of the validation trajectory go to a row hook on the main
     thread as in :func:`replay`. With ``collect_panel``, ``result.panel``
@@ -421,14 +656,17 @@ def fit_series(initial: Population, targets: AnnualSeries,
             f"{initial.year + 1} (initial year + 1)"
         )
     stream = RngStream(seed, block=_PREFETCH_BLOCK)
-    n, dt = initial.n, params.dt
-    state = replayed = initial
+    n, dt, first_year = initial.n, params.dt, initial.year
     taus = np.empty(len(targets))
     tau_eff = np.empty(len(targets))
     residuals = np.empty(len(targets))
     fitted_shares = np.empty(len(targets))
     replay_shares = np.empty(len(targets))
     sink, rows = _row_hook(initial, len(targets), collect_panel, _sink)
+    # both trajectories start from the initial population, which is freed
+    # with them in the first year unless the caller holds it too
+    state = replayed = initial
+    del initial
     divergent: list[int] = []
     clamped_years: list[int] = []
     degenerate: list[int] = []
@@ -436,7 +674,7 @@ def fit_series(initial: Population, targets: AnnualSeries,
     # included, so that peak memory is the fit's three vectors (base,
     # relief, scratch), the validation parts and the prefetched noise.
     with ThreadPoolExecutor(max_workers=1) as helper:
-        nxt = helper.submit(stream.normals, initial.year, STEP_TAG, 0, n, dt)
+        nxt = helper.submit(stream.normals, first_year, STEP_TAG, 0, n, dt)
         for i, (year, target) in enumerate(targets):
             noise = nxt.result()
             nxt = None

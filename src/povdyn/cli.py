@@ -30,7 +30,7 @@ from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
 from .poverty import (PovertyAccumulator, TrajectoryBundle,
                       persistence_report, pooled_metrics, transition_report)
-from .rgbm import ModelParams, Population, init_lognormal
+from .rgbm import ModelParams, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
 EXIT_OK = 0
@@ -258,16 +258,20 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         raise ConfigError("threads must be >= 1")
     if cfg.paths_below < 0 or cfg.paths_above < 0:
         raise ConfigError("paths_below and paths_above must be >= 0")
-    if cfg.init_s50 is not None and not np.isfinite(cfg.init_s50):
-        raise ConfigError("init_s50 must be finite")
+    # the bottom half of a lognormal start holds at most half the income
+    if cfg.init_s50 is not None and not 0.0 < cfg.init_s50 <= 0.5:
+        raise ConfigError(f"init_s50 must be in (0, 0.5], got "
+                          f"{cfg.init_s50!r}")
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # shared stages
 
-def _initial_population(cfg: PipelineConfig):
-    """Initial population plus the fit targets.
+def _initial_state(cfg: PipelineConfig
+                   ) -> tuple[float, int, AnnualSeries | None]:
+    """The bottom-half share and year of the initial population, plus the
+    fit targets.
 
     The first inequality row seeds the lognormal start (one year before
     the first target); the remaining rows are the fit targets.
@@ -287,8 +291,7 @@ def _initial_population(cfg: PipelineConfig):
     else:
         raise ConfigError(
             "need inequality_csv, or init_s50 together with start_year")
-    pop = init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year)
-    return pop, targets
+    return init_s50, start_year, targets
 
 
 def _make_manifest(cfg: PipelineConfig, inputs) -> RunManifest:
@@ -314,23 +317,27 @@ def _flag_share_range(name: str, series: AnnualSeries) -> None:
 
 
 def _calibration_inputs(cfg: PipelineConfig
-                        ) -> tuple[Population, AnnualSeries]:
-    pop, targets = _initial_population(cfg)
+                        ) -> tuple[float, int, AnnualSeries]:
+    init_s50, start_year, targets = _initial_state(cfg)
     if targets is None:
         raise ConfigError("calibration needs inequality_csv")
-    return pop, targets
+    return init_s50, start_year, targets
 
 
 def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
-                     pop: Population, targets: AnnualSeries,
+                     init_s50: float, start_year: int, targets: AnnualSeries,
                      sink=None) -> CalibrationResult:
-    """Fit and write the calibration outputs.
+    """Fit from the lognormal start of ``init_s50`` in ``start_year`` and
+    write the calibration outputs.
 
     ``sink`` is handed each year's row of the validation replay under
     ``tau_effective`` as it is stepped (see :func:`fit_series`).
     """
-    result = fit_series(pop, targets, cfg.model, cfg.calib, cfg.seed,
-                        _sink=sink)
+    # the initial population is drawn in the call, so that fit_series
+    # holds the only reference to it and frees it after the first year
+    result = fit_series(
+        init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year),
+        targets, cfg.model, cfg.calib, cfg.seed, _sink=sink)
 
     out = _output_dir(cfg.out_dir)
     for name in ("tau", "tau_effective", "residuals", "replay_shares",
@@ -360,7 +367,8 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
                     rates: AnnualSeries) -> None:
     """Replay under ``rates``; each stepped row is spooled to disk, as in
     ``pipeline``, and the panel file is transposed from the spool."""
-    pop, _ = _initial_population(cfg)
+    init_s50, start_year, _ = _initial_state(cfg)
+    pop = init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year)
     out = cfg.out_dir
     with PanelSpool(out, np.arange(pop.year, rates.last_year + 1), pop.n,
                     cfg.seed) as spool:
@@ -571,7 +579,8 @@ def cmd_interpolate(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = build_config(args)
     manifest = _make_manifest(cfg, [cfg.inequality_csv])
-    _run_calibration(cfg, manifest, *_calibration_inputs(cfg))
+    init_s50, start_year, targets = _calibration_inputs(cfg)
+    _run_calibration(cfg, manifest, init_s50, start_year, targets)
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 
@@ -610,18 +619,20 @@ def cmd_pipeline(args) -> int:
         # as they are stepped, to a spool file in the output directory and
         # to each definition's accumulator; no (years, agents) array is
         # ever held. The spool is deleted however the block is left.
-        pop, targets = _calibration_inputs(cfg)
-        years = np.arange(pop.year, targets.last_year + 1)
-        with PanelSpool(cfg.out_dir, years, pop.n, cfg.seed) as spool:
-            definitions = _Definitions(cfg, years, pop.n)
+        init_s50, start_year, targets = _calibration_inputs(cfg)
+        n = cfg.model.n_agents
+        years = np.arange(start_year, targets.last_year + 1)
+        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
+            definitions = _Definitions(cfg, years, n)
 
             def sink(year: int, incomes: np.ndarray) -> None:
                 spool(year, incomes)
                 definitions(year, incomes)
-            result = _run_calibration(cfg, manifest, pop, targets, sink=sink)
+            result = _run_calibration(cfg, manifest, init_s50, start_year,
+                                      targets, sink=sink)
             stage = "simulate"
             spool.fingerprint = panel_fingerprint(
-                pop.year, result.tau_effective, cfg.model, cfg.seed)
+                start_year, result.tau_effective, cfg.model, cfg.seed)
             # the path bundles' incomes are read in the same pass
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
                         on_block=definitions.gather)

@@ -5,9 +5,12 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from povdyn import calibrate
 from povdyn.calibrate import (CalibrationConfig, effective_tau, fit_series,
@@ -606,3 +609,140 @@ def test_concurrent_fits_under_fast_thread_switching_keep_their_bytes():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [want] * 3
+
+
+# ---------------------------------------------------------------------------
+# the certified search
+
+_U = 2.0 ** -53
+
+
+def _both_searches(gap, lo, hi, tolerance, max_iterations, margin,
+                   search=calibrate._search_tau):
+    """The certified and the plain result, and the rates each evaluated.
+
+    Every sign the bounds prove on the way is checked against the gap
+    itself: a wrong one may still end in the plain result, through the
+    fallback of a bisection that misses the tolerance.
+    """
+    prove = calibrate._ConcaveBounds.sign
+
+    def checked(bounds, tau):
+        side = prove(bounds, tau)
+        assert side == 0 or side * gap(tau) > tolerance, (tau, side)
+        return side
+
+    certified, plain = [], []
+    with mock.patch.object(calibrate._ConcaveBounds, "sign", checked):
+        got = search(lambda t: certified.append(t) or gap(t), lo, hi,
+                     tolerance, max_iterations, margin)
+    want = search(lambda t: plain.append(t) or gap(t), lo, hi, tolerance,
+                  max_iterations)
+    return got, want, certified, plain
+
+
+def _concave_gap(pieces, delta, freq):
+    """A concave piecewise-linear gap, the least of the affine pieces
+    ``a + b*tau``, plus a deterministic jitter of at most ``delta``; and a
+    margin that bounds the jitter and the rounding of the pieces."""
+    def gap(tau):
+        return (min(a + b * tau for a, b in pieces)
+                + delta * math.sin(freq * tau))
+
+    def margin(tau):
+        size = max(abs(a) + abs(b * tau) for a, b in pieces)
+        return delta + 4 * _U * (size + delta)
+
+    return gap, margin
+
+
+concave_gaps = st.builds(
+    _concave_gap,
+    st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-20.0, 20.0)),
+             min_size=1, max_size=4),
+    st.sampled_from([0.0, 1e-12, 1e-6, 3e-5, 1e-4, 1e-3]),
+    st.floats(1e2, 1e5))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gm=concave_gaps, lo=st.floats(-1.0, 0.5), width=st.floats(1e-3, 2.0),
+       tolerance=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4, 1e-2]),
+       max_iterations=st.sampled_from([1, 3, 8, 200]))
+# the root at 0.5 sits on the kink, where the chord from the regula falsi
+# points lies far below the gap
+@example(gm=_concave_gap([(0.01, 1.0), (5.0, -10.0)], 0.0, 1.0), lo=0.0,
+         width=1.0, tolerance=1e-9, max_iterations=200)
+# a jitter of 1e-6 on a line: the bounds must allow for it
+@example(gm=_concave_gap([(1.0, 4.0)], 1e-6, 17958.0), lo=-1.0, width=1.0,
+         tolerance=1e-9, max_iterations=200)
+def test_certified_search_is_the_plain_search(gm, lo, width, tolerance,
+                                              max_iterations):
+    # bit for bit, whenever the gap is within its margin of a concave
+    # function; the jitter stands in for rounding, so a margin that left
+    # it out, or a bound that is not one, would take a wrong branch
+    gap, margin = gm
+    got, want, _, _ = _both_searches(gap, lo, lo + width, tolerance,
+                                     max_iterations, margin)
+    assert got == want
+
+
+def test_certified_search_falls_back_on_a_non_finite_gap():
+    # a gap the bounds do not model: -inf at the midpoint where the plain
+    # bisection of a line meets the tolerance. No bound can decide that
+    # midpoint, so the certified search evaluates it; it then hands over
+    # to the plain bisection, which reads -inf as a negative gap, and
+    # evaluates all of its rates again
+    def line(tau):
+        return tau - 0.1
+
+    root, _, _ = calibrate._search_tau(line, -0.5, 0.5, 1e-4, 200)
+
+    def gap(tau):
+        return -math.inf if tau == root else line(tau)
+
+    got, want, certified, plain = _both_searches(gap, -0.5, 0.5, 1e-4, 200,
+                                                 lambda tau: 4 * _U)
+    assert got == want
+    assert certified[-len(plain) - 1] == root
+    assert certified[-len(plain):] == plain
+
+
+def _fixture_fit(monkeypatch, fixtures_dir, tmp_path, n_agents):
+    """Calibrate the fixture; for each year, the certified and the plain
+    search of the same ``_fit_one`` gap, and the certified evaluations."""
+    from povdyn.cli import EXIT_OK, main
+    search = calibrate._search_tau
+    years = []
+
+    def both(gap, lo, hi, tolerance, max_iterations, margin=None):
+        if margin is None:  # a fallback's plain search
+            return search(gap, lo, hi, tolerance, max_iterations)
+        got, want, certified, _ = _both_searches(
+            gap, lo, hi, tolerance, max_iterations, margin, search)
+        years.append((got, want, len(certified)))
+        return got
+
+    monkeypatch.setattr(calibrate, "_search_tau", both)
+    monkeypatch.chdir(fixtures_dir)
+    assert main(["calibrate", "--config", "pipeline_small.cfg",
+                 "--n-agents", str(n_agents),
+                 "--out", str(tmp_path / "cal")]) == EXIT_OK
+    return years
+
+
+@pytest.mark.parametrize("n_agents", [400, 50_000])
+def test_certified_search_fits_the_fixture_to_the_last_bit(
+        monkeypatch, fixtures_dir, tmp_path, n_agents):
+    years = _fixture_fit(monkeypatch, fixtures_dir, tmp_path, n_agents)
+    assert len(years) == 59
+    for got, want, _ in years:
+        assert got == want
+
+
+def test_certified_search_needs_at_most_six_evaluations_per_year(
+        monkeypatch, fixtures_dir, tmp_path):
+    # the plain bisection needs about 11: the endpoints, two regula falsi
+    # points and the midpoint that meets the tolerance make 5
+    years = _fixture_fit(monkeypatch, fixtures_dir, tmp_path, 400)
+    assert sum(n for _, _, n in years) <= 6 * len(years)

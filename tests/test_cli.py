@@ -345,13 +345,37 @@ def _memory_run_inputs(d: Path, n_years: int, n_agents: int) -> Path:
     return path
 
 
+def test_calibrate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
+    # Peak, in float64 N-vectors: the fit with its helper thread, 6 + 1/8
+    # (see test_fit_series_peak_memory_is_one_vector_above_serial). The
+    # command holds no reference to the initial population, so the fit
+    # frees it in the first year; when the caller held it, it was one
+    # vector more for the whole fit. Drawing the population needs two
+    # vectors, before the fit starts. What is left is the prefetch draw's
+    # two 64 KiB block buffers (1/12 of a vector at 200,000 agents), the
+    # arrays of years and the writers' text, together under 1/8.
+    n = 200_000
+    peaks = {}
+    for n_years in (20, 60):
+        cfg = _memory_run_inputs(tmp_path, n_years, n)
+        tracemalloc.start()
+        try:
+            assert main(["calibrate", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out_{n_years}")]) == EXIT_OK
+            _, peaks[n_years] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[60] - peaks[20]) <= 8 * n
+    assert max(peaks.values()) <= (6 + 1 / 8 + 1 / 8) * 8 * n
+
+
 def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
-    # Peak, in float64 N-vectors, while the fit searches a year: the
-    # initial population, which the caller holds for the whole fit (1);
-    # the fit with its helper thread (6, see
-    # test_fit_series_peak_memory_is_one_vector_above_serial); and per
+    # Peak, in float64 N-vectors, while the fit searches a year: the fit
+    # with its helper thread (6, see
+    # test_fit_series_peak_memory_is_one_vector_above_serial), which
+    # frees the initial population in the first year; and per
     # definition the accumulator's two int32 spell rows and its bool flag
-    # row (1 + 1/8, three definitions). That is 10 + 3/8. The per-year
+    # row (1 + 1/8, three definitions). That is 9 + 3/8. The per-year
     # work of the accumulators runs between searches, when the fit holds
     # three vectors, and needs less. Only arrays of years, or of years
     # squared (the count tables), grow with the years; the panel is
@@ -369,7 +393,7 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert abs(peaks[60] - peaks[20]) <= 8 * n
-    assert max(peaks.values()) <= (10 + 3 / 8 + 1 / 2) * 8 * n
+    assert max(peaks.values()) <= (9 + 3 / 8 + 1 / 2) * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +534,30 @@ def test_bad_report_or_start_value_exit_code(tmp_path, capsys, text):
                 str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert text.split()[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("value", ["0", "-0.1", "0.5000001", "0.9"])
+def test_init_s50_outside_its_range_is_a_config_error(tmp_path, capsys,
+                                                      command, value):
+    # the lognormal start needs a bottom-half share in (0, 0.5]; before,
+    # simulate drew the population and ended in main's generic branch
+    # (exit 3)
+    (tmp_path / "rates.csv").write_text("year,value\n1951,0.0\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"init_s50 = {value}\nstart_year = 1950\n"
+                   f"rates_csv = {tmp_path / 'rates.csv'}\n")
+    code = run([command, "--config", str(cfg), "--out",
+                str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "init_s50" in err
+    assert not (tmp_path / "o").exists()
+    # the end of the range is allowed
+    cfg.write_text(f"init_s50 = 0.5\nstart_year = 1950\n"
+                   f"rates_csv = {tmp_path / 'rates.csv'}\n")
+    args = build_parser().parse_args([command, "--config", str(cfg)])
+    assert build_config(args).init_s50 == 0.5
 
 
 def test_bad_threads_env_exit_code(tmp_path, monkeypatch, capsys):

@@ -94,6 +94,7 @@ def _accepted(cfg: PipelineConfig) -> None:
     assert cfg.paths_below >= 0 and cfg.paths_above >= 0
     assert cfg.pooled_method in ("counts", "mean")
     assert cfg.panel_format in ("npy", "csv")
+    assert cfg.init_s50 is None or 0.0 < cfg.init_s50 <= 0.5
     canonical_json(cfg.flat())  # the manifest can record it
 
 
