@@ -233,12 +233,15 @@ class _ConcaveBounds:
         ``gap(tau) < -tolerance`` is, 0 otherwise.
 
         The chord of the nearest rates on either side bounds ``f(tau)``
-        from below; the line through the two nearest rates on one side,
-        extended to ``tau``, bounds it from above. Each bound is widened
-        by ``_SLACK`` times the size of its terms: it takes at most ten
-        roundings of values of that size, and ``8 eps`` exceeds
-        ``gamma_10``. A comparison with NaN is false, so an infinite
-        margin proves nothing.
+        from below; the line through the nearest rate on one side and
+        another rate on that side, extended to ``tau``, bounds it from
+        above. The next rate gives the tighter line when the rates are
+        far apart, the farthest one when the nearest are a few ulps apart
+        and the margin swamps their slope; the lower bound is kept. Each
+        bound is widened by ``_SLACK`` times the size of its terms: it
+        takes at most ten roundings of values of that size, and
+        ``8 eps`` exceeds ``gamma_10``. A comparison with NaN is false, so
+        an infinite margin proves nothing.
         """
         rates, low, high = self.rates, self.low, self.high
         i = bisect.bisect_left(rates, tau)
@@ -251,9 +254,11 @@ class _ConcaveBounds:
             if t1 + t2 - e - _SLACK * size > self.tolerance:
                 return 1
         upper = math.inf
-        # the two nearest rates below tau, then the two at or above it
-        for q, p in ((i - 1, i - 2), (i, i + 1)):
-            if min(p, q) < 0 or max(p, q) >= len(rates):
+        # the nearest rate below tau, through the next one and through the
+        # farthest one; then the same at or above it
+        last = len(rates) - 1
+        for q, p in ((i - 1, i - 2), (i - 1, 0), (i, i + 1), (i, last)):
+            if not (0 <= min(p, q) and max(p, q) <= last and p != q):
                 continue
             lam = (tau - rates[q]) / (rates[q] - rates[p])
             t2 = (high[q] - low[p]) * lam
@@ -378,7 +383,12 @@ def _gap_margin(base: np.ndarray, relief: np.ndarray, total: float,
     n = len(base)
     gn = _gamma(n)
     g3 = _gamma(3)
-    a = float(np.sum(np.abs(base, out=scratch)))
+    # a non-negative base is its own absolute value, summed in the same
+    # order: the pass over it would give ``total`` to the last bit
+    if base.min() >= 0.0:
+        a = total
+    else:
+        a = float(np.sum(np.abs(base, out=scratch)))
     q = float(np.sum(np.abs(relief, out=scratch)))
     r_sum = abs(float(np.sum(relief))) + gn * q
     t_lo = total - gn * a

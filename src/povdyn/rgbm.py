@@ -19,11 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (InvalidTargetError, PropagationOverflowError,
                      UndefinedShareError)
-from .rng import INIT_TAG, STEP_TAG, RngStream
+from .rng import INIT_TAG, STEP_TAG, RngStream, ndtri
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,58 @@ output's own memory, with two reused block-sized buffers, and is then
 converted, inverted and scaled while it is still in cache. The
 operations per element are the same whatever the block size, so the
 block size never changes a value.
+
+Loading the normal inverse
+--------------------------
+SciPy supplies one ufunc here, ``ndtri``. ``scipy/special/__init__.py``
+imports SciPy's array-API layer, and with it ``numpy.f2py``,
+``numpy.testing`` and ``charset_normalizer``: about 0.25 s of every
+command's start-up, spent before its first line runs. :func:`_load_ndtri`
+imports the extension module that defines the ufunc,
+``scipy.special._ufuncs``, under a stub package module that stands in
+for ``scipy.special`` for the length of that one import. The ufunc is the
+same object that ``scipy.special.ndtri`` is, so no draw depends on the
+path taken, and a later ``import scipy.special`` reuses the loaded
+extension. Two risks come with it:
+
+* ``scipy.special._ufuncs`` is a private name, which SciPy may move; CI
+  pins SciPy 1.17. Should the import fail, the loader falls back to
+  ``from scipy.special import ndtri``.
+* The stub is in ``sys.modules`` while the extension is imported. A
+  library user who imports ``scipy.special`` from another thread at that
+  moment could be handed the stub.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import types
+
 import numpy as np
-from scipy.special import ndtri
+
+
+def _load_ndtri():
+    """``scipy.special.ndtri``, without running ``scipy.special``'s
+    package init when nothing has imported it yet (module docstring)."""
+    if "scipy.special" not in sys.modules:
+        import scipy
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        try:
+            from scipy.special._ufuncs import ndtri
+            return ndtri
+        except (ImportError, AttributeError):
+            pass  # the ufunc has moved: load it through the package
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+    from scipy.special import ndtri
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

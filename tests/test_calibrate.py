@@ -708,6 +708,63 @@ def test_certified_search_falls_back_on_a_non_finite_gap():
     assert certified[-len(plain):] == plain
 
 
+def test_certified_search_proves_beyond_close_regula_falsi_points():
+    # on a line the regula falsi points land a few ulps either side of the
+    # root, and a line through them alone is swamped by the margin; the
+    # line to the farthest rate proves the first midpoint, 0.0, below the
+    # tolerance: the endpoints, two regula falsi points and the midpoint
+    # that meets the tolerance
+    got, want, certified, _ = _both_searches(
+        lambda tau: tau - 0.1, -0.5, 0.5, 1e-4, 200, lambda tau: 4 * _U)
+    assert got == want
+    assert len(certified) == 5 and 0.0 not in certified
+
+
+def _two_pass_margin(base, relief, total, target_s50, dt, scratch):
+    """``_gap_margin`` as first written: ``sum|base|`` summed from a copy
+    of ``|base|`` whatever the sign of ``base``."""
+    n = len(base)
+    gn = calibrate._gamma(n)
+    g3 = calibrate._gamma(3)
+    a = float(np.sum(np.abs(base, out=scratch)))
+    q = float(np.sum(np.abs(relief, out=scratch)))
+    r_sum = abs(float(np.sum(relief))) + gn * q
+    t_lo = total - gn * a
+    u, eta = calibrate._U, calibrate._ETA
+
+    def margin(tau):
+        r = abs(tau * dt)
+        m = a + r * q
+        d = u * a + g3 * r * q + eta * (n + q)
+        s = m + d
+        e_b = d + gn * s
+        e_t = e_b + r * r_sum
+        t_hat = t_lo - e_t
+        if not t_hat > 0.0:
+            return math.inf
+        return 2.0 * ((e_b + 2.0 * u * s) / t_hat + m * e_t / (t_hat * t_lo)
+                      + u * abs(target_s50) + eta)
+
+    return margin
+
+
+@pytest.mark.parametrize("sigma", [0.15, 1.5])
+def test_gap_margin_is_the_two_pass_margin(sigma):
+    # sigma 0.15 steps every income to a positive base, 1.5 leaves some
+    # below zero; either way the margin keeps its bits
+    params = ModelParams(sigma=sigma, n_agents=20_001)
+    pop = init_lognormal(params, 0.3, seed=5, year=1970)
+    base, relief = step_components(pop, params, RngStream(5))
+    assert (base.min() >= 0) == (sigma < 1)
+    total = float(np.sum(base))
+    got = calibrate._gap_margin(base, relief, total, 0.21, params.dt,
+                                np.empty_like(base))
+    want = _two_pass_margin(base, relief, total, 0.21, params.dt,
+                            np.empty_like(base))
+    for tau in (0.0, -0.0, 1e-300, 0.05, -0.3, 2.5, -1e6, 1e300):
+        assert got(tau).hex() == want(tau).hex(), tau
+
+
 def _fixture_fit(monkeypatch, fixtures_dir, tmp_path, n_agents):
     """Calibrate the fixture; for each year, the certified and the plain
     search of the same ``_fit_one`` gap, and the certified evaluations."""

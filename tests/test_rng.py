@@ -1,6 +1,12 @@
 """Counter-based stream contract: purity, partitioning, distribution."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,3 +138,94 @@ def test_invalid_range_rejected():
     for draw in (RngStream(1).uniforms, RngStream(1).normals):
         empty = draw(1950, STEP_TAG, 10, 10)
         assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# loading ndtri: each case in a fresh interpreter, in development mode with
+# warnings as errors, since a module once imported stays imported
+
+def _fresh(*parts: str):
+    """Run the code ``parts`` in a new interpreter that imports povdyn
+    from this checkout; the JSON it prints last."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c",
+         "\n".join(textwrap.dedent(p) for p in parts)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_runs_no_scipy_special_init():
+    got = _fresh("""
+        import json, sys
+        import povdyn.cli
+        heavy = [m for m in ("scipy.special._support_alternative_backends",
+                             "numpy.f2py", "charset_normalizer")
+                 if m in sys.modules]
+        stub = "scipy.special" in sys.modules
+        import scipy.special, scipy.stats, povdyn.rng
+        print(json.dumps({
+            "heavy": heavy, "stub": stub,
+            "same": scipy.special.ndtri is povdyn.rng.ndtri,
+            "real": sys.modules["scipy.special"].__file__ is not None,
+            "ppf": scipy.stats.norm.ppf(0.975).hex(),
+            "ndtri": float(povdyn.rng.ndtri(0.975)).hex()}))
+        """)
+    assert got["heavy"] == [] and not got["stub"]
+    assert got["same"] and got["real"]
+    assert got["ppf"] == got["ndtri"]
+
+
+# records every absolute import of scipy.special or a module in it, and
+# fails the loader's own import of the extension when asked to
+_WATCH = """
+    import builtins, json, sys
+    seen = []
+    real_import = builtins.__import__
+
+    def watch(name, globals=None, locals=None, fromlist=(), level=0):
+        if level == 0 and name.startswith("scipy.special"):
+            seen.append(name)
+            if BLOCK and name == "scipy.special._ufuncs":
+                raise ImportError("blocked")
+        return real_import(name, globals, locals, fromlist, level)
+"""
+
+
+def test_loader_uses_scipy_special_when_it_is_imported():
+    got = _fresh("BLOCK = False", _WATCH, """
+        import scipy.special
+        package = sys.modules["scipy.special"]
+        builtins.__import__ = watch
+        import povdyn.rng
+        builtins.__import__ = real_import
+        print(json.dumps({
+            "seen": seen,
+            "kept": sys.modules["scipy.special"] is package,
+            "same": povdyn.rng.ndtri is scipy.special.ndtri}))
+        """)
+    assert got["seen"] == ["scipy.special"]
+    assert got["kept"] and got["same"]
+
+
+def test_loader_falls_back_when_the_private_import_fails():
+    # only the loader's absolute import is blocked: the package's own
+    # ``from ._ufuncs import *`` is relative, so the fallback loads
+    got = _fresh("BLOCK = True", _WATCH, """
+        builtins.__import__ = watch
+        import povdyn.rng
+        builtins.__import__ = real_import
+        package = sys.modules.get("scipy.special")
+        import scipy.special
+        print(json.dumps({
+            "seen": seen,
+            "file": getattr(package, "__file__", None) is not None,
+            "kept": sys.modules["scipy.special"] is package,
+            "same": povdyn.rng.ndtri is scipy.special.ndtri,
+            "init": "scipy.special._support_alternative_backends"
+                    in sys.modules}))
+        """)
+    assert got["seen"][:2] == ["scipy.special._ufuncs", "scipy.special"]
+    assert got["file"] and got["kept"] and got["same"] and got["init"]
