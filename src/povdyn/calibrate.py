@@ -26,13 +26,13 @@ only to give the sign of the gap far from the root. For a concave ``f``
 the chord between two rates lies below ``f`` between them, and the line
 through two rates lies above ``f`` outside them. So once a few gaps are
 known exactly, the sign of many midpoints is proved without a partition.
-:func:`_search_tau`, given a rounding margin, evaluates the endpoints,
-takes two Illinois steps (the modified regula falsi of Dowell and
-Jarratt, BIT 11, 1971) and keeps every gap. It then runs the bisection
-unchanged, but skips a midpoint whose gap the bounds put beyond the
-tolerance on a proven side: the bisection would take the same branch
-there and not stop. The first midpoint within the tolerance cannot be
-proved, so it is evaluated, and the rate returned is the plain
+:func:`_search_tau`, given a rounding margin, evaluates the endpoints and
+then runs the bisection unchanged, but skips a midpoint whose gap the
+bounds put beyond the tolerance on a proven side: the bisection would
+take the same branch there and not stop. Every midpoint it does evaluate
+becomes an end of the bracket, so the bounds come from the two nearest
+evaluated rates on each side. The first midpoint within the tolerance
+cannot be proved, so it is evaluated, and the rate returned is the plain
 bisection's, with the same residual, to the last bit.
 
 The margin. The concave function is ``f(t) = B(t)/T0 - target``, where
@@ -73,15 +73,13 @@ agents ``E`` is about 3e-10, far below the default tolerance of 1e-4.
 Each bound is widened once more for its own two-term arithmetic.
 
 The search falls back to the plain bisection when a gap is not finite
-(an unusable rate, or a gap the bounds do not model), when a regula
-falsi point is not strictly inside its bracket, and when the bisection
-ends without meeting the tolerance, because its best rate so far needs
-the exact gap of every midpoint.
+(an unusable rate, or a gap the bounds do not model) and when the
+bisection ends without meeting the tolerance, because its best rate so
+far needs the exact gap of every midpoint.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -91,7 +89,7 @@ import numpy as np
 
 from .dataio import config_digest
 from .errors import (DataError, InvalidTargetError, NonContiguousSeriesError,
-                     UndefinedShareError, UnusableBracketError)
+                     UnusableBracketError)
 from .poverty import IncomePanel
 from .rgbm import (ModelParams, Population, _checked, _components, apply_rate,
                    bottom_share_of, step, step_components)
@@ -175,11 +173,10 @@ def _share_or_nan(incomes: np.ndarray, degenerate: list[int],
     survive with a loud flag instead of aborting. ``overwrite_input`` is
     that of :func:`bottom_share_of`.
     """
-    try:
-        return bottom_share_of(incomes, 0.5, overwrite_input=overwrite_input)
-    except UndefinedShareError:
+    share = bottom_share_of(incomes, 0.5, overwrite_input=overwrite_input)
+    if math.isnan(share):
         degenerate.append(int(year))
-        return math.nan
+    return share
 
 
 def _warn_undefined(degenerate: list[int]) -> None:
@@ -191,8 +188,6 @@ def _warn_undefined(degenerate: list[int]) -> None:
 # unit roundoff and least subnormal of float64 (see the module docstring)
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
-# regula falsi steps before the bisection; each is one exact evaluation
-_ILLINOIS_STEPS = 2
 # relative widening of a bound for its own arithmetic: 8 eps
 _SLACK = 16.0 * _U
 
@@ -206,26 +201,27 @@ class _ConcaveBounds:
 
     ``margin(t)`` bounds the distance between the computed gap at ``t``
     and a concave function ``f``; each evaluated rate then brackets
-    ``f(t)`` in ``[gap - margin, gap + margin]``.
+    ``f(t)`` in ``[gap - margin, gap + margin]``. Every evaluated rate is
+    an end of the bisection's bracket when it is added, so each side
+    keeps its rates as ``(rate, low, high)`` in the order they were
+    added, the nearest to the bracket last, and every rate asked about
+    lies strictly between the two sides.
     """
 
     def __init__(self, margin, tolerance: float):
         self.margin = margin
         self.tolerance = tolerance
-        self.rates: list[float] = []
-        self.low: list[float] = []
-        self.high: list[float] = []
+        # the rates at or below the bracket, and those at or above it
+        self.sides: tuple[list, list] = ([], [])
 
-    def add(self, tau: float, g: float) -> bool:
-        """Keep the exact gap ``g`` of ``tau``; False if it is not finite."""
+    def add(self, upper: bool, tau: float, g: float) -> bool:
+        """Keep the exact gap ``g`` of ``tau``, the new lower end of the
+        bracket or, with ``upper``, its new upper end; False if ``g`` is
+        not finite."""
         if not math.isfinite(g):
             return False
-        i = bisect.bisect_left(self.rates, tau)
-        if i == len(self.rates) or self.rates[i] != tau:
-            e = self.margin(tau)
-            self.rates.insert(i, tau)
-            self.low.insert(i, g - e)
-            self.high.insert(i, g + e)
+        e = self.margin(tau)
+        self.sides[upper].append((tau, g - e, g + e))
         return True
 
     def sign(self, tau: float) -> int:
@@ -233,68 +229,31 @@ class _ConcaveBounds:
         ``gap(tau) < -tolerance`` is, 0 otherwise.
 
         The chord of the nearest rates on either side bounds ``f(tau)``
-        from below; the line through the nearest rate on one side and
-        another rate on that side, extended to ``tau``, bounds it from
-        above. The next rate gives the tighter line when the rates are
-        far apart, the farthest one when the nearest are a few ulps apart
-        and the margin swamps their slope; the lower bound is kept. Each
-        bound is widened by ``_SLACK`` times the size of its terms: it
-        takes at most ten roundings of values of that size, and
-        ``8 eps`` exceeds ``gamma_10``. A comparison with NaN is false, so
-        an infinite margin proves nothing.
+        from below; the line through the two nearest rates on one side,
+        extended to ``tau``, bounds it from above. Each bound is widened
+        by ``_SLACK`` times the size of its terms: it takes at most ten
+        roundings of values of that size, and ``8 eps`` exceeds
+        ``gamma_10``. A comparison with NaN is false, so an infinite
+        margin proves nothing.
         """
-        rates, low, high = self.rates, self.low, self.high
-        i = bisect.bisect_left(rates, tau)
+        below, above = self.sides
         e = self.margin(tau)
-        if 0 < i < len(rates):
-            a, b = rates[i - 1], rates[i]
-            t1 = low[i - 1] * ((b - tau) / (b - a))
-            t2 = low[i] * ((tau - a) / (b - a))
-            size = abs(t1) + abs(t2) + e
-            if t1 + t2 - e - _SLACK * size > self.tolerance:
-                return 1
+        (a, low_a, _), (b, low_b, _) = below[-1], above[-1]
+        t1 = low_a * ((b - tau) / (b - a))
+        t2 = low_b * ((tau - a) / (b - a))
+        size = abs(t1) + abs(t2) + e
+        if t1 + t2 - e - _SLACK * size > self.tolerance:
+            return 1
         upper = math.inf
-        # the nearest rate below tau, through the next one and through the
-        # farthest one; then the same at or above it
-        last = len(rates) - 1
-        for q, p in ((i - 1, i - 2), (i - 1, 0), (i, i + 1), (i, last)):
-            if not (0 <= min(p, q) and max(p, q) <= last and p != q):
+        for side in self.sides:
+            if len(side) < 2:
                 continue
-            lam = (tau - rates[q]) / (rates[q] - rates[p])
-            t2 = (high[q] - low[p]) * lam
-            size = abs(high[q]) + (abs(high[q]) + abs(low[p])) * lam + e
-            upper = min(upper, high[q] + t2 + e + _SLACK * size)
+            (p, low_p, _), (q, _, high_q) = side[-2:]
+            lam = (tau - q) / (q - p)
+            t2 = (high_q - low_p) * lam
+            size = abs(high_q) + (abs(high_q) + abs(low_p)) * lam + e
+            upper = min(upper, high_q + t2 + e + _SLACK * size)
         return -1 if upper < -self.tolerance else 0
-
-
-def _illinois(gap, bounds: _ConcaveBounds, lo: float, g_lo: float,
-              hi: float, g_hi: float) -> bool:
-    """Take the Illinois steps from the bracket ``[lo, hi]`` and keep every
-    gap in ``bounds``.
-
-    The latest point starts at the endpoint whose gap is positive: the
-    chord lies below the concave gap, so the first point lands where the
-    gap is non-negative too, the other endpoint's gap is halved, and the
-    second step tends to fall on the far side of the root. False when a
-    point is not strictly inside its bracket or its gap is not finite.
-    """
-    (a, fa), (b, fb) = ((lo, g_lo), (hi, g_hi)) if g_hi > 0 else \
-        ((hi, g_hi), (lo, g_lo))
-    for _ in range(_ILLINOIS_STEPS):
-        c = (a * fb - b * fa) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
-            return False
-        fc = gap(c)
-        if not bounds.add(c, fc):
-            return False
-        if fc == 0.0:
-            break
-        if (fc > 0) != (fb > 0):
-            a, fa = b, fb
-        else:
-            fa = 0.5 * fa
-        b, fb = c, fc
-    return True
 
 
 def _search_tau(gap, lo: float, hi: float, tolerance: float,
@@ -312,15 +271,13 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
     result means that the search found no usable rate.
 
     ``margin(t)``, when given, bounds the distance between ``gap(t)`` and
-    a concave function. The search then certifies (module docstring):
-    after the endpoints it takes the Illinois steps, and it evaluates
-    only the midpoints whose branch the bounds do not prove. The result
-    is the plain bisection's bit for bit, for any gap within its margin
-    of a concave function. A non-finite gap, a regula falsi point not
-    strictly inside its bracket, or a bisection that ends without meeting
-    the tolerance hands the search back to the plain bisection. Without
-    ``margin`` the search evaluates exactly the endpoints and the
-    midpoints of the plain bisection.
+    a concave function. The search then certifies (module docstring): it
+    evaluates only the midpoints whose branch the bounds do not prove.
+    The result is the plain bisection's bit for bit, for any gap within
+    its margin of a concave function. A non-finite gap, or a bisection
+    that ends without meeting the tolerance, hands the search back to the
+    plain bisection. Without ``margin`` the search evaluates exactly the
+    endpoints and the midpoints of the plain bisection.
     """
     g_lo = gap(lo)
     g_hi = gap(hi)
@@ -342,8 +299,7 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
     bounds = None
     if margin is not None:
         bounds = _ConcaveBounds(margin, tolerance)
-        if not (bounds.add(lo, g_lo) and bounds.add(hi, g_hi)
-                and _illinois(gap, bounds, lo, g_lo, hi, g_hi)):
+        if not (bounds.add(False, lo, g_lo) and bounds.add(True, hi, g_hi)):
             bounds = None  # nothing skipped yet: the plain loop follows
     bracket = lo, hi
 
@@ -357,13 +313,14 @@ def _search_tau(gap, lo: float, hi: float, tolerance: float,
             above = side > 0
         else:
             g_mid = gap(mid)
-            if bounds is not None and not bounds.add(mid, g_mid):
-                return _search_tau(gap, *bracket, tolerance, max_iterations)
             if abs(g_mid) < best_abs:
                 best_tau, best_abs = mid, abs(g_mid)
             if abs(g_mid) <= tolerance:
                 return mid, abs(g_mid), False
             above = g_mid > 0
+            if bounds is not None and not bounds.add(above == rising, mid,
+                                                     g_mid):
+                return _search_tau(gap, *bracket, tolerance, max_iterations)
         if above == rising:
             hi = mid
         else:
@@ -444,12 +401,8 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     margin = _gap_margin(base, relief, total, target_s50, dt, scratch)
 
     def gap(tau: float) -> float:
-        try:
-            share = bottom_share_of(
-                apply_rate(base, relief, tau, dt, out=scratch), 0.5,
-                overwrite_input=True)
-        except UndefinedShareError:
-            share = math.nan
+        share = bottom_share_of(apply_rate(base, relief, tau, dt, out=scratch),
+                                0.5, overwrite_input=True)
         if not math.isfinite(share):
             return math.copysign(math.inf, tau)  # unusable rate
         return share - target_s50
@@ -620,14 +573,15 @@ def fit_series(initial: Population, targets: AnnualSeries,
                ) -> CalibrationResult:
     """Fit the rate year by year along an observed share series.
 
-    The forward state is propagated under each year's fitted rate (or the
-    trailing-window average when ``cfg.forward_rate == "effective"``). The
-    smoothed-rate trajectory in ``replay_shares`` is a separate validation
-    replay from the same initial population. It is stepped in the same
-    loop, on the same noise vector as the fit: the smoothed rate of a year
-    depends only on the rates fitted so far, so the shares equal those of
-    ``replay(initial, result.tau_effective, params, seed)`` bit for bit,
-    and each year's noise is drawn once.
+    The forward state is propagated under each year's fitted rate (or,
+    when ``cfg.forward_rate == "effective"``, under the year's entry of
+    ``tau_effective``, so that ``fitted_shares`` equals ``replay_shares``
+    bit for bit). The smoothed-rate trajectory in ``replay_shares`` is a
+    separate validation replay from the same initial population. It is
+    stepped in the same loop, on the same noise vector as the fit: the
+    smoothed rate of a year depends only on the rates fitted so far, so
+    the shares equal those of ``replay(initial, result.tau_effective,
+    params, seed)`` bit for bit, and each year's noise is drawn once.
 
     Each year runs in two stages on two threads. One helper thread lives
     for the whole call. While the main thread searches year t's rate, the
@@ -699,16 +653,13 @@ def fit_series(initial: Population, targets: AnnualSeries,
             tau, residual, clamped = _fit_one(base, relief, float(target), dt,
                                               cfg, year)
             taus[i] = tau
+            tau_eff[i] = _trailing_mean(taus[:i + 1], cfg.smoothing_window)[-1]
             residuals[i] = residual
             if clamped:
                 clamped_years.append(year)
                 if residual > cfg.divergence_threshold:
                     divergent.append(year)
-            if cfg.forward_rate == "effective":
-                lo = max(0, i - cfg.smoothing_window + 1)
-                rate = float(np.mean(taus[lo:i + 1]))
-            else:
-                rate = tau
+            rate = tau if cfg.forward_rate == "fitted" else float(tau_eff[i])
             state = Population(apply_rate(base, relief, rate, dt, out=relief),
                                year)
             np.copyto(base, state.incomes)
@@ -717,7 +668,6 @@ def fit_series(initial: Population, targets: AnnualSeries,
             del base
 
             # finish the validation step under the smoothed rate
-            tau_eff[i] = _trailing_mean(taus[:i + 1], cfg.smoothing_window)[-1]
             v_base, v_relief = parts.result()
             parts = None
             replayed = _checked(apply_rate(v_base, v_relief, float(tau_eff[i]),

@@ -238,6 +238,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         calib = CalibrationConfig(**values(CalibrationConfig))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # past |tau*dt| = 1 the reallocation overshoots the mean: the share
+    # falls again, and the search's bracket no longer holds one root
+    for key in ("tau_min", "tau_max"):
+        tau = getattr(calib, key)
+        if abs(tau * model.dt) > 1.0:
+            raise ConfigError(f"{key} = {tau!r} with dt = {model.dt!r}: "
+                              f"|{key}*dt| must be <= 1")
     cfg = PipelineConfig(model=model, calib=calib, hcr_files=hcr_files,
                          strict=bool(getattr(args, "strict", False)),
                          **values(PipelineConfig))

@@ -240,7 +240,8 @@ def poverty_line_from_hcr(pop, hcr: float) -> tuple[float, int]:
 
 
 def _check_hcr(hcr: AnnualSeries, first_year: int, last_year: int) -> None:
-    """The HCR years must be contiguous and lie inside the panel's."""
+    """The HCR years must be contiguous and lie inside the panel's, and
+    every head count must lie in [0, 1]."""
     if not hcr.is_contiguous():
         raise NonContiguousSeriesError(
             "HCR series has gaps; run interpolation first")
@@ -249,6 +250,11 @@ def _check_hcr(hcr: AnnualSeries, first_year: int, last_year: int) -> None:
             f"HCR years {hcr.first_year}..{hcr.last_year} outside panel "
             f"years {first_year}..{last_year}"
         )
+    bad = ~((hcr.values >= 0.0) & (hcr.values <= 1.0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DataError(f"head count ratio {float(hcr.values[j])!r} "
+                        f"in year {int(hcr.years[j])} is outside [0, 1]")
 
 
 def _classify_row(col: np.ndarray, hcr: float, out: np.ndarray) -> float:
@@ -306,11 +312,13 @@ def classify(panel: IncomePanel, hcr: AnnualSeries, name: str = "poverty"
              ) -> tuple[PovertyLineSeries, PovertyPanel]:
     """Derive the poverty-line series and flag panel from HCR data.
 
-    The HCR years must be contiguous and lie inside the panel. The flags
-    are kept, one (T, N) bool array; durations are computed from them on
-    request (see :class:`PovertyPanel`), left-censored: agents poor in the
-    first classified year start at 1. :class:`PovertyAccumulator` gives
-    the same lines and statistics without keeping any per-agent array.
+    The HCR years must be contiguous and lie inside the panel, and every
+    head count in [0, 1]; DataError (or NonContiguousSeriesError)
+    otherwise. The flags are kept, one (T, N) bool array; durations are
+    computed from them on request (see :class:`PovertyPanel`),
+    left-censored: agents poor in the first classified year start at 1.
+    :class:`PovertyAccumulator` gives the same lines and statistics
+    without keeping any per-agent array.
     """
     _check_hcr(hcr, panel.first_year, panel.last_year)
     z = np.empty(len(hcr))
@@ -608,11 +616,6 @@ class PovertyAccumulator:
                  panel_years: tuple[int, int], k_below: int = 0,
                  k_above: int = 0, name: str = "poverty"):
         _check_hcr(hcr, *panel_years)
-        bad = ~((hcr.values >= 0.0) & (hcr.values <= 1.0))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise DataError(f"head count ratio {float(hcr.values[j])!r} "
-                            f"in year {int(hcr.years[j])} is outside [0, 1]")
         self.hcr = hcr
         self.line = PovertyLineSeries(name=name, years=hcr.years.copy(),
                                       z=np.empty(len(hcr)))

@@ -231,20 +231,26 @@ def bottom_share(pop: Population, fraction: float = 0.5) -> float:
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
-    return bottom_share_of(pop.incomes, fraction)
+    share = bottom_share_of(pop.incomes, fraction)
+    if math.isnan(share):
+        total = float(np.sum(pop.incomes))
+        raise UndefinedShareError(
+            f"total income {total} is not positive and finite")
+    return share
 
 
 def bottom_share_of(incomes: np.ndarray, fraction: float,
                     overwrite_input: bool = False) -> float:
     """bottom_share on a bare vector (hot path of the calibration search).
 
-    With ``overwrite_input`` the vector is partitioned in place, so its
-    order is lost, instead of in a copy; the result is the same.
+    NaN, instead of an error, when the total income is not positive and
+    finite: the share is undefined there. With ``overwrite_input`` the
+    vector is partitioned in place, so its order is lost, instead of in a
+    copy; the result is the same.
     """
     total = float(np.sum(incomes))
     if not 0.0 < total < math.inf:
-        raise UndefinedShareError(
-            f"total income {total} is not positive and finite")
+        return math.nan
     k = int(np.floor(fraction * len(incomes)))
     if k == 0:
         return 0.0

@@ -590,21 +590,41 @@ def test_gappy_inequality_instructs_interpolation(tmp_path, capsys):
     assert "interpolate" in capsys.readouterr().err
 
 
-def test_overflowing_bracket_fits_without_undefined_share(tmp_path, capsys):
-    # with this bracket the search's end rates overflow the step; that
-    # used to raise "total income ... is not positive" out of the search
+@pytest.mark.parametrize("text, key", [
+    pytest.param("tau_min = -1e308\ntau_max = 1e308", "tau_min",
+                 id="overflowing"),
+    pytest.param("tau_max = 1.5", "tau_max", id="tau_max"),
+    pytest.param("tau_min = -1.0000001", "tau_min", id="tau_min"),
+    pytest.param("dt = 2.0\ntau_max = 0.75", "tau_max", id="dt"),
+])
+def test_bracket_past_one_step_is_a_config_error(tmp_path, capsys, text,
+                                                 key):
+    # past |tau*dt| = 1 the reallocation overshoots the mean; a [-2, 3]
+    # bracket clamped every year, and at 1e308 the search wandered among
+    # rounding residues
     src = tmp_path / "s50.csv"
     src.write_text("year,s50\n1950,0.25\n1951,0.24\n1952,0.23\n")
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"inequality_csv = {src}\nn_agents = 10\n"
-                   "tau_min = -1e308\ntau_max = 1e308\n")
+    cfg.write_text(f"inequality_csv = {src}\nn_agents = 10\n{text}\n")
     out = tmp_path / "o"
     code = run(["calibrate", "--config", str(cfg), "--out", str(out)])
-    assert code == EXIT_OK, capsys.readouterr().err
-    assert capsys.readouterr().err == ""
-    tau = read_series(out / "tau.csv")
-    assert list(tau.years) == [1951, 1952]
-    assert np.all(np.isfinite(tau.values))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("tau_max = 1.0", id="tau_max"),
+    pytest.param("tau_min = -1.0", id="tau_min"),
+    pytest.param("dt = 0.5\ntau_max = 1.5", id="dt"),
+])
+def test_bracket_of_at_most_one_step_is_accepted(tmp_path, text):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"init_s50 = 0.3\nstart_year = 1950\n{text}\n")
+    args = build_parser().parse_args(["calibrate", "--config", str(cfg)])
+    calib = build_config(args).calib
+    assert max(abs(calib.tau_min), abs(calib.tau_max)) >= 1.0
 
 
 def test_strict_divergence_exit_code(tmp_path):

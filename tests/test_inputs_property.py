@@ -95,6 +95,8 @@ def _accepted(cfg: PipelineConfig) -> None:
     assert cfg.pooled_method in ("counts", "mean")
     assert cfg.panel_format in ("npy", "csv")
     assert cfg.init_s50 is None or 0.0 < cfg.init_s50 <= 0.5
+    for tau in (cfg.calib.tau_min, cfg.calib.tau_max):
+        assert abs(tau * cfg.model.dt) <= 1.0
     canonical_json(cfg.flat())  # the manifest can record it
 
 

@@ -120,6 +120,16 @@ def test_classify_rejects_hcr_outside_panel():
         classify(panel, hcr)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.1])
+def test_classify_rejects_bad_head_counts(bad):
+    # the same typed error as PovertyAccumulator's, before any line is
+    # computed; it used to be an untyped ValueError from the line
+    panel = panel_from_matrix(np.ones((3, 2)) * [[1], [2], [3.0]])
+    hcr = AnnualSeries(np.array([2000, 2001]), np.array([0.3, bad]))
+    with pytest.raises(DataError, match="in year 2001 is outside \\[0, 1\\]"):
+        classify(panel, hcr)
+
+
 def test_poverty_line_ordering_nested_sets():
     rng = np.random.default_rng(4)
     panel = panel_from_matrix(rng.lognormal(0, 1, (150, 8)))

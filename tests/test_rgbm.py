@@ -1,13 +1,15 @@
 """Population initialization, one-year propagation, and bottom shares."""
 
+import math
+
 import numpy as np
 import pytest
 
 from povdyn.errors import (InvalidTargetError, PropagationOverflowError,
                            UndefinedShareError)
 from povdyn.rgbm import (ModelParams, Population, bottom_share,
-                         init_lognormal, sigma_ln_for_share, step,
-                         step_components)
+                         bottom_share_of, init_lognormal, sigma_ln_for_share,
+                         step, step_components)
 from povdyn.rng import RngStream
 
 from oracles import bottom_share_sorted, lognormal_sigma_by_bisection, \
@@ -205,6 +207,18 @@ def test_bottom_share_matches_sort_oracle():
 def test_bottom_share_undefined_for_nonpositive_total():
     with pytest.raises(UndefinedShareError):
         bottom_share(Population(np.array([-2.0, 1.0]), 0), 0.5)
+
+
+@pytest.mark.parametrize("incomes", [[-2.0, 1.0], [0.0, 0.0],
+                                     [np.inf, 1.0], [np.nan, 1.0]])
+def test_bottom_share_of_is_nan_where_the_share_is_undefined(incomes):
+    # the bare-vector form signals an undefined share by NaN; the public
+    # form turns that into the error, with the total in its message
+    x = np.array(incomes)
+    assert math.isnan(bottom_share_of(x, 0.5))
+    total = float(np.sum(x))
+    with pytest.raises(UndefinedShareError, match=f"total income {total} "):
+        bottom_share(Population(x, 0), 0.5)
 
 
 def test_bottom_share_invariant_under_initial_rescale():
