@@ -163,26 +163,18 @@ class CalibrationResult:
     panel: IncomePanel | None = None
 
 
-def _share_or_nan(incomes: np.ndarray, degenerate: list[int],
-                  year: int, overwrite_input: bool = False) -> float:
-    """Bottom share with the degenerate-population rescue.
+def _warn_undefined(years: np.ndarray, shares: np.ndarray) -> None:
+    """Warn of the years whose replay share is undefined.
 
     A non-positive income total (only reachable for tiny populations under
-    extreme noise) leaves the share undefined; record NaN, which the
-    writers turn into an empty field, and note the year so long runs
-    survive with a loud flag instead of aborting. ``overwrite_input`` is
-    that of :func:`bottom_share_of`.
+    extreme noise) leaves the share NaN, which the writers turn into an
+    empty field, so long runs survive with a loud flag instead of
+    aborting.
     """
-    share = bottom_share_of(incomes, 0.5, overwrite_input=overwrite_input)
-    if math.isnan(share):
-        degenerate.append(int(year))
-    return share
-
-
-def _warn_undefined(degenerate: list[int]) -> None:
-    if degenerate:
+    undefined = [int(y) for y in years[np.isnan(shares)]]
+    if undefined:
         warnings.warn(f"bottom share undefined (non-positive total income) "
-                      f"in years {degenerate}; left empty")
+                      f"in years {undefined}; left empty")
 
 
 # unit roundoff and least subnormal of float64 (see the module docstring)
@@ -514,7 +506,9 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     Uses the same noise stream coordinates as calibration, so a replay
     with identical rates reproduces the fit trajectory bit for bit.
     Returns the bottom-half share per stepped year (NaN where total income
-    is not positive) and the income panel, or ``None``.
+    is not positive) and the income panel, or ``None``. The replay keeps
+    no reference to ``initial`` past the first step, so a caller that
+    holds none frees that vector there.
 
     Each row of the trajectory, the initial incomes first, is handed as
     ``(year, incomes)`` to one row hook on the calling thread as soon as
@@ -534,14 +528,14 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     sink, rows = _row_hook(initial, len(rates), collect_panel, _sink)
     stream = RngStream(seed)
     state = initial
+    del initial
     shares = np.empty(len(rates))
-    degenerate: list[int] = []
     for i, (year, tau) in enumerate(rates):
         state = step(state, params, float(tau), stream, threads=threads)
         assert state.year == year
-        shares[i] = _share_or_nan(state.incomes, degenerate, year)
+        shares[i] = bottom_share_of(state.incomes, 0.5)
         sink(year, state.incomes)
-    _warn_undefined(degenerate)
+    _warn_undefined(rates.years, shares)
     panel = None if rows is None else rows.panel(rates, params, seed)
     return PartialSeries(rates.years.copy(), shares), panel
 
@@ -633,7 +627,6 @@ def fit_series(initial: Population, targets: AnnualSeries,
     del initial
     divergent: list[int] = []
     clamped_years: list[int] = []
-    degenerate: list[int] = []
     # Each vector is dropped as soon as its last reader is done, futures
     # included, so that peak memory is the fit's three vectors (base,
     # relief, scratch), the validation parts and the prefetched noise.
@@ -663,8 +656,8 @@ def fit_series(initial: Population, targets: AnnualSeries,
             state = Population(apply_rate(base, relief, rate, dt, out=relief),
                                year)
             np.copyto(base, state.incomes)
-            fitted_shares[i] = _share_or_nan(base, [], year,
-                                             overwrite_input=True)
+            fitted_shares[i] = bottom_share_of(base, 0.5,
+                                               overwrite_input=True)
             del base
 
             # finish the validation step under the smoothed rate
@@ -676,11 +669,11 @@ def fit_series(initial: Population, targets: AnnualSeries,
             # next year's search, after the helper has used them up
             del v_relief
             np.copyto(v_base, replayed.incomes)
-            replay_shares[i] = _share_or_nan(v_base, degenerate, year,
-                                             overwrite_input=True)
+            replay_shares[i] = bottom_share_of(v_base, 0.5,
+                                               overwrite_input=True)
             del v_base
             sink(year, replayed.incomes)
-    _warn_undefined(degenerate)
+    _warn_undefined(targets.years, replay_shares)
 
     years = targets.years
     tau_effective = AnnualSeries(years.copy(), tau_eff)

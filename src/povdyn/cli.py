@@ -43,10 +43,12 @@ _DEFAULT_PERIODS = ((1962, 1971), (1972, 1981), (1982, 1991),
                     (1992, 2001), (2002, 2006))
 
 # Caps on the config values that size the run. A typo above them would
-# ask for any amount of memory; the caps reject it before allocating.
-# 1e8 agents is 800 MB per income vector (a fit holds about ten).
+# ask for any amount of memory or threads; the caps reject it before
+# any stage starts. 1e8 agents is 800 MB per income vector (a fit holds
+# about ten); simulate starts up to ``threads`` OS threads every year.
 MAX_AGENTS = 10**8
 MAX_TP = 1000
+MAX_THREADS = 256
 
 
 def _parse_periods(text: str) -> tuple[tuple[int, int], ...]:
@@ -263,6 +265,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
                           f"cap of {MAX_AGENTS}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    if cfg.threads > MAX_THREADS:
+        raise ConfigError(f"threads = {cfg.threads} is above its cap of "
+                          f"{MAX_THREADS}")
     if cfg.paths_below < 0 or cfg.paths_above < 0:
         raise ConfigError("paths_below and paths_above must be >= 0")
     # the bottom half of a lognormal start holds at most half the income
@@ -375,13 +380,15 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
     """Replay under ``rates``; each stepped row is spooled to disk, as in
     ``pipeline``, and the panel file is transposed from the spool."""
     init_s50, start_year, _ = _initial_state(cfg)
-    pop = init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year)
     out = cfg.out_dir
-    with PanelSpool(out, np.arange(pop.year, rates.last_year + 1), pop.n,
-                    cfg.seed) as spool:
-        shares, _ = replay(pop, rates, cfg.model, cfg.seed,
-                           threads=cfg.threads, _sink=spool)
-        spool.fingerprint = panel_fingerprint(pop.year, rates, cfg.model,
+    with PanelSpool(out, np.arange(start_year, rates.last_year + 1),
+                    cfg.model.n_agents, cfg.seed) as spool:
+        # drawn in the call, as in _run_calibration: replay holds the only
+        # reference and frees it at the first step
+        shares, _ = replay(
+            init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year),
+            rates, cfg.model, cfg.seed, threads=cfg.threads, _sink=spool)
+        spool.fingerprint = panel_fingerprint(start_year, rates, cfg.model,
                                               cfg.seed)
         write_series(shares, out / "shares.csv",
                      manifest_digest=manifest.digest)
@@ -547,8 +554,6 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
     path bundle, or raises the PovdynError that makes it fail. A report
     that cannot be written is an OutputError, which ends the run.
     """
-    if not cfg.hcr_files:
-        raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
     out = _output_dir(cfg.out_dir)
     summary: dict = {"manifest_digest": manifest.digest,
                      "panel_fingerprint": fingerprint,
@@ -564,7 +569,7 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
             print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
     _remove_stale_reports(out, summary["definitions"])
     write_json(summary, out / "summary.json")
-    if cfg.hcr_files and not summary["definitions"]:
+    if not summary["definitions"]:
         raise DataError("all poverty-line definitions failed")
     return summary
 
@@ -605,6 +610,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = build_config(args)
+    if not cfg.hcr_files:
+        raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
     panel = read_panel(cfg.panel_dir or cfg.out_dir)
     manifest = _make_manifest(cfg, cfg.hcr_files.values())
     definitions = _Definitions(cfg, panel.years, panel.n_agents)
@@ -618,6 +625,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = build_config(args)
+    if not cfg.hcr_files:
+        raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
     inputs = [cfg.inequality_csv, *cfg.hcr_files.values()]
     manifest = _make_manifest(cfg, inputs)
     stage = "calibrate"

@@ -418,36 +418,53 @@ def _read_npy_panel(directory: Path, n_agents: int, n_years: int
     return years, by_year
 
 
-def _read_csv_panel(directory: Path, n_agents: int, n_years: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Years and year-major (T, N) incomes of a ``csv`` panel."""
+def _read_csv_panel(directory: Path, years: np.ndarray, n_agents: int
+                    ) -> np.ndarray:
+    """Year-major (T, N) incomes of a ``csv`` panel, read one agent row at
+    a time. The header must be ``agent`` and ``y<year>`` for each of
+    ``years``, and row i's agent field must be i."""
     path = directory / "panel.csv"
+    header = ["agent"] + [f"y{int(y)}" for y in years]
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    years = np.array([int(c[1:]) for c in rows[0][1:]], dtype=np.int64)
-    if years.shape != (n_years,) or len(rows) - 1 != n_agents:
-        raise DataError(
-            f"{path}: {len(rows) - 1} agents x {len(years)} years, "
-            f"metadata says {n_agents} x {n_years}")
-    by_year = np.empty((n_years, n_agents))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != n_years + 1:
-            raise DataError(f"{path}: agent row {i} has {len(row) - 1} "
-                            f"values, expected {n_years}")
-        by_year[:, i] = [float(v) for v in row[1:]]
-    return years, by_year
+        # a field and its separator take two bytes at least: a file too
+        # short for the metadata's agents is refused before allocating
+        if os.fstat(f.fileno()).st_size < 2 * len(header) * n_agents:
+            raise DataError(f"{path}: too short for {n_agents} agents")
+        reader = csv.reader(f)
+        if next(reader, None) != header:
+            raise DataError(f"{path}:1: header is not agent, "
+                            f"{header[1]}..{header[-1]}")
+        by_year = np.empty((len(years), n_agents))
+        i = -1
+        for i, row in enumerate(reader):
+            where = f"{path}:{reader.line_num}"
+            if i == n_agents:
+                raise DataError(f"{where}: more than {n_agents} agents")
+            if row[:1] != [str(i)]:
+                raise DataError(f"{where}: agent field {row[:1]}, "
+                                f"expected {i}")
+            if len(row) != len(header):
+                raise DataError(f"{where}: agent {i} has {len(row) - 1} "
+                                f"values, expected {len(years)}")
+            by_year[:, i] = [float(v) for v in row[1:]]
+    if i + 1 != n_agents:
+        raise DataError(f"{path}: {i + 1} agents, metadata says {n_agents}")
+    return by_year
 
 
 def read_panel(directory):
     """Load a panel written by :func:`write_panel`.
 
     The incomes land in the panel's year-major memory; an ``npy`` file is
-    read one block of agents at a time, so the panel is never held twice.
-    Raises DataError when the metadata is missing, unreadable, not valid
-    JSON, lacks a key or names an unknown format, when a panel file
-    cannot be read or parsed, is cut short or runs on past its data, and
-    when the arrays disagree with the metadata on the agent count, the
-    year range or the element type (``int64`` years, ``float64`` incomes).
+    read one block of agents at a time and a ``csv`` file one agent row
+    at a time, so the panel is never held twice. Raises DataError when
+    the metadata is missing, unreadable, not valid JSON, lacks a key or
+    names an unknown format, when a panel file cannot be read or parsed,
+    is cut short or runs on past its data, when the arrays disagree with
+    the metadata on the agent count, the year range or the element type
+    (``int64`` years, ``float64`` incomes), and when a ``csv`` panel's
+    year headers or agent fields are not the metadata's years and
+    0, 1, 2, ... in order.
     """
     from .poverty import IncomePanel
 
@@ -482,9 +499,12 @@ def read_panel(directory):
     if n_years < 1 or n_agents < 0:
         raise DataError(f"{meta_path}: {n_agents} agents over years "
                         f"{first}..{last}")
-    read = _read_npy_panel if meta["format"] == "npy" else _read_csv_panel
     try:
-        years, by_year = read(directory, n_agents, n_years)
+        if meta["format"] == "npy":
+            years, by_year = _read_npy_panel(directory, n_agents, n_years)
+        else:
+            years = np.arange(first, last + 1, dtype=np.int64)
+            by_year = _read_csv_panel(directory, years, n_agents)
     except (OSError, ValueError, IndexError) as exc:
         raise DataError(f"cannot read panel under {directory}: {exc}"
                         ) from None

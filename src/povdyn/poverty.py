@@ -107,16 +107,24 @@ class PovertyPanel:
     persistence and pooled statistic is built from the flags on first use
     and kept (see :func:`_count_table`), so the flags must not change
     afterwards. The panel of a :class:`PovertyAccumulator` holds only the
-    count table, built year by year, and its ``poor`` is ``None``.
+    count table, built year by year, and the agent count; its ``poor`` is
+    ``None``, and what needs the flags raises ValueError.
     """
 
     years: np.ndarray          # int64, consecutive
     poor: np.ndarray | None    # (n, t) bool
     _tail: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _n_agents: int = field(default=0, repr=False, compare=False)
 
     @property
     def n_agents(self) -> int:
-        return self.poor.shape[0]
+        return self._n_agents if self.poor is None else self.poor.shape[0]
+
+    def _flags(self) -> np.ndarray:
+        """``poor``; ValueError for a panel that keeps no flags."""
+        if self.poor is None:
+            raise ValueError("this poverty panel keeps no per-agent flags")
+        return self.poor
 
     @property
     def duration(self) -> np.ndarray:
@@ -125,11 +133,10 @@ class PovertyPanel:
         Left-censored: agents poor in the first year start at 1. A new
         array, the transposed view of year-major storage, on every read.
         """
-        if self.poor is None:
-            raise ValueError("this poverty panel keeps no per-agent flags")
-        by_year = np.empty(self.poor.T.shape, dtype=np.int32)
+        flags = self._flags()
+        by_year = np.empty(flags.T.shape, dtype=np.int32)
         prev = np.zeros(self.n_agents, dtype=np.int32)
-        for row, poor in zip(by_year, self.poor.T):
+        for row, poor in zip(by_year, flags.T):
             prev = _next_duration(prev, poor, out=row)
         return by_year.T
 
@@ -275,18 +282,17 @@ def _next_duration(prev: np.ndarray, poor: np.ndarray,
 class _Spells:
     """Spell lengths and the count table, fed one year of flags at a time.
 
-    Keeps two int32 rows of spell lengths, the previous year's and the
-    current one, and the (T - 1, T + 1, 2) table of counts. Row ``j - 1``
-    of the table is ``bincount(duration[j - 1] * 2 + poor[j])``: the
-    agents by spell length at ``j - 1`` and status at ``j`` (0 non-poor,
-    1 poor).
+    Keeps one int32 row of spell lengths, updated in place once the
+    year's count row has read it, and the (T - 1, T + 1, 2) table of
+    counts. Row ``j - 1`` of the table is ``bincount(duration[j - 1] * 2
+    + poor[j])``: the agents by spell length at ``j - 1`` and status at
+    ``j`` (0 non-poor, 1 poor).
     """
 
     def __init__(self, n_agents: int, n_years: int):
         self.counts = np.zeros((max(n_years - 1, 0), n_years + 1, 2),
                                dtype=np.int64)
         self._duration = np.zeros(n_agents, dtype=np.int32)
-        self._spare = np.empty(n_agents, dtype=np.int32)
         self._j = 0
 
     def push(self, poor: np.ndarray) -> None:
@@ -296,9 +302,7 @@ class _Spells:
             key += poor
             self.counts[j - 1] = np.bincount(
                 key, minlength=self.counts[j - 1].size).reshape(-1, 2)
-        self._duration, self._spare = (
-            _next_duration(self._duration, poor, out=self._spare),
-            self._duration)
+        _next_duration(self._duration, poor, out=self._duration)
         self._j = j + 1
 
     def tail(self) -> np.ndarray:
@@ -343,7 +347,7 @@ def _count_table(pp: PovertyPanel) -> np.ndarray:
     """
     if pp._tail is None:
         spells = _Spells(pp.n_agents, len(pp.years))
-        for poor in pp.poor.T:  # year-major rows, contiguous from classify
+        for poor in pp._flags().T:  # year-major rows, contiguous from classify
             spells.push(poor)
         pp._tail = spells.tail()
     return pp._tail
@@ -504,11 +508,13 @@ def _bpl_gini(col: np.ndarray, poor: np.ndarray) -> tuple[float, bool]:
 
 
 def bpl_gini_series(panel: IncomePanel, pp: PovertyPanel) -> BplGiniReport:
-    """Within-poor Gini per year, negatives floored to 0 and flagged."""
+    """Within-poor Gini per year, negatives floored to 0 and flagged;
+    ValueError for a panel without flags."""
+    poor = pp._flags()
     out = np.full(len(pp.years), np.nan)
     flags = np.zeros(len(pp.years), dtype=bool)
     for j, year in enumerate(pp.years):
-        out[j], flags[j] = _bpl_gini(panel.column(int(year)), pp.poor[:, j])
+        out[j], flags[j] = _bpl_gini(panel.column(int(year)), poor[:, j])
     return BplGiniReport(years=pp.years.copy(), gini=out,
                          negatives_floored=flags)
 
@@ -598,8 +604,8 @@ class PovertyAccumulator:
     spell lengths from the previous year's, the year's row of the count
     table and the within-poor Gini; in the first year it also picks the
     ``k_below`` and ``k_above`` agents of the path bundle, as
-    :func:`sample_paths` does. Per agent it keeps one bool row and two
-    int32 rows, whatever the number of years, so a panel that is never
+    :func:`sample_paths` does. Per agent it keeps one bool row and one
+    int32 row, whatever the number of years, so a panel that is never
     held whole (the pipeline's, stepped by the calibration) can be
     measured as it is made. The results equal those of :func:`classify`,
     :func:`transition_report`, :func:`persistence_report`,
@@ -630,8 +636,11 @@ class PovertyAccumulator:
         self._j = 0
 
     def push(self, col: np.ndarray) -> None:
-        """Take the incomes of the next HCR year."""
+        """Take the incomes of the next HCR year; ValueError once every
+        HCR year is in."""
         j = self._j
+        if j == len(self.hcr):
+            raise ValueError(f"all {j} HCR years already pushed")
         poor = self._poor
         self.line.z[j] = _classify_row(col, float(self.hcr.values[j]),
                                        out=poor)
@@ -648,7 +657,8 @@ class PovertyAccumulator:
         if self._j != len(self.hcr):
             raise ValueError(f"{self._j} of {len(self.hcr)} HCR years pushed")
         return PovertyPanel(years=self.hcr.years.copy(), poor=None,
-                            _tail=self._spells.tail())
+                            _tail=self._spells.tail(),
+                            _n_agents=len(self._poor))
 
     def bundle(self, years: np.ndarray, below_paths: np.ndarray,
                above_paths: np.ndarray, seed: int) -> TrajectoryBundle:

@@ -378,7 +378,7 @@ def test_undefined_shares_are_nan_not_zero():
         shares, _ = replay(pop, AnnualSeries(targets.years, np.zeros(4)),
                            params, seed=1)
     assert np.all(np.isnan(shares.values))
-    with pytest.warns(UserWarning, match="undefined"):
+    with pytest.warns(UserWarning, match=r"undefined .*1951, 1952, 1953, 1954"):
         res = fit_series(pop, targets, params, CalibrationConfig(), seed=1)
     assert np.all(np.isnan(res.replay_shares.values))
     assert np.all(np.isnan(res.fitted_shares.values))

@@ -15,8 +15,8 @@ import pytest
 
 from povdyn import calibrate, cli, dataio
 from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
-                        EXIT_OK, MAX_AGENTS, MAX_TP, build_config,
-                        build_parser, main)
+                        EXIT_OK, MAX_AGENTS, MAX_THREADS, MAX_TP,
+                        build_config, build_parser, main)
 from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
                            read_report_csv, read_series)
 
@@ -302,15 +302,16 @@ def test_out_naming_a_file_is_an_output_error(tmp_path, fixtures_dir,
 
 
 def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
-    # Peak, in float64 N-vectors, while a year is stepped: the initial
-    # population, which the command holds for the whole replay (1); the
-    # state being stepped and the stepped vector (2); the year's noise
-    # (1); and the step's base and relief (2). That is 6. The bottom
-    # share's copy and the overflow check's mask come after the step's
-    # temporaries are gone and need less. Only the shares grow with the
-    # years; the panel is spooled to disk. What is left under the bound
-    # is the noise draw's and the panel writer's block buffers and small
-    # objects.
+    # Peak, in float64 N-vectors, while a year is stepped: the state
+    # being stepped and the stepped vector (2); the year's noise (1); and
+    # the step's base and relief (2). That is 5. The command draws the
+    # initial population in the replay call, and the replay drops its
+    # name for it after the row hook, so the first step frees it. The
+    # bottom share's copy and the overflow check's mask come after
+    # the step's temporaries are gone and need less. Only the shares grow
+    # with the years; the panel is spooled to disk. What is left under
+    # the bound is the noise draw's and the panel writer's block buffers
+    # and small objects.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -325,7 +326,7 @@ def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert abs(peaks[60] - peaks[20]) <= 8 * n
-    assert max(peaks.values()) <= (6 + 1 / 2) * 8 * n
+    assert max(peaks.values()) <= (5 + 1 / 2) * 8 * n
 
 
 def _memory_run_inputs(d: Path, n_years: int, n_agents: int) -> Path:
@@ -374,12 +375,12 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
     # with its helper thread (6, see
     # test_fit_series_peak_memory_is_one_vector_above_serial), which
     # frees the initial population in the first year; and per
-    # definition the accumulator's two int32 spell rows and its bool flag
-    # row (1 + 1/8, three definitions). That is 9 + 3/8. The per-year
-    # work of the accumulators runs between searches, when the fit holds
-    # three vectors, and needs less. Only arrays of years, or of years
-    # squared (the count tables), grow with the years; the panel is
-    # spooled to disk. What is left under the bound is the prefetch
+    # definition the accumulator's int32 spell row, updated in place, and
+    # its bool flag row (1/2 + 1/8, three definitions). That is 7 + 7/8.
+    # The per-year work of the accumulators runs between searches, when
+    # the fit holds three vectors, and needs less. Only arrays of years,
+    # or of years squared (the count tables), grow with the years; the
+    # panel is spooled to disk. What is left under the bound is the prefetch
     # draw's and the panel writer's block buffers and small objects.
     n = 200_000
     peaks = {}
@@ -393,7 +394,46 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert abs(peaks[60] - peaks[20]) <= 8 * n
-    assert max(peaks.values()) <= (9 + 3 / 8 + 1 / 2) * 8 * n
+    assert max(peaks.values()) <= (7 + 7 / 8 + 1 / 2) * 8 * n
+
+
+def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
+                                                            capsys):
+    # Peak, in float64 N-vectors: the stored panel, which metrics reads
+    # whole (T + 1 vectors over T years of HCR), and per definition the
+    # accumulator's int32 spell row and bool flag row (1/2 + 1/8, three
+    # definitions: 1 + 7/8). Above them, the largest moment is the first
+    # year's path pick of the 0.2 definition: the agents at or above its
+    # line, 80% of them, are indexed (intp), their incomes gathered and a
+    # copy partitioned, 3 x 0.8 = 2.4 vectors, beside boolean masks of
+    # under 1/4. Every other step of a year (the line's partition copy,
+    # the count row's intp key, the within-poor Gini's subset, sorted
+    # copy and weights) needs less. That makes the panel + 4.525, under
+    # the bound of the panel + 4 + 5/8; what is left is small objects and
+    # the count tables, whose size grows with the square of the years
+    # but stays far under a vector. So from 20 to 60 years the peak grows
+    # by the panel's 40 vectors, within one.
+    n = 200_000
+    peaks = {}
+    for n_years in (20, 60):
+        cfg = _memory_run_inputs(tmp_path, n_years, n)
+        sim = tmp_path / f"sim_{n_years}"
+        sim.mkdir()
+        assert main(["simulate", "--config",
+                     str(_simulate_config(sim, [0.01] * n_years, n)),
+                     "--out", str(sim / "panel")]) == EXIT_OK
+        with open(cfg, "a") as f:
+            f.write(f"panel_dir = {sim / 'panel'}\n")
+        tracemalloc.start()
+        try:
+            assert main(["metrics", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out_{n_years}")]) == EXIT_OK
+            _, peaks[n_years] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[60] - peaks[20] - 40 * 8 * n) <= 8 * n
+    for n_years, peak in peaks.items():
+        assert peak <= (n_years + 1 + 4 + 5 / 8) * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +542,14 @@ def test_bad_config_value_exit_code(tmp_path):
 @pytest.mark.parametrize("override, text, key, cap", [
     (["--n-agents", "100000000000"], "", "n_agents", MAX_AGENTS),
     ([], f"tp_max = {MAX_TP + 1}", "tp_max", MAX_TP),
+    (["--threads", "100000"], "", "threads", MAX_THREADS),
+    ([], f"threads = {MAX_THREADS + 1}", "threads", MAX_THREADS),
 ])
 def test_config_above_cap_exit_code(tmp_path, capsys, override, text, key,
                                     cap):
-    # before the caps, 1e11 agents ended in an untyped ArrayMemoryError
+    # before the caps, 1e11 agents ended in an untyped ArrayMemoryError,
+    # and simulate would have started 100,000 threads a year. The config
+    # is refused before any stage starts, so no such run begins here.
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"init_s50 = 0.3\nstart_year = 1950\n{text}\n")
     code = run(["calibrate", "--config", str(cfg), "--out",
@@ -516,8 +560,10 @@ def test_config_above_cap_exit_code(tmp_path, capsys, override, text, key,
     # the caps themselves are allowed
     cfg.write_text(f"tp_max = {MAX_TP}\n")
     args = build_parser().parse_args(["calibrate", "--config", str(cfg),
-                                      "--n-agents", str(MAX_AGENTS)])
-    assert build_config(args).model.n_agents == MAX_AGENTS
+                                      "--n-agents", str(MAX_AGENTS),
+                                      "--threads", str(MAX_THREADS)])
+    built = build_config(args)
+    assert (built.model.n_agents, built.threads) == (MAX_AGENTS, MAX_THREADS)
 
 
 @pytest.mark.parametrize("text", [
@@ -566,6 +612,11 @@ def test_bad_threads_env_exit_code(tmp_path, monkeypatch, capsys):
     cfg.write_text("init_s50 = 0.3\nstart_year = 1950\n")
     assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "POVDYN_THREADS" in capsys.readouterr().err
+    # above the cap from the environment too, checked like --threads
+    monkeypatch.setenv("POVDYN_THREADS", str(MAX_THREADS + 1))
+    assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "threads" in err and str(MAX_THREADS) in err
 
 
 @pytest.mark.parametrize("override", [
@@ -673,6 +724,49 @@ def test_head_count_outside_unit_interval_fails_its_definition(
     assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert "outside [0, 1]" in summary["failed"]["bad"]
+
+
+@pytest.mark.parametrize("edit, line", [("swap rows", 2),
+                                        ("rename a year", 1)])
+def test_metrics_checks_the_csv_panel_labels(tmp_path, fixtures_dir, capsys,
+                                             edit, line):
+    # the labels were not read: with agents 0 and 1 swapped, each got the
+    # other's incomes, and a column named x2003 was read as 2003; exit 0
+    panel = tmp_path / "panel"
+    shutil.copytree(fixtures_dir / "panel_small", panel)
+    rows = (panel / "panel.csv").read_text().splitlines(keepends=True)
+    if edit == "swap rows":
+        rows[1], rows[2] = rows[2], rows[1]
+    else:
+        rows[0] = rows[0].replace("y2003", "x2003")
+    (panel / "panel.csv").write_text("".join(rows))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"panel_dir = {panel}\npool_periods = 2001-2007\n"
+                   f"hcr_small = {fixtures_dir / 'hcr_small.csv'}\n")
+    assert run(["metrics", "--config", str(cfg), "--out",
+                str(tmp_path / "run")]) == EXIT_DATA
+    assert f"{panel / 'panel.csv'}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "metrics"])
+def test_no_definition_fails_before_any_work(tmp_path, fixtures_dir,
+                                             monkeypatch, capsys, command):
+    # pipeline ran the whole fit and wrote the calibration and panel
+    # files before it failed in its metrics stage; metrics read the
+    # panel first, so a missing panel_dir hid the config error (exit 3)
+    monkeypatch.chdir(fixtures_dir)
+    cfg = tmp_path / "cfg.txt"
+    if command == "pipeline":
+        cfg.write_text("".join(
+            line for line in Path("pipeline_small.cfg").read_text()
+            .splitlines(keepends=True) if not line.startswith("hcr_")))
+    else:
+        cfg.write_text(f"panel_dir = {tmp_path / 'nowhere'}\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_CONFIG
+    assert "no poverty-line definitions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metrics_panel_meta_missing_key_exit_code(tmp_path, fixtures_dir,

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,12 +233,29 @@ def test_read_panel_unknown_format(panel_copy):
 
 @pytest.mark.parametrize("changes", [
     dict(n_agents=6), dict(first_year=2001), dict(last_year=2008),
-    dict(first_year=1999, last_year=2006),
+    dict(first_year=1999, last_year=2006), dict(n_agents=10**12),
 ])
 def test_read_panel_arrays_disagree_with_meta(panel_copy, changes):
     _edit_meta(panel_copy, **changes)
     with pytest.raises(DataError):
         read_panel(panel_copy)
+
+
+def test_read_csv_panel_peak_memory_is_the_panel(tmp_path):
+    # the reader fills the year-major array one agent row at a time; it
+    # held every field of the file as a Python string, 10x the panel
+    rng = np.random.default_rng(0)
+    write_panel(IncomePanel(np.arange(1950, 2000),
+                            rng.lognormal(0, 1, (2000, 50)), 0, "f"),
+                tmp_path, fmt="csv")
+    tracemalloc.start()
+    try:
+        back = read_panel(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.incomes.shape == (2000, 50)
+    assert peak < 1.25 * back.incomes.nbytes
 
 
 def test_read_panel_missing_array_file(tmp_path):

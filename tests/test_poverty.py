@@ -792,3 +792,32 @@ def test_streamed_poverty_panel_has_no_durations():
     acc.push(np.arange(4.0))
     with pytest.raises(ValueError):
         acc.poverty_panel().duration
+
+
+def _streamed(n_agents: int, n_years: int) -> PovertyAccumulator:
+    """An accumulator at HCR 0.5 from 2000, every year pushed."""
+    hcr = AnnualSeries(np.arange(2000, 2000 + n_years), [0.5] * n_years)
+    acc = PovertyAccumulator(hcr, n_agents, (2000, 2000 + n_years - 1))
+    for _ in range(n_years):
+        acc.push(np.arange(float(n_agents)))
+    return acc
+
+
+def test_streamed_poverty_panel_counts_its_agents():
+    # it raised AttributeError: the count came from the flags
+    assert _streamed(4, 3).poverty_panel().n_agents == 4
+
+
+def test_bpl_gini_of_a_streamed_poverty_panel_is_a_value_error():
+    # it raised TypeError, indexing the missing flags
+    panel = panel_from_matrix(np.arange(8.0).reshape(4, 2), first_year=2000)
+    with pytest.raises(ValueError, match="no per-agent flags"):
+        bpl_gini_series(panel, _streamed(4, 2).poverty_panel())
+
+
+def test_push_past_the_last_hcr_year_is_a_value_error():
+    # it raised IndexError, reading a head count past the series
+    acc = _streamed(4, 2)
+    with pytest.raises(ValueError, match="all 2 HCR years already pushed"):
+        acc.push(np.arange(4.0))
+    assert len(acc.poverty_panel().years) == 2
