@@ -91,8 +91,9 @@ from .dataio import config_digest
 from .errors import (DataError, InvalidTargetError, NonContiguousSeriesError,
                      UnusableBracketError)
 from .poverty import IncomePanel
-from .rgbm import (ModelParams, Population, _checked, _components, apply_rate,
-                   bottom_share_of, step, step_components)
+from .rgbm import (ModelParams, Population, _checked, _components, _mean,
+                   _quiet, apply_rate, bottom_share_of, step,
+                   step_components)
 from .rng import STEP_TAG, RngStream
 from .series import AnnualSeries, PartialSeries
 
@@ -358,6 +359,8 @@ def _gap_margin(base: np.ndarray, relief: np.ndarray, total: float,
     return margin
 
 
+# unusable rates overflow on purpose: no warning for them
+@_quiet
 def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
              dt: float, cfg: CalibrationConfig, year: int
              ) -> tuple[float, float, bool]:
@@ -399,11 +402,9 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
             return math.copysign(math.inf, tau)  # unusable rate
         return share - target_s50
 
-    # unusable rates overflow on purpose: no warning for them
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
-                                             cfg.tolerance,
-                                             cfg.max_iterations, margin)
+    tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
+                                         cfg.tolerance, cfg.max_iterations,
+                                         margin)
     if math.isinf(residual):
         raise UnusableBracketError(
             f"year {year}: no rate in the bracket [{cfg.tau_min!r}, "
@@ -558,7 +559,7 @@ def _replay_parts(replayed: Population, noise: np.ndarray,
     gives the step :func:`step` takes from ``replayed``, bit for bit.
     """
     x = replayed.incomes
-    return _components(x, float(np.mean(x)), noise, params, relief=noise)
+    return _components(x, _mean(x), noise, params, relief=noise)
 
 
 def fit_series(initial: Population, targets: AnnualSeries,

@@ -22,14 +22,15 @@ import numpy as np
 from . import __version__
 from .calibrate import (CalibrationConfig, CalibrationResult, fit_series,
                         panel_fingerprint, replay)
-from .dataio import (PanelSpool, RunManifest, _output_dir, json_value,
-                     read_hcr_file, read_panel, read_series, write_json,
-                     write_manifest, write_panel, write_paths_csv,
-                     write_pooled_csv, write_report_csv, write_series)
+from .dataio import (_INT64_MAX, _INT64_MIN, PanelSpool, RunManifest,
+                     _output_dir, json_value, read_hcr_file, read_panel,
+                     read_series, write_json, write_manifest, write_panel,
+                     write_paths_csv, write_pooled_csv, write_report_csv,
+                     write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
-from .poverty import (PovertyAccumulator, TrajectoryBundle,
-                      persistence_report, pooled_metrics, transition_report)
+from .poverty import (PovertyAccumulator, persistence_report,
+                      pooled_metrics, transition_report)
 from .rgbm import ModelParams, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
@@ -58,11 +59,14 @@ def _parse_periods(text: str) -> tuple[tuple[int, int], ...]:
         if not part:
             continue
         try:
-            a, b = part.split("-")
-            periods.append((int(a), int(b)))
+            a, b = map(int, part.split("-"))
         except ValueError:
             raise ConfigError(
                 f"bad period {part!r}; expected e.g. 1962-1971") from None
+        if a > b:
+            raise ConfigError(f"period {part!r} runs backward; expected "
+                              "first-last, e.g. 1962-1971")
+        periods.append((a, b))
     if not periods:
         raise ConfigError("pool_periods is empty")
     return tuple(periods)
@@ -274,6 +278,10 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if cfg.init_s50 is not None and not 0.0 < cfg.init_s50 <= 0.5:
         raise ConfigError(f"init_s50 must be in (0, 0.5], got "
                           f"{cfg.init_s50!r}")
+    # a year is an int64, as the CSV reader requires
+    if not _INT64_MIN <= (cfg.start_year or 0) <= _INT64_MAX:
+        raise ConfigError(f"start_year = {cfg.start_year} is outside the "
+                          "int64 range of a year")
     return cfg
 
 
@@ -381,7 +389,8 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
     ``pipeline``, and the panel file is transposed from the spool."""
     init_s50, start_year, _ = _initial_state(cfg)
     out = cfg.out_dir
-    with PanelSpool(out, np.arange(start_year, rates.last_year + 1),
+    # sized by the rates: replay refuses a start_year not the year before
+    with PanelSpool(out, np.arange(rates.first_year - 1, rates.last_year + 1),
                     cfg.model.n_agents, cfg.seed) as spool:
         # drawn in the call, as in _run_calibration: replay holds the only
         # reference and frees it at the first step
@@ -403,11 +412,8 @@ def _metric_rows(line, trans, persist, bpl):
     for year, z in zip(map(int, line.years), line.z):
         rows.append((year, "poverty_line", None, float(z)))
     for i, year in enumerate(map(int, trans.years)):
-        rows.append((year, "p_in", None, float(trans.p_in[i])))
-        rows.append((year, "p_out", None, float(trans.p_out[i])))
-        rows.append((year, "p_tx", None, float(trans.p_tx[i])))
-        rows.append((year, "p_in_at_risk", None,
-                     float(trans.p_in_at_risk[i])))
+        for stat in ("p_in", "p_out", "p_tx", "p_in_at_risk"):
+            rows.append((year, stat, None, float(getattr(trans, stat)[i])))
     for t_p in sorted(persist.by_tp):
         stic, esc = persist.by_tp[t_p]
         for i, year in enumerate(map(int, persist.years)):
@@ -420,72 +426,34 @@ def _metric_rows(line, trans, persist, bpl):
     return rows
 
 
-class _Definitions:
-    """The row hook that measures every poverty-line definition.
-
-    Each year's incomes are pushed to the accumulator of every definition
-    whose HCR years include that year, so the statistics are done when
-    the last row is. A definition whose HCR file cannot be used keeps its
-    error, reported in the metrics stage. :meth:`gather` then collects
-    the incomes of the path bundles' agents from agents-major blocks.
-    """
-
-    def __init__(self, cfg: PipelineConfig, years: np.ndarray,
-                 n_agents: int):
-        self.cfg, self.years = cfg, years
-        self.definitions: dict[str, PovertyAccumulator | PovdynError] = {}
-        # cap path requests at the population size (tiny smoke runs)
-        k_below = min(cfg.paths_below, n_agents // 2)
-        k_above = min(cfg.paths_above, n_agents - k_below)
-        for name in sorted(cfg.hcr_files):
-            try:
-                hcr, file_name = read_hcr_file(cfg.hcr_files[name])
-                self.definitions[name] = PovertyAccumulator(
-                    hcr, n_agents, (int(years[0]), int(years[-1])),
-                    k_below, k_above, name=file_name or name)
-            except PovdynError as exc:
-                self.definitions[name] = exc
-        self._paths: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _accumulators(self):
-        return [(name, acc) for name, acc in self.definitions.items()
-                if isinstance(acc, PovertyAccumulator)]
-
-    def __call__(self, year: int, incomes: np.ndarray) -> None:
-        for _, acc in self._accumulators():
-            if acc.line.years[0] <= year <= acc.line.years[-1]:
-                acc.push(incomes)
-
-    def gather(self, a0: int, block: np.ndarray) -> None:
-        """Keep the path agents' incomes among the (k, T) agents-major
-        ``block`` of agents ``a0 .. a0+k-1``; ``a0 == 0`` starts over."""
-        for name, acc in self._accumulators():
-            if a0 == 0:
-                self._paths[name] = tuple(
-                    np.empty((len(agents), block.shape[1]))
-                    for agents in (acc.below, acc.above))
-            for agents, rows in zip((acc.below, acc.above), self._paths[name]):
-                lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
-                rows[lo:hi] = block[agents[lo:hi] - a0]  # agents ascending
-
-    def definition(self, name: str
-                   ) -> tuple[PovertyAccumulator, TrajectoryBundle]:
-        acc = self.definitions[name]
-        if isinstance(acc, PovdynError):
-            raise acc
-        return acc, acc.bundle(self.years, *self._paths[name],
-                               self.cfg.seed)
+def _definitions(cfg: PipelineConfig, years: np.ndarray, n_agents: int
+                 ) -> tuple[dict[str, PovertyAccumulator],
+                            dict[str, PovdynError]]:
+    """The accumulator of every poverty-line definition over the panel
+    ``years``, and the error of each whose HCR file cannot be used, which
+    the metrics stage reports."""
+    accs, failed = {}, {}
+    # cap path requests at the population size (tiny smoke runs)
+    k_below = min(cfg.paths_below, n_agents // 2)
+    k_above = min(cfg.paths_above, n_agents - k_below)
+    for name in sorted(cfg.hcr_files):
+        try:
+            hcr, file_name = read_hcr_file(cfg.hcr_files[name])
+            accs[name] = PovertyAccumulator(
+                hcr, n_agents, (int(years[0]), int(years[-1])), k_below,
+                k_above, name=file_name or name)
+        except PovdynError as exc:
+            failed[name] = exc
+    return accs, failed
 
 
 def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
-                        name: str, acc: PovertyAccumulator,
-                        bundle: TrajectoryBundle) -> dict:
-    """Write the reports of one poverty-line definition.
-
-    Returns its summary entry.
-    """
+                        name: str, acc: PovertyAccumulator) -> dict:
+    """Write the reports of one poverty-line definition; return its
+    summary entry."""
     out = cfg.out_dir
     line, pp, bpl = acc.line, acc.poverty_panel(), acc.bpl
+    years = f"{int(pp.years[0])}-{int(pp.years[-1])}"
     trans = transition_report(pp)
     persist = persistence_report(pp, range(1, cfg.tp_max + 1))
 
@@ -493,32 +461,30 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
                      out / f"metrics_{name}.csv",
                      manifest_digest=manifest.digest)
     pooled_rows = []
-    pooled_json = {}
     for first, last in cfg.pool_periods:
-        key = f"{first}-{last}"
-        pooled_json[key] = {}
         for t_p in range(1, cfg.tp_max + 1):
             pm = pooled_metrics(pp, (first, last), t_p,
                                 method=cfg.pooled_method)
             if t_p == 1:
                 for stat in ("p_in", "p_out", "p_tx"):
-                    val = getattr(pm, stat)
-                    pooled_rows.append((first, last, stat, None, val))
-                    pooled_json[key][stat] = json_value(val)
+                    pooled_rows.append((first, last, stat, None,
+                                        getattr(pm, stat)))
             pooled_rows.append((first, last, "p_stic", t_p, pm.p_stic))
             pooled_rows.append((first, last, "p_esc", t_p, pm.p_esc))
-            pooled_json[key][f"p_stic_{t_p}"] = json_value(pm.p_stic)
-            pooled_json[key][f"p_esc_{t_p}"] = json_value(pm.p_esc)
     write_pooled_csv(pooled_rows, out / f"pooled_{name}.csv",
                      manifest_digest=manifest.digest)
+    pooled: dict = {}
+    for first, last, stat, t_p, val in pooled_rows:
+        pooled.setdefault(f"{first}-{last}", {})[
+            stat if t_p is None else f"{stat}_{t_p}"] = json_value(val)
+    bundle = acc.bundle(cfg.seed)
     write_paths_csv(bundle, out / f"paths_{name}.csv",
                     manifest_digest=manifest.digest)
-    print(f"metrics[{name}]: years {int(pp.years[0])}-"
-          f"{int(pp.years[-1])}, {cfg.tp_max} spell thresholds, "
+    print(f"metrics[{name}]: years {years}, {cfg.tp_max} spell thresholds, "
           f"{len(cfg.pool_periods)} pooled periods")
     return {
-        "years": f"{int(pp.years[0])}-{int(pp.years[-1])}",
-        "pooled": pooled_json,
+        "years": years,
+        "pooled": pooled,
         "negatives_floored_years": [
             int(y) for y, f in zip(bpl.years, bpl.negatives_floored) if f],
         "paths_truncated": bundle.truncated,
@@ -547,12 +513,13 @@ def _remove_stale_reports(out: Path, written) -> None:
 
 
 def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
-                 fingerprint: str, definition) -> dict:
+                 fingerprint: str, accs: dict[str, PovertyAccumulator],
+                 failed: dict[str, PovdynError]) -> dict:
     """Write every definition's reports and ``summary.json``.
 
-    ``definition(name)`` returns the definition's finished accumulator and
-    path bundle, or raises the PovdynError that makes it fail. A report
-    that cannot be written is an OutputError, which ends the run.
+    ``accs`` holds the finished accumulators, their path incomes
+    gathered, and ``failed`` the error of each definition without one. A
+    report that cannot be written is an OutputError, which ends the run.
     """
     out = _output_dir(cfg.out_dir)
     summary: dict = {"manifest_digest": manifest.digest,
@@ -560,8 +527,10 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
                      "definitions": {}, "failed": {}}
     for name in sorted(cfg.hcr_files):
         try:
+            if name in failed:
+                raise failed[name]
             summary["definitions"][name] = _definition_metrics(
-                cfg, manifest, name, *definition(name))
+                cfg, manifest, name, accs[name])
         except OutputError:
             raise  # a report that cannot be written ends the run
         except PovdynError as exc:
@@ -614,11 +583,13 @@ def cmd_metrics(args) -> int:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
     panel = read_panel(cfg.panel_dir or cfg.out_dir)
     manifest = _make_manifest(cfg, cfg.hcr_files.values())
-    definitions = _Definitions(cfg, panel.years, panel.n_agents)
+    accs, failed = _definitions(cfg, panel.years, panel.n_agents)
     for year in map(int, panel.years):
-        definitions(year, panel.column(year))
-    definitions.gather(0, panel.incomes)
-    _run_metrics(cfg, manifest, panel.fingerprint, definitions.definition)
+        for acc in accs.values():
+            acc(year, panel.column(year))
+    for acc in accs.values():
+        acc.gather(0, panel.incomes)
+    _run_metrics(cfg, manifest, panel.fingerprint, accs, failed)
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 
@@ -639,11 +610,16 @@ def cmd_pipeline(args) -> int:
         n = cfg.model.n_agents
         years = np.arange(start_year, targets.last_year + 1)
         with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
-            definitions = _Definitions(cfg, years, n)
+            accs, failed = _definitions(cfg, years, n)
 
             def sink(year: int, incomes: np.ndarray) -> None:
                 spool(year, incomes)
-                definitions(year, incomes)
+                for acc in accs.values():
+                    acc(year, incomes)
+
+            def gather(a0: int, block: np.ndarray) -> None:
+                for acc in accs.values():
+                    acc.gather(a0, block)
             result = _run_calibration(cfg, manifest, init_s50, start_year,
                                       targets, sink=sink)
             stage = "simulate"
@@ -651,10 +627,9 @@ def cmd_pipeline(args) -> int:
                 start_year, result.tau_effective, cfg.model, cfg.seed)
             # the path bundles' incomes are read in the same pass
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
-                        on_block=definitions.gather)
+                        on_block=gather)
         stage = "metrics"
-        _run_metrics(cfg, manifest, spool.fingerprint,
-                     definitions.definition)
+        _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
     except PovdynError:
         print(f"pipeline aborted in stage '{stage}'", file=sys.stderr)
         raise

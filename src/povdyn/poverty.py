@@ -519,37 +519,40 @@ def bpl_gini_series(panel: IncomePanel, pp: PovertyPanel) -> BplGiniReport:
                          negatives_floored=flags)
 
 
-def _nearest(col: np.ndarray, idx: np.ndarray, k: int,
+def _nearest(col: np.ndarray, mask: np.ndarray, k: int,
              largest: bool) -> np.ndarray:
-    """The ``k`` agents of ``idx`` with the largest (or smallest) values.
+    """The ``k`` agents of ``mask`` with the largest (or smallest) values.
 
     Ties at the k-th value go to the highest indices when ``largest`` and
     to the lowest otherwise: the agents a stable sort of ``col`` puts
-    nearest the line. ``idx`` is ascending and so is the result; fewer
-    than ``k`` candidates returns them all.
+    nearest the line. The result is ascending; fewer than ``k`` flagged
+    agents returns them all. ``col`` is finite, so the infinite fill of
+    one masked copy never ranks among the ``k``.
     """
-    if k >= len(idx):
-        return idx
-    if k == 0:
-        return idx[:0]
-    vals = col[idx]
+    if k >= np.count_nonzero(mask):
+        return np.flatnonzero(mask)
+    if k == 0:  # partition rejects kth == len
+        return np.empty(0, dtype=np.intp)
+    vals = np.where(mask, col, -np.inf if largest else np.inf)
     pos = len(vals) - k if largest else k - 1
-    kth = np.partition(vals, pos)[pos]
-    inside = vals > kth if largest else vals < kth
-    ties = np.flatnonzero(vals == kth)
+    vals.partition(pos)
+    kth = vals[pos]
+    del vals  # freed before the masks: one copy at a time
+    inside = np.greater(col, kth) if largest else np.less(col, kth)
+    inside &= mask
+    ties = np.flatnonzero(mask & (col == kth))
     need = k - int(np.count_nonzero(inside))
     ties = ties[len(ties) - need:] if largest else ties[:need]
     inside[ties] = True
-    return idx[inside]
+    return np.flatnonzero(inside)
 
 
 def _path_agents(col: np.ndarray, is_below: np.ndarray, k_below: int,
                  k_above: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k_below`` agents nearest below the line and the ``k_above``
     nearest at or above it; ``is_below`` flags ``col`` below the line."""
-    return (_nearest(col, np.flatnonzero(is_below), k_below, largest=True),
-            _nearest(col, np.flatnonzero(~is_below), k_above,
-                     largest=False))
+    return (_nearest(col, is_below, k_below, largest=True),
+            _nearest(col, ~is_below, k_above, largest=False))
 
 
 def _bundle(years: np.ndarray, line: PovertyLineSeries, below: np.ndarray,
@@ -597,17 +600,19 @@ def sample_paths(panel: IncomePanel, line: PovertyLineSeries, k_above: int,
 
 
 class PovertyAccumulator:
-    """Every statistic of one poverty-line definition, one year at a time.
+    """Every statistic of one poverty-line definition, one row at a time.
 
-    :meth:`push` takes the incomes of the HCR years in order. For each
-    year it computes the poverty line (a partition), the poor flags, the
-    spell lengths from the previous year's, the year's row of the count
-    table and the within-poor Gini; in the first year it also picks the
-    ``k_below`` and ``k_above`` agents of the path bundle, as
-    :func:`sample_paths` does. Per agent it keeps one bool row and one
-    int32 row, whatever the number of years, so a panel that is never
-    held whole (the pipeline's, stepped by the calibration) can be
-    measured as it is made. The results equal those of :func:`classify`,
+    It is its definition's row hook: ``acc(year, incomes)`` takes the
+    panel's years in order and pushes those of the HCR series. For each
+    year :meth:`push` computes the poverty line (a partition), the poor
+    flags, the spell lengths from the previous year's, the year's row of
+    the count table and the within-poor Gini; in the first year it also
+    picks the ``k_below`` and ``k_above`` agents of the path bundle, as
+    :func:`sample_paths` does, and :meth:`gather` keeps their incomes for
+    :meth:`bundle`. Per agent it keeps one bool row and one int32 row,
+    whatever the number of years, so a panel that is never held whole
+    (the pipeline's, stepped by the calibration) can be measured as it is
+    made. The results equal those of :func:`classify`,
     :func:`transition_report`, :func:`persistence_report`,
     :func:`pooled_metrics`, :func:`bpl_gini_series` and
     :func:`sample_paths` on the whole panel, bit for bit; those functions
@@ -623,6 +628,8 @@ class PovertyAccumulator:
                  k_above: int = 0, name: str = "poverty"):
         _check_hcr(hcr, *panel_years)
         self.hcr = hcr
+        self.years = np.arange(panel_years[0], panel_years[1] + 1,
+                               dtype=np.int64)
         self.line = PovertyLineSeries(name=name, years=hcr.years.copy(),
                                       z=np.empty(len(hcr)))
         self.bpl = BplGiniReport(years=hcr.years.copy(),
@@ -631,9 +638,15 @@ class PovertyAccumulator:
                                                             dtype=bool))
         self.k_below, self.k_above = k_below, k_above
         self.below = self.above = np.empty(0, dtype=np.intp)
+        self._paths: tuple[np.ndarray, np.ndarray] | None = None
         self._poor = np.empty(n_agents, dtype=bool)
         self._spells = _Spells(n_agents, len(hcr))
         self._j = 0
+
+    def __call__(self, year: int, incomes: np.ndarray) -> None:
+        """Push ``incomes`` if ``year`` is an HCR year; skip it otherwise."""
+        if self.hcr.first_year <= year <= self.hcr.last_year:
+            self.push(incomes)
 
     def push(self, col: np.ndarray) -> None:
         """Take the incomes of the next HCR year; ValueError once every
@@ -660,10 +673,21 @@ class PovertyAccumulator:
                             _tail=self._spells.tail(),
                             _n_agents=len(self._poor))
 
-    def bundle(self, years: np.ndarray, below_paths: np.ndarray,
-               above_paths: np.ndarray, seed: int) -> TrajectoryBundle:
-        """The path bundle of the picked agents, given their incomes over
-        the panel ``years`` (rows in the order of ``below``/``above``)."""
-        return _bundle(years, self.line, self.below, self.above,
-                       below_paths, above_paths, self.k_below, self.k_above,
-                       seed)
+    def gather(self, a0: int, block: np.ndarray) -> None:
+        """Keep the picked agents' incomes among the (k, T) agents-major
+        ``block`` of agents ``a0 .. a0+k-1`` over the panel years;
+        ``a0 == 0`` starts over."""
+        if a0 == 0:
+            self._paths = tuple(np.empty((len(agents), len(self.years)))
+                                for agents in (self.below, self.above))
+        for agents, rows in zip((self.below, self.above), self._paths):
+            lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
+            rows[lo:hi] = block[agents[lo:hi] - a0]  # agents ascending
+
+    def bundle(self, seed: int) -> TrajectoryBundle:
+        """The path bundle of the picked agents over the panel years, from
+        the incomes :meth:`gather` kept; ValueError before any block."""
+        if self._paths is None:
+            raise ValueError("no block of the panel gathered")
+        return _bundle(self.years, self.line, self.below, self.above,
+                       *self._paths, self.k_below, self.k_above, seed)

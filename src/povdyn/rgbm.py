@@ -117,6 +117,20 @@ def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
             if b > a]
 
 
+# A step may overflow: _checked and the calibration's rate search report
+# every such overflow as a typed error, so the stepping arithmetic runs
+# without NumPy's overflow and invalid-value warnings. The error state is
+# per thread, so each function that a worker thread runs sets it.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
+def _mean(x: np.ndarray) -> float:
+    """The pre-step population mean of ``x``."""
+    return float(np.mean(x))
+
+
+@_quiet
 def _components(x: np.ndarray, m: float, w: np.ndarray, params: ModelParams,
                 relief: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +179,7 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     x = pop.incomes
-    m = float(np.mean(x))
+    m = _mean(x)
     out = np.empty_like(x)
 
     def update(lo: int, hi: int) -> None:
@@ -199,9 +213,10 @@ def step_components(pop: Population, params: ModelParams, rng: RngStream,
     if noise is None:
         noise = rng.normals(pop.year, STEP_TAG, 0, pop.n, params.dt)
     x = pop.incomes
-    return _components(x, float(np.mean(x)), noise, params)
+    return _components(x, _mean(x), noise, params)
 
 
+@_quiet
 def apply_rate(base: np.ndarray, relief: np.ndarray, tau: float, dt: float,
                out: np.ndarray | None = None) -> np.ndarray:
     """Stepped incomes ``base - (tau*dt)*relief`` (see step_components).
@@ -218,6 +233,7 @@ def apply_rate(base: np.ndarray, relief: np.ndarray, tau: float, dt: float,
     return np.subtract(base, out, out=out)
 
 
+@_quiet
 def bottom_share(pop: Population, fraction: float = 0.5) -> float:
     """Income share of the poorest ``floor(fraction*N)`` agents.
 
@@ -239,6 +255,7 @@ def bottom_share(pop: Population, fraction: float = 0.5) -> float:
     return share
 
 
+@_quiet
 def bottom_share_of(incomes: np.ndarray, fraction: float,
                     overwrite_input: bool = False) -> float:
     """bottom_share on a bare vector (hot path of the calibration search).

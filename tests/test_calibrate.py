@@ -528,13 +528,12 @@ def test_validation_overflow_names_the_replay_agent_and_year(monkeypatch):
     monkeypatch.setattr(calibrate, "_search_tau",
                         lambda *args: (next(rates), 0.0, False))
     cfg = CalibrationConfig(smoothing_window=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PropagationOverflowError) as fit_error:
-            fit_series(pop0, targets, params, cfg, seed=24)
-        with pytest.raises(PropagationOverflowError) as replay_error:
-            replay(pop0, AnnualSeries(targets.years,
-                                      np.array([0.0, 0.01, 1.7e308, 0.0])),
-                   params, seed=24)
+    with pytest.raises(PropagationOverflowError) as fit_error:
+        fit_series(pop0, targets, params, cfg, seed=24)
+    with pytest.raises(PropagationOverflowError) as replay_error:
+        replay(pop0, AnnualSeries(targets.years,
+                                  np.array([0.0, 0.01, 1.7e308, 0.0])),
+               params, seed=24)
     assert fit_error.value.year == replay_error.value.year == 1952
     assert fit_error.value.agent == replay_error.value.agent
 

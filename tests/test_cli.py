@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,9 +273,7 @@ def test_simulate_leaves_no_spool(tmp_path, monkeypatch, capsys, stage):
             raise OSError(28, "No space left on device")
         monkeypatch.setattr(dataio.PanelSpool, "read_agents", failing_read)
         code = EXIT_IO
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", "--config", str(cfg), "--out",
-                     str(out)]) == code
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
     assert seen and all(seen)
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err
@@ -402,17 +401,17 @@ def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
     # Peak, in float64 N-vectors: the stored panel, which metrics reads
     # whole (T + 1 vectors over T years of HCR), and per definition the
     # accumulator's int32 spell row and bool flag row (1/2 + 1/8, three
-    # definitions: 1 + 7/8). Above them, the largest moment is the first
-    # year's path pick of the 0.2 definition: the agents at or above its
-    # line, 80% of them, are indexed (intp), their incomes gathered and a
-    # copy partitioned, 3 x 0.8 = 2.4 vectors, beside boolean masks of
-    # under 1/4. Every other step of a year (the line's partition copy,
-    # the count row's intp key, the within-poor Gini's subset, sorted
-    # copy and weights) needs less. That makes the panel + 4.525, under
-    # the bound of the panel + 4 + 5/8; what is left is small objects and
-    # the count tables, whose size grows with the square of the years
-    # but stays far under a vector. So from 20 to 60 years the peak grows
-    # by the panel's 40 vectors, within one.
+    # definitions: 1 + 7/8). Above them, the largest moment is the
+    # within-poor Gini of the 0.5 definition: the poor incomes compressed,
+    # a sorted copy and the weights, 3 x 0.5 = 1.5 vectors. Every other
+    # step of a year needs less: the line's partition copy and the count
+    # row's intp key take one vector each, and the first year's path pick
+    # one masked copy of the column, partitioned in place, beside boolean
+    # masks of under 1/4. That makes the panel + 3.375, under the bound
+    # of the panel + 3 + 5/8; what is left is small objects and the count
+    # tables, whose size grows with the square of the years but stays far
+    # under a vector. So from 20 to 60 years the peak grows by the
+    # panel's 40 vectors, within one.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -433,7 +432,7 @@ def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
             tracemalloc.stop()
     assert abs(peaks[60] - peaks[20] - 40 * 8 * n) <= 8 * n
     for n_years, peak in peaks.items():
-        assert peak <= (n_years + 1 + 4 + 5 / 8) * 8 * n
+        assert peak <= (n_years + 1 + 3 + 5 / 8) * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +579,64 @@ def test_bad_report_or_start_value_exit_code(tmp_path, capsys, text):
                 str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert text.split()[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, code", [
+    ("100000000000000000000", EXIT_CONFIG),
+    ("-9223372036854775808", EXIT_DATA),
+])
+def test_start_year_far_from_the_rates_is_no_traceback(tmp_path, capsys,
+                                                       value, code):
+    # both ended in np.arange's "Maximum allowed size exceeded", a
+    # traceback with exit 1: a start year past int64 is a config error, and
+    # one that is not the year before the rates is the replay's data error
+    cfg = _simulate_config(tmp_path, [0.01] * 3, 50)
+    cfg.write_text(cfg.read_text().replace("1950", value))
+    assert run(["simulate", "--config", str(cfg), "--out",
+                str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "start_year" in err if code == EXIT_CONFIG else "expected" in err
+
+
+def test_backward_pool_period_is_a_config_error(tmp_path, fixtures_dir,
+                                                monkeypatch, capsys):
+    # it passed the config; the pipeline then fitted, wrote every
+    # calibration and panel file, and failed every definition (exit 3)
+    monkeypatch.chdir(fixtures_dir)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text((fixtures_dir / "pipeline_small.cfg").read_text()
+                   + "pool_periods = 1962-1971, 1971-1962\n")
+    out = tmp_path / "o"
+    assert run(["pipeline", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'1971-1962'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, threads", [
+    ("simulate", "1"), ("simulate", "2"), ("calibrate", "1"),
+])
+def test_overflow_is_a_typed_error_without_a_warning(tmp_path, fixtures_dir,
+                                                     capsys, command,
+                                                     threads):
+    # NumPy's overflow RuntimeWarning came before the typed error, and
+    # under -W error it ended the run in a traceback (exit 1); the error
+    # state holds in simulate's step workers and the fit's helper thread
+    if command == "simulate":
+        cfg = _simulate_config(tmp_path, [0.01] * 3, 300)
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"inequality_csv = {fixtures_dir / 's50_synthetic.csv'}"
+                       "\nn_agents = 300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--config", str(cfg), "--mu", "1e308",
+                    "--threads", threads, "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith({"simulate": "error: non-finite income",
+                           "calibrate": "error: year 1952: no rate"}[command])
 
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])

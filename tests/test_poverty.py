@@ -765,8 +765,8 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = acc.bundle(panel.years, panel.incomes[acc.below],
-                             panel.incomes[acc.above], seed=3)
+            acc.gather(0, panel.incomes)
+            got = acc.bundle(seed=3)
             want = sample_paths(panel, line, k_above, k_below, seed=3)
         want_below, want_above = _argsort_selection(cols[0], want_z[0],
                                                     k_below, k_above)
@@ -776,6 +776,52 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
                       "above_agents", "below_paths", "above_paths"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert got.truncated == want.truncated
+
+
+def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
+    # fed every panel year, some before and after its HCR series, and the
+    # path incomes block by block, as the CLI does
+    rng = np.random.default_rng(15)
+    for trial in range(25):
+        mat = rng.normal(1.0, 1.5, (int(rng.integers(2, 40)), 8))
+        mat[:, 3] = rng.integers(-2, 3, len(mat))  # ties at the first line
+        panel = panel_from_matrix(mat, first_year=1990)
+        hcr = AnnualSeries(panel.years[3:6], rng.uniform(0, 1, 3))
+        n, span = panel.n_agents, (panel.first_year, panel.last_year)
+        k_below = int(rng.integers(0, n // 2 + 1))
+        k_above = int(rng.integers(0, n - k_below + 1))
+        hook = PovertyAccumulator(hcr, n, span, k_below, k_above)
+        pushed = PovertyAccumulator(hcr, n, span, k_below, k_above)
+        for year in panel.years:
+            hook(int(year), panel.column(int(year)))
+        for year in hcr.years:
+            pushed.push(panel.column(int(year)))
+        size = int(rng.integers(1, n + 1))
+        for a0 in range(0, n, size):
+            hook.gather(a0, panel.incomes[a0:a0 + size])
+        pushed.gather(0, panel.incomes)
+
+        assert np.array_equal(hook.line.z, pushed.line.z), trial
+        assert np.array_equal(_count_table(hook.poverty_panel()),
+                              _count_table(pushed.poverty_panel())), trial
+        assert np.array_equal(hook.bpl.gini, pushed.bpl.gini, equal_nan=True)
+        assert np.array_equal(hook.bpl.negatives_floored,
+                              pushed.bpl.negatives_floored)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, want = hook.bundle(seed=1), pushed.bundle(seed=1)
+        assert np.array_equal(got.years, panel.years)
+        assert np.array_equal(got.below_paths, panel.incomes[got.below_agents])
+        for field in ("line_values", "below_agents", "above_agents",
+                      "below_paths", "above_paths"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.truncated == want.truncated
+
+
+def test_accumulator_bundle_before_gather_is_a_value_error():
+    acc = _streamed(4, 2)
+    with pytest.raises(ValueError, match="no block"):
+        acc.bundle(seed=0)
 
 
 def test_accumulator_rejects_bad_head_counts():

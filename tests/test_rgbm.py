@@ -1,6 +1,7 @@
 """Population initialization, one-year propagation, and bottom shares."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,7 +162,11 @@ def test_log_variance_widens_without_reallocation():
 def test_overflow_names_agent_and_year():
     pop = Population(np.array([1e308, 1.0]), 1999)
     params = ModelParams(mu=10.0, sigma=0.0, dt=1e6, n_agents=2)
-    with pytest.raises(PropagationOverflowError) as err:
+    # the typed error alone: NumPy's RuntimeWarning came first before, and
+    # under -W error it was the error
+    with warnings.catch_warnings(), \
+            pytest.raises(PropagationOverflowError) as err:
+        warnings.simplefilter("error")
         step(pop, params, 0.0, RngStream(0))
     assert err.value.agent == 0
     assert err.value.year == 1999
