@@ -29,8 +29,8 @@ from .dataio import (_INT64_MAX, _INT64_MIN, PanelSpool, RunManifest,
                      write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
-from .poverty import (PovertyAccumulator, persistence_report,
-                      pooled_metrics, transition_report)
+from .poverty import (PovertyAccumulator, _check_period, _pooled,
+                      persistence_report, transition_report)
 from .rgbm import ModelParams, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
@@ -407,31 +407,23 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
     _flag_share_range("shares", shares)
 
 
-def _metric_rows(line, trans, persist, bpl):
-    rows = []
-    for year, z in zip(map(int, line.years), line.z):
-        rows.append((year, "poverty_line", None, float(z)))
-    for i, year in enumerate(map(int, trans.years)):
-        for stat in ("p_in", "p_out", "p_tx", "p_in_at_risk"):
-            rows.append((year, stat, None, float(getattr(trans, stat)[i])))
-    for t_p in sorted(persist.by_tp):
-        stic, esc = persist.by_tp[t_p]
-        for i, year in enumerate(map(int, persist.years)):
-            rows.append((year, "p_stic", t_p, float(stic[i])))
-            rows.append((year, "p_esc", t_p, float(esc[i])))
-    for i, year in enumerate(map(int, bpl.years)):
-        rows.append((year, "bpl_gini", None, float(bpl.gini[i])))
-        rows.append((year, "bpl_negatives_floored", None,
-                     float(bpl.negatives_floored[i])))
-    return rows
+def _columns(keys, names, values, t_ps=None) -> list:
+    """Report columns (key, statistic, t_p, value) of the statistics
+    ``names``, a row per key and name, keys outer: ``values`` holds one
+    array over ``keys`` per name, ``t_ps`` each name's threshold (0:
+    none)."""
+    return [np.repeat(keys, len(names)), names * len(keys),
+            np.tile([0] * len(names) if t_ps is None else t_ps, len(keys)),
+            np.stack(values, axis=1).ravel()]
 
 
 def _definitions(cfg: PipelineConfig, years: np.ndarray, n_agents: int
                  ) -> tuple[dict[str, PovertyAccumulator],
                             dict[str, PovdynError]]:
     """The accumulator of every poverty-line definition over the panel
-    ``years``, and the error of each whose HCR file cannot be used, which
-    the metrics stage reports."""
+    ``years``, and the error of each whose HCR file cannot be used or
+    whose HCR years do not hold every pool period, which the metrics
+    stage reports."""
     accs, failed = {}, {}
     # cap path requests at the population size (tiny smoke runs)
     k_below = min(cfg.paths_below, n_agents // 2)
@@ -439,9 +431,12 @@ def _definitions(cfg: PipelineConfig, years: np.ndarray, n_agents: int
     for name in sorted(cfg.hcr_files):
         try:
             hcr, file_name = read_hcr_file(cfg.hcr_files[name])
-            accs[name] = PovertyAccumulator(
+            acc = PovertyAccumulator(
                 hcr, n_agents, (int(years[0]), int(years[-1])), k_below,
                 k_above, name=file_name or name)
+            for period in cfg.pool_periods:
+                _check_period(period, hcr.first_year, hcr.last_year)
+            accs[name] = acc
         except PovdynError as exc:
             failed[name] = exc
     return accs, failed
@@ -454,29 +449,32 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
     out = cfg.out_dir
     line, pp, bpl = acc.line, acc.poverty_panel(), acc.bpl
     years = f"{int(pp.years[0])}-{int(pp.years[-1])}"
+    t_ps = range(1, cfg.tp_max + 1)
     trans = transition_report(pp)
-    persist = persistence_report(pp, range(1, cfg.tp_max + 1))
-
-    write_report_csv(_metric_rows(line, trans, persist, bpl),
+    persist = persistence_report(pp, t_ps)
+    blocks = [
+        _columns(line.years, ["poverty_line"], [line.z]),
+        _columns(trans.years, ["p_in", "p_out", "p_tx", "p_in_at_risk"],
+                 [trans.p_in, trans.p_out, trans.p_tx, trans.p_in_at_risk]),
+        *(_columns(persist.years, ["p_stic", "p_esc"], persist.by_tp[t],
+                   [t, t]) for t in t_ps),
+        _columns(bpl.years, ["bpl_gini", "bpl_negatives_floored"],
+                 [bpl.gini, bpl.negatives_floored])]
+    year, stat, t_p, value = zip(*blocks)
+    write_report_csv((np.concatenate(year), [s for ss in stat for s in ss],
+                      np.concatenate(t_p), np.concatenate(value)),
                      out / f"metrics_{name}.csv",
                      manifest_digest=manifest.digest)
-    pooled_rows = []
-    for first, last in cfg.pool_periods:
-        for t_p in range(1, cfg.tp_max + 1):
-            pm = pooled_metrics(pp, (first, last), t_p,
-                                method=cfg.pooled_method)
-            if t_p == 1:
-                for stat in ("p_in", "p_out", "p_tx"):
-                    pooled_rows.append((first, last, stat, None,
-                                        getattr(pm, stat)))
-            pooled_rows.append((first, last, "p_stic", t_p, pm.p_stic))
-            pooled_rows.append((first, last, "p_esc", t_p, pm.p_esc))
-    write_pooled_csv(pooled_rows, out / f"pooled_{name}.csv",
+    # per period: p_in, p_out and p_tx, then p_stic and p_esc per t_p
+    names = ["p_in", "p_out", "p_tx"] + ["p_stic", "p_esc"] * len(t_ps)
+    thresholds = [0, 0, 0] + [t for t in t_ps for _ in range(2)]
+    pooled = _pooled(pp, cfg.pool_periods, t_ps, cfg.pooled_method)
+    firsts, lasts = np.array(cfg.pool_periods).T
+    first, *columns = _columns(firsts, names, pooled.T, thresholds)
+    write_pooled_csv([first, np.repeat(lasts, len(names)), *columns],
+                     out / f"pooled_{name}.csv",
                      manifest_digest=manifest.digest)
-    pooled: dict = {}
-    for first, last, stat, t_p, val in pooled_rows:
-        pooled.setdefault(f"{first}-{last}", {})[
-            stat if t_p is None else f"{stat}_{t_p}"] = json_value(val)
+    keys = [f"{s}_{t}" if t else s for s, t in zip(names, thresholds)]
     bundle = acc.bundle(cfg.seed)
     write_paths_csv(bundle, out / f"paths_{name}.csv",
                     manifest_digest=manifest.digest)
@@ -484,7 +482,9 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
           f"{len(cfg.pool_periods)} pooled periods")
     return {
         "years": years,
-        "pooled": pooled,
+        "pooled": {f"{a}-{b}": dict(zip(keys, map(json_value, row)))
+                   for (a, b), row in zip(cfg.pool_periods,
+                                          pooled.tolist())},
         "negatives_floored_years": [
             int(y) for y, f in zip(bpl.years, bpl.negatives_floored) if f],
         "paths_truncated": bundle.truncated,
@@ -526,16 +526,12 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
                      "panel_fingerprint": fingerprint,
                      "definitions": {}, "failed": {}}
     for name in sorted(cfg.hcr_files):
-        try:
-            if name in failed:
-                raise failed[name]
+        if name in failed:
+            summary["failed"][name] = str(failed[name])
+            print(f"metrics[{name}] failed: {failed[name]}", file=sys.stderr)
+        else:
             summary["definitions"][name] = _definition_metrics(
                 cfg, manifest, name, accs[name])
-        except OutputError:
-            raise  # a report that cannot be written ends the run
-        except PovdynError as exc:
-            summary["failed"][name] = str(exc)
-            print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
     _remove_stale_reports(out, summary["definitions"])
     write_json(summary, out / "summary.json")
     if not summary["definitions"]:
@@ -609,8 +605,12 @@ def cmd_pipeline(args) -> int:
         init_s50, start_year, targets = _calibration_inputs(cfg)
         n = cfg.model.n_agents
         years = np.arange(start_year, targets.last_year + 1)
+        accs, failed = _definitions(cfg, years, n)
+        if not accs:  # nothing to measure: fail before the fit
+            for name, exc in failed.items():
+                print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
+            raise DataError("all poverty-line definitions failed")
         with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
-            accs, failed = _definitions(cfg, years, n)
 
             def sink(year: int, incomes: np.ndarray) -> None:
                 spool(year, incomes)

@@ -27,13 +27,6 @@ from .series import AnnualSeries
 FLOAT_FMT = "%.12g"
 
 
-def fmt_value(x: float) -> str:
-    """Render one value: empty string for NaN, 12 significant digits else."""
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return FLOAT_FMT % x
-
-
 def json_value(x: float):
     """JSON rendering: null for NaN/inf (JSON has no non-finite numbers)."""
     if isinstance(x, float) and not math.isfinite(x):
@@ -91,16 +84,36 @@ def _output_dir(path) -> Path:
     return path
 
 
-def _write_csv(path, header, rows, manifest_digest: str | None = None
+def _fields(values) -> tuple[list[str], list[bool]]:
+    """The fields of a float array, flattened, and which are undefined:
+    12 significant digits, or an empty field for NaN."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    undefined = np.isnan(values).tolist()
+    return ["" if u else FLOAT_FMT % v
+            for v, u in zip(values.tolist(), undefined)], undefined
+
+
+def _matrix(lead, values: np.ndarray) -> tuple:
+    """CSV columns: the ``lead`` fields, then one column of fields per
+    column of the 2-D ``values``."""
+    text, width = _fields(values)[0], values.shape[1]
+    return (lead, *(text[c::width] for c in range(width)))
+
+
+def _write_csv(path, header, blocks, manifest_digest: str | None = None
                ) -> None:
     """A CSV file: the ``# manifest:`` line (if a digest is given), the
-    header, then the rows."""
+    header, then each block of rows, given as columns of fields. The rows
+    are streamed, never joined into one string, so a report takes no more
+    memory than its columns. Row fields are ints, 12-digit numbers and
+    fixed names, which never need quoting; the header may hold a caller's
+    column name, so it goes through ``csv.writer``."""
     with _output(path) as f:
         if manifest_digest:
             f.write(f"# manifest: {manifest_digest}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(f, lineterminator="\n").writerow(header)
+        for columns in blocks:
+            f.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +219,8 @@ def read_hcr_file(path) -> tuple[AnnualSeries, str | None]:
 def write_series(series: AnnualSeries, path, value_col: str = "value",
                  manifest_digest: str | None = None) -> None:
     _write_csv(path, ["year", value_col],
-               ([year, fmt_value(value)] for year, value in series),
+               [_matrix(map(str, series.years.tolist()),
+                        series.values[:, None])],
                manifest_digest)
 
 
@@ -341,9 +355,8 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None
         written = [out_dir / "panel.csv"]
         _write_csv(written[0],
                    ["agent"] + [f"y{int(y)}" for y in panel.years],
-                   ([i] + [fmt_value(float(v)) for v in row]
-                    for a0, block in _agent_blocks(panel, on_block)
-                    for i, row in enumerate(block, start=a0)))
+                   (_matrix(map(str, range(a0, a0 + len(block))), block)
+                    for a0, block in _agent_blocks(panel, on_block)))
     else:
         raise ValueError(f"unknown panel format {fmt!r}")
     meta = {
@@ -520,22 +533,26 @@ def read_panel(directory):
 # ---------------------------------------------------------------------------
 # metric reports
 
-def _stat_fields(t_p, value) -> list:
-    """The ``t_p``, ``value`` and ``defined`` fields of a report row."""
-    defined = 0 if isinstance(value, float) and math.isnan(value) else 1
-    return ["" if t_p is None else int(t_p), fmt_value(float(value)), defined]
-
-
-def write_report_csv(rows, path, manifest_digest: str | None = None) -> None:
-    """Write report rows (year, statistic, t_p, value) with defined flags.
-
-    NaN values serialize as empty fields with defined=0; an empty row list
-    produces a header-only file.
-    """
-    _write_csv(path, ["year", "statistic", "t_p", "value", "defined"],
-               ([year, statistic, *_stat_fields(t_p, value)]
-                for year, statistic, t_p, value in rows),
+def _write_stats(path, keys, columns, manifest_digest: str | None
+                 ) -> None:
+    """A report from its columns: the integer ``keys``, then statistic,
+    t_p and value, and a defined flag. A t_p of 0 or None is an empty
+    field (no spell threshold); NaN is an empty value with defined=0."""
+    *ints, statistics, t_ps, values = columns
+    text, undefined = _fields(values)
+    _write_csv(path, [*keys, "statistic", "t_p", "value", "defined"],
+               [(*(map(str, np.asarray(c).tolist()) for c in ints),
+                 statistics,
+                 (str(t) if t else "" for t in np.asarray(t_ps).tolist()),
+                 text, ("0" if u else "1" for u in undefined))],
                manifest_digest)
+
+
+def write_report_csv(columns, path, manifest_digest: str | None = None
+                     ) -> None:
+    """Write report columns (year, statistic, t_p, value) with defined
+    flags; empty columns produce a header-only file."""
+    _write_stats(path, ["year"], columns, manifest_digest)
 
 
 def read_report_csv(path) -> list[tuple]:
@@ -554,27 +571,23 @@ def read_report_csv(path) -> list[tuple]:
     return out
 
 
-def write_pooled_csv(rows, path, manifest_digest: str | None = None) -> None:
-    """Write period-pooled rows (first, last, statistic, t_p, value)."""
-    _write_csv(path, ["period_start", "period_end", "statistic", "t_p",
-                      "value", "defined"],
-               ([first, last, statistic, *_stat_fields(t_p, value)]
-                for first, last, statistic, t_p, value in rows),
-               manifest_digest)
+def write_pooled_csv(columns, path, manifest_digest: str | None = None
+                     ) -> None:
+    """Write period-pooled columns (first, last, statistic, t_p, value)."""
+    _write_stats(path, ["period_start", "period_end"], columns,
+                 manifest_digest)
 
 
 def write_paths_csv(bundle, path, manifest_digest: str | None = None) -> None:
     """Plot-ready trajectory export: line plus one column per sampled agent."""
-    line_by_year = dict(zip(map(int, bundle.line_years), bundle.line_values))
-    _write_csv(path,
-               ["year", "poverty_line"]
+    line = dict(zip(bundle.line_years.tolist(), bundle.line_values.tolist()))
+    years = bundle.years.tolist()
+    values = np.column_stack([[line.get(y, math.nan) for y in years],
+                              bundle.below_paths.T, bundle.above_paths.T])
+    _write_csv(path, ["year", "poverty_line"]
                + [f"below_{int(a)}" for a in bundle.below_agents]
                + [f"above_{int(a)}" for a in bundle.above_agents],
-               ([year, fmt_value(float(line_by_year.get(year, math.nan)))]
-                + [fmt_value(float(v)) for v in bundle.below_paths[:, j]]
-                + [fmt_value(float(v)) for v in bundle.above_paths[:, j]]
-                for j, year in enumerate(map(int, bundle.years))),
-               manifest_digest)
+               [_matrix(map(str, years), values)], manifest_digest)
 
 
 def write_json(obj, path) -> None:

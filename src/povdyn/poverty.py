@@ -418,6 +418,51 @@ def persistence_report(pp: PovertyPanel, tp_values=range(1, 11)
     return report
 
 
+def _check_period(period, first_year: int, last_year: int
+                  ) -> tuple[int, int]:
+    """A pool period as ``(first, last)``; DataError unless it runs forward
+    inside the poverty years ``first_year..last_year`` past the first."""
+    first, last = int(period[0]), int(period[1])
+    if first > last:
+        raise DataError(f"invalid period {first}..{last}")
+    if first < first_year or last > last_year:
+        raise DataError(f"period {first}..{last} outside poverty panel "
+                        f"years {first_year}..{last_year}")
+    if last <= first_year:  # no year with a predecessor to evaluate
+        raise DataError(f"period {first}..{last} has no evaluable years")
+    return first, last
+
+
+def _pooled(pp: PovertyPanel, periods, t_ps, method: str) -> np.ndarray:
+    """Pooled statistics of checked periods, one row per period: p_in,
+    p_out and p_tx, then p_stic and p_esc for each threshold of ``t_ps``.
+
+    ``counts`` sums each period's count rows once (int64, exact), then
+    divides. ``mean`` averages each annual statistic's defined values in
+    year order, as ``np.mean`` does (``add.reduce`` over the values alone:
+    for fewer than 128 values the pairwise sum runs eight accumulators, so
+    padding or masking in place would move the bits).
+    """
+    def stats(rows):  # along a new last axis
+        persist = (p for t_p in t_ps for p in _persistence(rows, t_p)[::-1])
+        return np.stack([*_transitions(rows)[:3], *persist], axis=-1)
+
+    y0, table = int(pp.years[0]), _count_table(pp)
+    # table row i holds the step into year y0 + 1 + i
+    spans = [(max(first, y0 + 1) - y0 - 1, last - y0)
+             for first, last in periods]
+    if method == "counts":
+        return stats(np.stack([table[lo:hi].sum(axis=0)
+                               for lo, hi in spans]))
+    annual = stats(table)
+    out = np.empty((len(spans), annual.shape[1]))
+    for i, (lo, hi) in enumerate(spans):
+        for s, values in enumerate(annual[lo:hi].T):
+            v = values[~np.isnan(values)]
+            out[i, s] = np.add.reduce(v) / len(v) if len(v) else np.nan
+    return out
+
+
 def pooled_metrics(pp: PovertyPanel, period: tuple[int, int], t_p: int,
                    method: str = "counts") -> PooledMetrics:
     """Pool transition and persistence statistics over a year range.
@@ -426,41 +471,13 @@ def pooled_metrics(pp: PovertyPanel, period: tuple[int, int], t_p: int,
     before dividing, weighting years by exposure; ``mean`` averages the
     defined annual probabilities instead.
     """
-    first, last = int(period[0]), int(period[1])
-    if first > last:
-        raise DataError(f"invalid period {first}..{last}")
-    y0 = int(pp.years[0])
-    if first < y0 or last > pp.years[-1]:
-        raise DataError(
-            f"period {first}..{last} outside poverty panel years "
-            f"{y0}..{int(pp.years[-1])}"
-        )
+    first, last = _check_period(period, int(pp.years[0]),
+                                int(pp.years[-1]))
     if method not in ("counts", "mean"):
         raise ValueError("method must be 'counts' or 'mean'")
-    # evaluation years need a predecessor inside the panel
-    if last <= y0:
-        raise DataError(f"period {first}..{last} has no evaluable years")
-    # table row i holds the step into year y0 + 1 + i
-    rows = _count_table(pp)[max(first, y0 + 1) - y0 - 1:last - y0]
-
-    if method == "counts":
-        rows = rows.sum(axis=0)  # one row of counts summed over the years
-        pool = float
-    else:
-        pool = _nanmean
-    p_in, p_out, p_tx, _ = _transitions(rows)
-    p_esc, p_stic = _persistence(rows, t_p)
-    return PooledMetrics(
-        first_year=first, last_year=last, t_p=t_p,
-        p_in=pool(p_in), p_out=pool(p_out), p_tx=pool(p_tx),
-        p_esc=pool(p_esc), p_stic=pool(p_stic),
-    )
-
-
-def _nanmean(values: np.ndarray) -> float:
-    """Mean of the defined (non-NaN) values in year order; NaN if none."""
-    values = values[~np.isnan(values)]
-    return float(np.mean(values)) if len(values) else float("nan")
+    p_in, p_out, p_tx, p_stic, p_esc = _pooled(
+        pp, [(first, last)], [t_p], method)[0].tolist()
+    return PooledMetrics(first, last, t_p, p_in, p_out, p_tx, p_esc, p_stic)
 
 
 def gini(values) -> float:
@@ -473,7 +490,7 @@ def gini(values) -> float:
     its bits do not depend on the BLAS thread count and no BLAS worker
     thread is woken.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = np.array(values, dtype=np.float64)  # a private copy, sorted in place
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("gini needs a non-empty 1-D vector")
     if np.any(x < 0):
@@ -481,8 +498,14 @@ def gini(values) -> float:
     total = float(np.sum(x))
     if total <= 0:
         raise UndefinedGiniError("value sum must be positive")
-    n = len(x)
-    xs = np.sort(x)
+    return _gini(x, total)
+
+
+def _gini(xs: np.ndarray, total: float) -> float:
+    """The Gini of non-negative ``xs``, which it sorts in place, given
+    their positive ``total``, summed before the sort."""
+    xs.sort()
+    n = len(xs)
     # 2i - n - 1 for i = 1..n; exact integers, so the step form is exact
     weights = np.arange(1.0 - n, n, 2.0)
     # mathematically >= 0; clamp the cancellation residue for equal values
@@ -496,14 +519,16 @@ def _bpl_gini(col: np.ndarray, poor: np.ndarray) -> tuple[float, bool]:
     NaN when no agent is poor or every poor income floors to 0.
     """
     # compress: the same values as boolean indexing, several times
-    # faster on an irregular mask
+    # faster on an irregular mask; a private copy, floored and sorted in
+    # place
     subset = np.compress(poor, col)
     if len(subset) == 0:
         return math.nan, False
     floored = bool(np.any(subset < 0))
     np.maximum(subset, 0.0, out=subset)
-    if float(np.sum(subset)) > 0:
-        return gini(subset), floored
+    total = float(np.sum(subset))  # in compress order, as gini sums it
+    if total > 0:
+        return _gini(subset, total), floored
     return math.nan, floored
 
 

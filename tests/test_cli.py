@@ -80,6 +80,22 @@ def test_metrics_golden_is_byte_stable(tmp_path, fixtures_dir, monkeypatch):
                            shallow=False)
 
 
+def test_metrics_mean_pooling_matches_golden(tmp_path, fixtures_dir,
+                                             monkeypatch):
+    # the mean-pooled report of the fixture panel; addressed relatively,
+    # so even the digest line matches
+    monkeypatch.chdir(fixtures_dir)
+    cfg = tmp_path / "mean.cfg"
+    cfg.write_text((fixtures_dir / "metrics_small.cfg").read_text()
+                   + "pooled_method = mean\n")
+    out = tmp_path / "run"
+    assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_OK
+    assert filecmp.cmp(out / "pooled_small.csv",
+                       fixtures_dir / "golden" / "pooled_small_mean.csv",
+                       shallow=False)
+
+
 def test_metrics_zero_hcr_rules(tmp_path, fixtures_dir, monkeypatch):
     monkeypatch.chdir(fixtures_dir)
     zero = tmp_path / "hcr_zero.csv"
@@ -401,17 +417,20 @@ def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
     # Peak, in float64 N-vectors: the stored panel, which metrics reads
     # whole (T + 1 vectors over T years of HCR), and per definition the
     # accumulator's int32 spell row and bool flag row (1/2 + 1/8, three
-    # definitions: 1 + 7/8). Above them, the largest moment is the
-    # within-poor Gini of the 0.5 definition: the poor incomes compressed,
-    # a sorted copy and the weights, 3 x 0.5 = 1.5 vectors. Every other
-    # step of a year needs less: the line's partition copy and the count
-    # row's intp key take one vector each, and the first year's path pick
-    # one masked copy of the column, partitioned in place, beside boolean
-    # masks of under 1/4. That makes the panel + 3.375, under the bound
-    # of the panel + 3 + 5/8; what is left is small objects and the count
-    # tables, whose size grows with the square of the years but stays far
-    # under a vector. So from 20 to 60 years the peak grows by the
-    # panel's 40 vectors, within one.
+    # definitions: 1 + 7/8). Above them, the largest moment is the first
+    # year's path pick: one masked copy of the column, partitioned in
+    # place, beside the complement of the poor flags and a boolean mask
+    # (1 + 1/8 and a little). Measured with tracemalloc around each step
+    # at 20 years, that is the panel + 3.06; every other step needs
+    # less: the line's partition copy and the count row's intp key one
+    # vector each (+ 2.93 and + 2.97), and the within-poor Gini of the
+    # 0.5 definition, which sorts its compressed poor incomes in place,
+    # 0.5 for them, 0.5 for the weights and 1/16 for the negative scan
+    # (+ 2.93). So the peak is under the panel + 3 + 1/4; what is left is
+    # small objects and the count tables, whose size grows with the
+    # square of the years but stays far under a vector (+ 3.16 at 60
+    # years). So from 20 to 60 years the peak grows by the panel's 40
+    # vectors, within one.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -432,7 +451,7 @@ def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
             tracemalloc.stop()
     assert abs(peaks[60] - peaks[20] - 40 * 8 * n) <= 8 * n
     for n_years, peak in peaks.items():
-        assert peak <= (n_years + 1 + 3 + 5 / 8) * 8 * n
+        assert peak <= (n_years + 1 + 3 + 1 / 4) * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +1025,49 @@ def test_unreadable_hcr_file_fails_only_its_definition(tmp_path,
     assert main([command, "--config", str(cfg), "--out", str(out)]) \
         == EXIT_DATA
     assert "all poverty-line definitions failed" in capsys.readouterr().err
+
+
+def test_pool_period_outside_every_definition_fails_before_the_fit(
+        tmp_path, fixtures_dir, monkeypatch, capsys):
+    # each definition's periods are checked as its HCR file is read, so
+    # a run whose periods fit no definition stops before the fit and
+    # writes nothing
+    monkeypatch.chdir(fixtures_dir)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text((fixtures_dir / "pipeline_small.cfg").read_text()
+                   + "pool_periods = 1900-1910\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--n-agents", "200",
+                 "--out", str(out)]) == EXIT_DATA
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    for name in ("base", "high", "mid"):
+        assert (f"metrics[{name}] failed: period 1900..1910 outside "
+                "poverty panel years 1952..2006") in err
+    assert err.endswith("data error: all poverty-line definitions "
+                        "failed\n")
+
+
+def test_pool_period_outside_one_definition_fails_only_it(
+        tmp_path, fixtures_dir, monkeypatch):
+    monkeypatch.chdir(fixtures_dir)
+    late = tmp_path / "hcr_late.csv"
+    late.write_text("year,hcr\n" + "".join(f"{y},0.4\n"
+                                           for y in range(2004, 2008)))
+    base = (fixtures_dir / "metrics_small.cfg").read_text()
+    alone, both = tmp_path / "alone.cfg", tmp_path / "both.cfg"
+    alone.write_text(base)
+    both.write_text(base + f"hcr_late = {late}\n")
+    for cfg in (alone, both):
+        assert run(["metrics", "--config", str(cfg), "--out",
+                    str(tmp_path / cfg.stem)]) == EXIT_OK
+    for name in ("metrics_small.csv", "pooled_small.csv", "paths_small.csv"):
+        assert _strip_manifest_line(tmp_path / "both" / name) == \
+            _strip_manifest_line(tmp_path / "alone" / name)
+    summary = json.loads((tmp_path / "both" / "summary.json").read_text())
+    assert summary["failed"] == {"late": "period 2001..2003 outside poverty "
+                                         "panel years 2004..2007"}
+    assert not list((tmp_path / "both").glob("*_late.csv"))
 
 
 @pytest.mark.parametrize("name", ["", "a/b", ".", "..", "../up",

@@ -1,5 +1,7 @@
 """Series parsing, interpolation, writers, round trips, manifests."""
 
+import csv
+import io
 import json
 import shutil
 import tracemalloc
@@ -7,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from povdyn import dataio
 from povdyn.dataio import (PanelSpool, RunManifest, read_hcr_file,
                            read_manifest, read_panel, read_report_csv,
                            read_series, write_json, write_manifest,
@@ -270,7 +273,7 @@ def test_read_panel_missing_array_file(tmp_path):
 
 def test_empty_report_is_header_only(tmp_path):
     path = tmp_path / "r.csv"
-    write_report_csv([], path, manifest_digest="d" * 64)
+    write_report_csv(([], [], [], []), path, manifest_digest="d" * 64)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
     assert lines[1] == "year,statistic,t_p,value,defined"
@@ -284,7 +287,7 @@ def test_report_roundtrip_preserves_12_digits(tmp_path):
         (2001, "p_out", None, float("nan")),
     ]
     path = tmp_path / "r.csv"
-    write_report_csv(rows, path)
+    write_report_csv(list(zip(*rows)), path)
     back = read_report_csv(path)
     assert back[0][3] == pytest.approx(rows[0][3], rel=1e-11)
     assert back[1][:3] == (2000, "p_stic", 3)
@@ -293,16 +296,101 @@ def test_report_roundtrip_preserves_12_digits(tmp_path):
 
 def test_undefined_serializes_as_empty_field(tmp_path):
     path = tmp_path / "r.csv"
-    write_report_csv([(2001, "p_out", None, float("nan"))], path)
+    write_report_csv(([2001], ["p_out"], [None], [float("nan")]), path)
     data_line = path.read_text().splitlines()[1]
     assert data_line == "2001,p_out,,,0"
 
 
 def test_writer_bytes_deterministic(tmp_path):
-    rows = [(2000, "x", None, 0.1), (2001, "x", None, float("nan"))]
-    write_report_csv(rows, tmp_path / "a.csv", manifest_digest="z")
-    write_report_csv(rows, tmp_path / "b.csv", manifest_digest="z")
+    columns = ([2000, 2001], ["x", "x"], [None, None], [0.1, float("nan")])
+    write_report_csv(columns, tmp_path / "a.csv", manifest_digest="z")
+    write_report_csv(columns, tmp_path / "b.csv", manifest_digest="z")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# values every writer renders as "%.12g" does, and NaN as an empty field
+_ODD = [0.1, -2.5, float("inf"), -float("inf"), -0.0, 0.0, float("nan"),
+        1e-300, 5e-324, 123456789.123456789, 1 / 3, 7e22, -1e-7]
+
+
+def _csv_bytes(rows, digest=None) -> bytes:
+    """What csv.writer writes for ``rows`` with each float formatted by
+    "%.12g" (NaN empty), after the manifest line."""
+    buf = io.StringIO()
+    if digest:
+        buf.write(f"# manifest: {digest}\n")
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("" if np.isnan(v) else "%.12g" % v) if isinstance(v, float) else v
+         for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_report_writers_match_csv_writer(tmp_path):
+    n = len(_ODD)
+    years = list(range(1999, 1999 + n))
+    stats = [f"s{i % 3}" for i in range(n)]
+    t_ps = [i % 4 for i in range(n)]  # 0: no threshold
+    defined = [0 if np.isnan(v) else 1 for v in _ODD]
+    write_report_csv((np.array(years), stats, np.array(t_ps),
+                      np.array(_ODD)), tmp_path / "r.csv", "d" * 64)
+    assert (tmp_path / "r.csv").read_bytes() == _csv_bytes(
+        [["year", "statistic", "t_p", "value", "defined"]]
+        + [[y, s, t or "", v, d]
+           for y, s, t, v, d in zip(years, stats, t_ps, _ODD, defined)],
+        "d" * 64)
+    write_pooled_csv((years, [y + 5 for y in years], stats, t_ps, _ODD),
+                     tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == _csv_bytes(
+        [["period_start", "period_end", "statistic", "t_p", "value",
+          "defined"]]
+        + [[y, y + 5, s, t or "", v, d]
+           for y, s, t, v, d in zip(years, stats, t_ps, _ODD, defined)])
+
+
+def test_paths_and_series_writers_match_csv_writer(tmp_path):
+    odd = np.array(_ODD[:12]).reshape(3, 4)
+    bundle = TrajectoryBundle(
+        years=np.arange(2000, 2004), line_years=np.array([2001, 2002]),
+        line_values=np.array([0.5, float("inf")]),
+        below_agents=np.array([3, 8]), above_agents=np.array([11]),
+        below_paths=odd[:2], above_paths=odd[2:], seed=0)
+    write_paths_csv(bundle, tmp_path / "paths.csv", manifest_digest="m")
+    line = [float("nan"), 0.5, float("inf"), float("nan")]
+    assert (tmp_path / "paths.csv").read_bytes() == _csv_bytes(
+        [["year", "poverty_line", "below_3", "below_8", "above_11"]]
+        + [[2000 + j, line[j], *odd[:, j]] for j in range(4)], "m")
+
+    finite = [v for v in _ODD if not np.isinf(v)]
+    series = PartialSeries(np.arange(-3, len(finite) - 3), np.array(finite))
+    # the value column's name is the caller's: csv quoting still applies
+    write_series(series, tmp_path / "s.csv", value_col='a,"b"')
+    assert (tmp_path / "s.csv").read_bytes() == _csv_bytes(
+        [["year", 'a,"b"']] + [[y, v] for y, v in zip(range(-3, 99), finite)])
+
+
+def test_csv_panel_writer_matches_csv_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK", 2)  # several blocks
+    finite = [v for v in _ODD if np.isfinite(v)]
+    incomes = np.array(finite + finite[:2]).reshape(4, 3)
+    write_panel(IncomePanel(years=np.arange(1990, 1993), incomes=incomes,
+                            seed=1, fingerprint="f"), tmp_path, fmt="csv")
+    assert (tmp_path / "panel.csv").read_bytes() == _csv_bytes(
+        [["agent", "y1990", "y1991", "y1992"]]
+        + [[i, *row] for i, row in enumerate(incomes.tolist())])
+
+
+def test_csv_panel_keeps_its_bytes(tmp_path):
+    # pinned bytes: any change to the float format shows here
+    incomes = np.array([[0.1, -2.5e-7, 1 / 3, 123456789.123456789],
+                        [-0.0, 1e300, 5e-324, 2.0],
+                        [-1.5, 1e-5, 0.30000000000000004, 7e22]])
+    write_panel(IncomePanel(years=np.arange(1999, 2003), incomes=incomes,
+                            seed=3, fingerprint="f"), tmp_path, fmt="csv")
+    assert (tmp_path / "panel.csv").read_bytes() == (
+        b"agent,y1999,y2000,y2001,y2002\n"
+        b"0,0.1,-2.5e-07,0.333333333333,123456789.123\n"
+        b"1,-0,1e+300,4.94065645841e-324,2\n"
+        b"2,-1.5,1e-05,0.3,7e+22\n")
 
 
 def _spool(directory):
@@ -319,9 +407,9 @@ _BUNDLE = TrajectoryBundle(
 _WRITERS = {
     "series": lambda d: write_series(
         AnnualSeries(np.array([2000]), np.array([1.0])), d / "s.csv"),
-    "report": lambda d: write_report_csv([(2000, "x", None, 0.1)],
+    "report": lambda d: write_report_csv(([2000], ["x"], [None], [0.1]),
                                          d / "r.csv"),
-    "pooled": lambda d: write_pooled_csv([(2000, 2001, "x", 1, 0.1)],
+    "pooled": lambda d: write_pooled_csv(([2000], [2001], ["x"], [1], [0.1]),
                                          d / "p.csv"),
     "paths": lambda d: write_paths_csv(_BUNDLE, d / "paths.csv"),
     "json": lambda d: write_json({"v": 1}, d / "s.json"),

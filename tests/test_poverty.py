@@ -12,7 +12,8 @@ import pytest
 from povdyn.errors import (DataError, NonContiguousSeriesError,
                            UndefinedGiniError)
 from povdyn.poverty import (IncomePanel, PovertyAccumulator,
-                            PovertyLineSeries, _count_table, bpl_gini_series,
+                            PovertyLineSeries, _bpl_gini, _check_period,
+                            _count_table, _pooled, bpl_gini_series,
                             classify, gini, persistence_probs,
                             persistence_report, pooled_metrics,
                             poverty_line_from_hcr, sample_paths,
@@ -640,6 +641,108 @@ def test_pooled_rejects_threshold_below_one():
     for method in ("counts", "mean"):
         with pytest.raises(ValueError):
             pooled_metrics(pp, (2001, 2003), 0, method=method)
+
+
+def _per_period_pooled(pp, period, t_p, method):
+    """(p_in, p_out, p_tx, p_stic, p_esc) of one period and threshold,
+    computed on their own: Python ``int / int`` over the period's summed
+    table rows, or np.mean of the defined annual values of the
+    whole-panel reports."""
+    y0 = int(pp.years[0])
+    lo, hi = max(period[0], y0 + 1) - y0 - 1, period[1] - y0
+    if method == "counts":
+        c = _count_table(pp)[lo:hi].sum(axis=0).tolist()
+        d = min(t_p, len(c) - 1)
+        n_p_prev, n_p_cur = c[1][0] + c[1][1], c[0][1]
+        n_in, n_out = n_p_cur - c[1][1], c[1][0]
+
+        def ratio(x, y):
+            return x / y if y else float("nan")
+        return (ratio(n_in, n_p_cur), ratio(n_out, n_p_prev),
+                ratio(n_in + n_out, n_p_cur + n_p_prev),
+                ratio(c[d][1], n_p_cur), ratio(c[d][0], c[0][0]))
+    trans = transition_report(pp)
+    stic, esc = persistence_report(pp, [t_p]).by_tp[t_p]
+    return tuple(_oracle_mean(list(v[lo:hi])) for v in
+                 (trans.p_in, trans.p_out, trans.p_tx, stic, esc))
+
+
+@pytest.mark.parametrize("method", ["counts", "mean"])
+def test_pooled_arrays_equal_pooled_metrics_bit_for_bit(method):
+    # every period at once, every threshold up to past the panel's years,
+    # against pooled_metrics one period and threshold at a time and
+    # against each period and threshold computed on its own; NaN exactly
+    # where they have it. Panels of up to 40 years give means over more
+    # than eight values, where NumPy's pairwise sum unrolls.
+    rng = np.random.default_rng(31)
+    panels = [random_poverty_panel(rng, n_max=40, t_max=t_max)
+              for t_max in (3, 9, 40, 40)]
+    panels += [np.zeros((5, 6), dtype=bool),   # head count 0: all NaN
+               np.ones((4, 5), dtype=bool),
+               np.array([[1, 0], [0, 1]], dtype=bool)]
+    for poor in panels:
+        pp = pp_from_flags(poor)
+        years = [int(y) for y in pp.years]
+        periods = [(a, b) for a in years for b in years[1:] if a <= b]
+        periods = [periods[i] for i in sorted(set(
+            rng.choice(len(periods), size=min(len(periods), 30),
+                       replace=False)))] + [(years[0], years[-1])]
+        t_ps = range(1, len(years) + 3)
+        pooled = _pooled(pp, periods, t_ps, method)
+        assert pooled.shape == (len(periods), 3 + 2 * len(t_ps))
+        for row, period in zip(pooled, periods):
+            for t_p in t_ps:
+                pm = pooled_metrics(pp, period, t_p, method=method)
+                got = (*row[:3], *row[1 + 2 * t_p:3 + 2 * t_p])
+                want = (pm.p_in, pm.p_out, pm.p_tx, pm.p_stic, pm.p_esc)
+                ref = _per_period_pooled(pp, period, t_p, method)
+                for g, w, r in zip(got, want, ref):
+                    assert _same(g, w) and _same(g, r), (period, t_p)
+        if not poor.any():
+            assert np.isnan(pooled[:, [0, 1, 2, 3]]).all()
+
+
+def test_period_check_messages():
+    assert _check_period((2001, 2003), 2000, 2005) == (2001, 2003)
+    assert _check_period((2000, 2001), 2000, 2005) == (2000, 2001)
+    for period, message in (
+            ((2003, 2001), "invalid period 2003..2001"),
+            ((1999, 2001), "period 1999..2001 outside poverty panel years "
+                           "2000..2005"),
+            ((2004, 2006), "period 2004..2006 outside poverty panel years "
+                           "2000..2005"),
+            ((2000, 2000), "period 2000..2000 has no evaluable years")):
+        with pytest.raises(DataError) as err:
+            _check_period(period, 2000, 2005)
+        assert str(err.value) == message
+
+
+def _reference_gini(x) -> float:
+    """The sorted-form Gini written out: the total in the input's order,
+    the weights over a sorted copy."""
+    x = np.asarray(x, dtype=np.float64)
+    n, total = len(x), float(np.sum(x))
+    weighted = np.sum(np.arange(1.0 - n, n, 2.0) * np.sort(x))
+    return max(float(weighted / (n * total)), 0.0)
+
+
+def test_bpl_gini_sorts_its_own_copy_with_gini_bits():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 7, 129, 5000, 5000, 5000):
+        col = rng.lognormal(0.0, 1.0, n) - 0.3  # some negatives
+        keep = col.copy()
+        poor = rng.random(n) < 0.6
+        poor[0] = True
+        floored = np.maximum(col[poor], 0.0)
+        before = floored.copy()
+        want = (_reference_gini(floored) if floored.sum() > 0
+                else float("nan"))
+        if floored.sum() > 0:
+            assert _same(gini(floored), want)
+        got, negatives = _bpl_gini(col, poor)
+        assert _same(got, want) and negatives == bool((col[poor] < 0).any())
+        # neither sorts its caller's array
+        assert np.array_equal(col, keep) and np.array_equal(floored, before)
 
 
 # ---------------------------------------------------------------------------
