@@ -10,20 +10,33 @@ implementation and nothing is compiled.
 
 __version__ = "0.1.0"
 
-from .calibrate import (CalibrationConfig, CalibrationResult, YearFit,
-                        effective_tau, fit_series, fit_tau_year, replay,
-                        replay_with_effective)
-from .poverty import (BplGiniReport, IncomePanel, PersistenceReport,
-                      PooledMetrics, PovertyLineSeries, PovertyPanel,
-                      TrajectoryBundle, TransitionProbs, TransitionReport,
-                      bpl_gini_series, classify, gini, persistence_probs,
-                      persistence_report, pooled_metrics,
-                      poverty_line_from_hcr, sample_paths, transition_probs,
-                      transition_report)
-from .rgbm import (ModelParams, Population, bottom_share, init_lognormal,
-                   sigma_ln_for_share, step)
-from .rng import INIT_TAG, STEP_TAG, RngStream
-from .series import AnnualSeries, interpolate_missing, missing_year_blocks
+import os
+
+# povdyn calls no BLAS, and each OpenBLAS pool's workers spin at load: load
+# NumPy's and SciPy's with one thread unless the user set their count
+_ONE_BLAS_THREAD = not any(v in os.environ for v in (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .calibrate import (CalibrationConfig, CalibrationResult, YearFit,
+                            effective_tau, fit_series, fit_tau_year, replay,
+                            replay_with_effective)
+    from .poverty import (BplGiniReport, IncomePanel, PersistenceReport,
+                          PooledMetrics, PovertyLineSeries, PovertyPanel,
+                          TrajectoryBundle, TransitionProbs, TransitionReport,
+                          bpl_gini_series, classify, gini, persistence_probs,
+                          persistence_report, pooled_metrics,
+                          poverty_line_from_hcr, sample_paths,
+                          transition_probs, transition_report)
+    from .rgbm import (ModelParams, Population, bottom_share, init_lognormal,
+                       sigma_ln_for_share, step)
+    from .rng import INIT_TAG, STEP_TAG, RngStream
+    from .series import (AnnualSeries, interpolate_missing,
+                         missing_year_blocks)
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def backend_name() -> str:

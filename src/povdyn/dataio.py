@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tokenize
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -387,8 +388,12 @@ def _check_npy_header(f, path: Path, dtype, shape: tuple[int, ...]) -> None:
     try:
         if np.lib.format.read_magic(f) != (1, 0):
             raise ValueError("unsupported .npy format version")
-        file_shape, fortran_order, file_dtype = \
-            np.lib.format.read_array_header_1_0(f)
+        # NumPy parses the header as a Python literal: a damaged one can
+        # warn (an invalid escape) before it fails, and only the error counts
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            file_shape, fortran_order, file_dtype = \
+                np.lib.format.read_array_header_1_0(f)
     except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
         raise DataError(f"{path}: unreadable .npy header ({exc})") from None
     if file_dtype != dtype or file_shape != shape or fortran_order:

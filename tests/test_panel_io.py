@@ -10,6 +10,7 @@ block all occur.
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -169,3 +170,19 @@ def test_any_byte_damage_is_data_error_or_a_panel(name, data):
         except DataError:
             return
         assert panel.incomes.shape == (panel.n_agents, len(panel.years))
+
+
+def test_npy_header_with_a_bad_escape_is_data_error_without_a_warning(
+        tmp_path):
+    # NumPy parses the header as a Python literal, and compiling '\:8'
+    # warns of an invalid escape sequence before the parse fails
+    write_panel(_panel(6, 3), tmp_path)
+    path = tmp_path / "panel_incomes.npy"
+    raw = path.read_bytes()
+    assert raw.count(b"'<f8'") == 1
+    path.write_bytes(raw.replace(b"'<f8'", b"'\\:8'"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="unreadable .npy header"):
+            read_panel(tmp_path)
+    assert [str(w.message) for w in caught] == []

@@ -144,11 +144,16 @@ def test_invalid_range_rejected():
 # loading ndtri: each case in a fresh interpreter, in development mode with
 # warnings as errors, since a module once imported stays imported
 
-def _fresh(*parts: str):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(*parts: str, **blas: str):
     """Run the code ``parts`` in a new interpreter that imports povdyn
-    from this checkout; the JSON it prints last."""
+    from this checkout, with the BLAS thread variables in ``blas`` and no
+    others; the JSON it prints last."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(blas, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c",
          "\n".join(textwrap.dedent(p) for p in parts)],
@@ -229,3 +234,31 @@ def test_loader_falls_back_when_the_private_import_fails():
         """)
     assert got["seen"][:2] == ["scipy.special._ufuncs", "scipy.special"]
     assert got["file"] and got["kept"] and got["same"] and got["init"]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads: povdyn calls no BLAS, so its import starts no OpenBLAS worker
+# unless the user asked for them
+
+_THREADS = """
+    import json, os
+    before = dict(os.environ)
+    import povdyn.cli
+    print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                      "environ_kept": dict(os.environ) == before}))
+"""
+_NO_TASKS = not os.path.isdir("/proc/self/task")
+
+
+@pytest.mark.skipif(_NO_TASKS, reason="no /proc/self/task to count threads")
+def test_cli_import_starts_no_blas_worker():
+    assert _fresh(_THREADS) == {"threads": 1, "environ_kept": True}
+
+
+@pytest.mark.skipif(_NO_TASKS or (os.cpu_count() or 1) < 2,
+                    reason="no /proc/self/task, or OpenBLAS starts no "
+                           "worker on one core")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_users_blas_thread_count_wins(var):
+    got = _fresh(_THREADS, **{var: "2"})
+    assert got["threads"] > 1 and got["environ_kept"]
