@@ -83,6 +83,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,7 +373,12 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     finite, or when the bottom-half sum overflows; the search never
     returns one. The search certifies its midpoints with the rounding
     margin of :func:`_gap_margin`, and returns what the plain bisection
-    returns. Returns (tau, residual, clamped).
+    returns. Returns (tau, residual, clamped, share): ``share`` is the
+    bottom-half share that the search computed at ``tau``, the one
+    ``bottom_share_of`` gives for ``apply_rate(base, relief, tau, dt)``.
+    The search returns only rates whose gap it evaluated; ``share`` is
+    None where it evaluated none, in a degenerate year, whose total income
+    is not positive.
 
     Raises
     ------
@@ -388,18 +394,20 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
     # populations) leaves the share undefined for the whole bracket
     total = float(np.sum(base))
     if total <= 0.0:
-        return 0.0, abs(target_s50), True
+        return 0.0, abs(target_s50), True, None
 
     # each evaluation steps into one scratch vector and partitions it in
     # place after taking its total: no allocation per evaluation
     scratch = np.empty_like(base)
     margin = _gap_margin(base, relief, total, target_s50, dt, scratch)
+    shares = {}
 
     def gap(tau: float) -> float:
         share = bottom_share_of(apply_rate(base, relief, tau, dt, out=scratch),
                                 0.5, overwrite_input=True)
         if not math.isfinite(share):
             return math.copysign(math.inf, tau)  # unusable rate
+        shares[tau] = share
         return share - target_s50
 
     tau, residual, clamped = _search_tau(gap, cfg.tau_min, cfg.tau_max,
@@ -409,15 +417,15 @@ def _fit_one(base: np.ndarray, relief: np.ndarray, target_s50: float,
         raise UnusableBracketError(
             f"year {year}: no rate in the bracket [{cfg.tau_min!r}, "
             f"{cfg.tau_max!r}] steps to a positive, finite total income")
-    return tau, residual, clamped
+    return tau, residual, clamped, shares.get(tau)
 
 
 def fit_tau_year(state: Population, target_s50: float, params: ModelParams,
                  cfg: CalibrationConfig, rng: RngStream) -> YearFit:
     """Fit the reallocation rate for one year and step the state under it."""
     base, relief = step_components(state, params, rng)
-    tau, residual, clamped = _fit_one(base, relief, target_s50, params.dt,
-                                      cfg, state.year + 1)
+    tau, residual, clamped, _ = _fit_one(base, relief, target_s50,
+                                         params.dt, cfg, state.year + 1)
     nxt = Population(apply_rate(base, relief, tau, params.dt, out=relief),
                      state.year + 1)
     return YearFit(tau=tau, population=nxt, residual=residual,
@@ -501,7 +509,8 @@ def _row_hook(initial: Population, n_rates: int, collect_panel: bool,
 
 def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
            seed: int, threads: int = 1, collect_panel: bool = False, *,
-           _sink=None) -> tuple[PartialSeries, IncomePanel | None]:
+           _sink=None, _pool=None
+           ) -> tuple[PartialSeries, IncomePanel | None]:
     """Propagate from ``initial`` under a given rate series.
 
     Uses the same noise stream coordinates as calibration, so a replay
@@ -512,12 +521,18 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     holds none frees that vector there.
 
     Each row of the trajectory, the initial incomes first, is handed as
-    ``(year, incomes)`` to one row hook on the calling thread as soon as
-    it is stepped; the vector must not be changed or kept. With
+    ``(year, incomes)`` to one row hook as soon as it is stepped, in year
+    order; the vector must not be changed or kept. With
     ``collect_panel`` the hook fills the panel's year-major (T + 1, N)
     array. The private ``_sink`` hook lets a caller take the rows one
     year at a time instead (``simulate`` spools them to disk). Passing
     both is a ValueError.
+
+    With ``threads > 1`` the steps run on a pool of ``threads`` workers:
+    ``_pool``, the caller's executor for the whole run, or one made for
+    this call. One of its workers then hands each stepped row to the hook
+    while this thread takes the row's share, and both are done before
+    the next step starts, so no row waits in memory.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -531,11 +546,19 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     state = initial
     del initial
     shares = np.empty(len(rates))
-    for i, (year, tau) in enumerate(rates):
-        state = step(state, params, float(tau), stream, threads=threads)
-        assert state.year == year
-        shares[i] = bottom_share_of(state.incomes, 0.5)
-        sink(year, state.incomes)
+    with (ThreadPoolExecutor(max_workers=threads)
+          if _pool is None and threads > 1 else nullcontext(_pool)) as pool:
+        for i, (year, tau) in enumerate(rates):
+            state = step(state, params, float(tau), stream, threads=threads,
+                         _pool=pool)
+            assert state.year == year
+            row = (None if pool is None else
+                   pool.submit(sink, year, state.incomes))
+            shares[i] = bottom_share_of(state.incomes, 0.5)
+            if row is None:
+                sink(year, state.incomes)
+            else:
+                row.result()
     _warn_undefined(rates.years, shares)
     panel = None if rows is None else rows.panel(rates, params, seed)
     return PartialSeries(rates.years.copy(), shares), panel
@@ -644,8 +667,8 @@ def fit_series(initial: Population, targets: AnnualSeries,
             if i + 1 < len(targets):
                 nxt = helper.submit(stream.normals, year, STEP_TAG, 0, n, dt)
 
-            tau, residual, clamped = _fit_one(base, relief, float(target), dt,
-                                              cfg, year)
+            tau, residual, clamped, share = _fit_one(
+                base, relief, float(target), dt, cfg, year)
             taus[i] = tau
             tau_eff[i] = _trailing_mean(taus[:i + 1], cfg.smoothing_window)[-1]
             residuals[i] = residual
@@ -656,9 +679,13 @@ def fit_series(initial: Population, targets: AnnualSeries,
             rate = tau if cfg.forward_rate == "fitted" else float(tau_eff[i])
             state = Population(apply_rate(base, relief, rate, dt, out=relief),
                                year)
-            np.copyto(base, state.incomes)
-            fitted_shares[i] = bottom_share_of(base, 0.5,
-                                               overwrite_input=True)
+            if cfg.forward_rate == "fitted" and share is not None:
+                # the search took this share from the same stepped values
+                fitted_shares[i] = share
+            else:
+                np.copyto(base, state.incomes)
+                fitted_shares[i] = bottom_share_of(base, 0.5,
+                                                   overwrite_input=True)
             del base
 
             # finish the validation step under the smoothed rate

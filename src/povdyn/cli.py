@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -46,7 +48,7 @@ _DEFAULT_PERIODS = ((1962, 1971), (1972, 1981), (1982, 1991),
 # Caps on the config values that size the run. A typo above them would
 # ask for any amount of memory or threads; the caps reject it before
 # any stage starts. 1e8 agents is 800 MB per income vector (a fit holds
-# about ten); simulate starts up to ``threads`` OS threads every year.
+# about ten); simulate starts a pool of ``threads`` OS threads per run.
 MAX_AGENTS = 10**8
 MAX_TP = 1000
 MAX_THREADS = 256
@@ -124,7 +126,9 @@ _KEYS = {
     "panel_format": _Key(str, "npy"),
     "out_dir": _Key(Path, Path("out"), "--out", "output directory"),
     "threads": _Key(int, _env_threads, "--threads",
-                    "agent slices stepped in parallel per year by simulate "
+                    "worker threads of simulate: agent slices stepped in "
+                    "parallel per year, each year's spool write beside "
+                    "its share, and the panel file written in blocks "
                     "(never changes results); calibrate and pipeline "
                     "always use one helper thread beside the fit and "
                     "ignore it; default from POVDYN_THREADS"),
@@ -389,19 +393,24 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
     ``pipeline``, and the panel file is transposed from the spool."""
     init_s50, start_year, _ = _initial_state(cfg)
     out = cfg.out_dir
-    # sized by the rates: replay refuses a start_year not the year before
+    # sized by the rates: replay refuses a start_year not the year before;
+    # one pool of cfg.threads workers steps every year and writes the
+    # panel file, and is shut down before the spool is deleted
     with PanelSpool(out, np.arange(rates.first_year - 1, rates.last_year + 1),
-                    cfg.model.n_agents, cfg.seed) as spool:
+                    cfg.model.n_agents, cfg.seed) as spool, \
+            (ThreadPoolExecutor(max_workers=cfg.threads)
+             if cfg.threads > 1 else nullcontext()) as pool:
         # drawn in the call, as in _run_calibration: replay holds the only
         # reference and frees it at the first step
         shares, _ = replay(
             init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year),
-            rates, cfg.model, cfg.seed, threads=cfg.threads, _sink=spool)
+            rates, cfg.model, cfg.seed, threads=cfg.threads, _sink=spool,
+            _pool=pool)
         spool.fingerprint = panel_fingerprint(start_year, rates, cfg.model,
                                               cfg.seed)
         write_series(shares, out / "shares.csv",
                      manifest_digest=manifest.digest)
-        write_panel(spool, out, fmt=cfg.panel_format)
+        write_panel(spool, out, fmt=cfg.panel_format, _pool=pool)
     print(f"simulated panel: {spool.n_agents} agents, "
           f"{spool.first_year}-{spool.last_year}")
     _flag_share_range("shares", shares)

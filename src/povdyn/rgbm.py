@@ -15,7 +15,8 @@ Gini layer floors them, with a flag.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,22 +155,32 @@ def _components(x: np.ndarray, m: float, w: np.ndarray, params: ModelParams,
     return base, relief
 
 
+def _first_overflow(incomes: np.ndarray) -> int | None:
+    """Index of the first non-finite income, or None if all are finite."""
+    if np.all(np.isfinite(incomes)):
+        return None
+    return int(np.flatnonzero(~np.isfinite(incomes))[0])
+
+
 def _checked(incomes: np.ndarray, year: int) -> Population:
     """The population stepped from ``year``, or the overflow it hit."""
-    if not np.all(np.isfinite(incomes)):
-        bad = int(np.flatnonzero(~np.isfinite(incomes))[0])
+    bad = _first_overflow(incomes)
+    if bad is not None:
         raise PropagationOverflowError(bad, year)
     return Population(incomes, year + 1)
 
 
 def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
-         threads: int = 1) -> Population:
+         threads: int = 1, *, _pool=None) -> Population:
     """Propagate the population one year under reallocation rate ``tau``.
 
     The year's noise is read from the stream at (agent, pop.year), the mean
     is computed once pre-update, and the result carries ``pop.year + 1``.
     With ``threads > 1`` each worker draws the noise for its own slice of
-    agents and updates that slice; the bytes do not depend on ``threads``.
+    agents, updates that slice and checks it for overflow; the bytes do not
+    depend on ``threads``. The workers are those of ``_pool``, an executor
+    that a caller stepping many years keeps for the whole run, or else of
+    an executor made for this call.
 
     Raises
     ------
@@ -182,19 +193,29 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     m = _mean(x)
     out = np.empty_like(x)
 
-    def update(lo: int, hi: int) -> None:
+    def update(lo: int, hi: int) -> int | None:
         w = rng.normals(pop.year, STEP_TAG, lo, hi, params.dt)
         base, relief = _components(x[lo:hi], m, w, params)
         apply_rate(base, relief, tau, params.dt, out=out[lo:hi])
+        del w, base, relief  # freed before the check's masks
+        bad = _first_overflow(out[lo:hi])
+        return None if bad is None else lo + bad
 
     ranges = _chunk_ranges(pop.n, threads)
     if len(ranges) == 1:
-        update(0, pop.n)
+        found = [update(0, pop.n)]
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            for f in [pool.submit(update, lo, hi) for lo, hi in ranges]:
-                f.result()
-    return _checked(out, pop.year)
+        with (nullcontext(_pool) if _pool is not None else
+              ThreadPoolExecutor(max_workers=len(ranges))) as pool:
+            futures = [pool.submit(update, lo, hi) for lo, hi in ranges]
+            # every slice is done before a result is read: no worker
+            # writes into ``out`` once the step has returned or raised
+            wait(futures)
+            found = [f.result() for f in futures]
+    bad = [i for i in found if i is not None]
+    if bad:
+        raise PropagationOverflowError(min(bad), pop.year)
+    return Population(out, pop.year + 1)
 
 
 def step_components(pop: Population, params: ModelParams, rng: RngStream,

@@ -434,6 +434,45 @@ def test_calibration_outputs_keep_their_bytes(tmp_path, monkeypatch,
         assert hashlib.sha256(body.encode()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("forward_rate", ["fitted", "effective"])
+def test_fitted_share_is_the_searched_share(monkeypatch, forward_rate):
+    # under "fitted" a year's fitted share is the one the search took at
+    # the returned rate: one bottom_share_of per gap evaluation and one
+    # for the validation share each year; "effective" steps the forward
+    # state under another rate and takes its share too
+    params = ModelParams(n_agents=3000)
+    pop0, targets = make_targets(params, seed=31,
+                                 tau_true=[0.02, -0.01, 0.03, 0.0, 0.01])
+    calls = {"shares": 0, "gaps": 0}
+    share_of, search = calibrate.bottom_share_of, calibrate._search_tau
+
+    def counting_share(*args, **kwargs):
+        calls["shares"] += 1
+        return share_of(*args, **kwargs)
+
+    def counting_search(gap, *args):
+        if getattr(gap, "counted", False):  # a fallback's plain search
+            return search(gap, *args)
+
+        def counted(tau):
+            calls["gaps"] += 1
+            return gap(tau)
+        counted.counted = True
+        return search(counted, *args)
+
+    monkeypatch.setattr(calibrate, "bottom_share_of", counting_share)
+    monkeypatch.setattr(calibrate, "_search_tau", counting_search)
+    res = fit_series(pop0, targets, params,
+                     CalibrationConfig(forward_rate=forward_rate), seed=31)
+    per_year = {"fitted": 1, "effective": 2}[forward_rate]
+    assert calls["shares"] == calls["gaps"] + per_year * len(targets)
+    monkeypatch.undo()
+    # the forward state's trajectory under its rates, replayed
+    rates = res.tau if forward_rate == "fitted" else res.tau_effective
+    shares, _ = replay(pop0, rates, params, seed=31)
+    assert np.array_equal(res.fitted_shares.values, shares.values)
+
+
 # ---------------------------------------------------------------------------
 # unusable rates
 

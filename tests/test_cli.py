@@ -1,12 +1,15 @@
 """End-to-end CLI runs on the committed fixtures."""
 
+import errno
 import filecmp
+import io
 import itertools
 import json
 import math
 import os
 import re
 import shutil
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,6 +23,7 @@ from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
                         build_config, build_parser, main)
 from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
                            read_report_csv, read_series)
+from povdyn.rgbm import ModelParams, init_lognormal
 
 
 def run(argv):
@@ -297,6 +301,68 @@ def test_simulate_leaves_no_spool(tmp_path, monkeypatch, capsys, stage):
                            "write": "output error: "}[stage])
 
 
+@pytest.mark.parametrize("size", ["two", "block - 1", "block + 1"])
+def test_simulate_bytes_do_not_depend_on_threads(tmp_path, capsys, size):
+    # the panel of 61 years is written in blocks of as many agents as fill
+    # the writer's buffer: a panel just under one block and one just over
+    # it, written on one thread and in blocks on two and three
+    block = dataio._block_agents(MAX_AGENTS, 61)
+    n = {"two": 2, "block - 1": block - 1, "block + 1": block + 1}[size]
+    rates = [0.02 + 0.03 * math.sin(i / 7) for i in range(60)]
+    cfg = _simulate_config(tmp_path, rates, n)
+    (tmp_path / "csv.cfg").write_text(cfg.read_text()
+                                      + "panel_format = csv\n")
+    params = ModelParams(n_agents=n)
+    shares, panel = calibrate.replay(
+        init_lognormal(params, 0.3, 4, year=1950),
+        read_series(tmp_path / "rates.csv"), params, 4, collect_panel=True)
+    saved = io.BytesIO()
+    np.save(saved, np.ascontiguousarray(panel.incomes))
+    dataio.write_panel(panel, tmp_path / "ref", fmt="csv")
+    for fmt, config in (("npy", cfg), ("csv", tmp_path / "csv.cfg")):
+        written = {}
+        for threads in (1, 2, 3):
+            out = tmp_path / f"{fmt}_{threads}"
+            assert main(["simulate", "--config", str(config), "--out",
+                         str(out), "--threads", str(threads)]) == EXIT_OK
+            written[threads] = (out / "shares.csv").read_bytes()
+            assert not (out / SPOOL_NAME).exists()
+            assert np.array_equal(read_series(out / "shares.csv").values,
+                                  [float("%.12g" % v) for v in shares.values])
+            if fmt == "npy":
+                assert (out / "panel_incomes.npy").read_bytes() == \
+                    saved.getvalue()
+            else:
+                assert (out / "panel.csv").read_bytes() == \
+                    (tmp_path / "ref" / "panel.csv").read_bytes()
+        assert written[1] == written[2] == written[3]
+
+
+def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
+    # no space left while a writer thread writes its block: the run ends
+    # in the output error, the spool is gone and so are the pool's threads
+    cfg = _simulate_config(tmp_path, [0.01] * 6, 300)
+    out = tmp_path / "sim"
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 10 * 7 * 8)
+    pwrite, calls, on_main = os.pwrite, itertools.count(), []
+
+    def failing_pwrite(fd, data, offset):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if next(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    before = set(threading.enumerate())
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--threads", "2"]) == EXIT_IO
+    assert set(threading.enumerate()) == before
+    assert len(on_main) >= 4 and not any(on_main)
+    assert not (out / SPOOL_NAME).exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write "
+                          f"{out / 'panel_incomes.npy'}: [Errno 28] ")
+
+
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "metrics",
                                      "pipeline"])
 def test_out_naming_a_file_is_an_output_error(tmp_path, fixtures_dir,
@@ -316,17 +382,24 @@ def test_out_naming_a_file_is_an_output_error(tmp_path, fixtures_dir,
     assert out.read_text() == "a file\n"
 
 
-def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys,
+                                                       threads):
     # Peak, in float64 N-vectors, while a year is stepped: the state
     # being stepped and the stepped vector (2); the year's noise (1); and
-    # the step's base and relief (2). That is 5. The command draws the
-    # initial population in the replay call, and the replay drops its
-    # name for it after the row hook, so the first step frees it. The
-    # bottom share's copy and the overflow check's mask come after
-    # the step's temporaries are gone and need less. Only the shares grow
-    # with the years; the panel is spooled to disk. What is left under
-    # the bound is the noise draw's and the panel writer's block buffers
-    # and small objects.
+    # the step's base and relief (2). That is 5, split over the slices
+    # when several threads step. The command draws the initial population in
+    # the replay call, and the replay drops its name for it after the row
+    # hook, so the first step frees it. The bottom share's copy, beside
+    # the spool write, and the overflow checks' masks come after the
+    # step's temporaries are gone and need less. Only the shares grow
+    # with the years; the panel is spooled to disk. The panel writer
+    # runs after the last step and holds two block buffers of 2 MiB per
+    # block reader, one reader on one thread and at most two on more:
+    # 2.6 vectors at 200,000 agents on one thread, 5.2 on two or three.
+    # What is left under the bound is the noise draw's block buffers and
+    # small objects. The thread count is given on the command line,
+    # because it sets the writer's share of the peak.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -336,7 +409,8 @@ def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
         tracemalloc.start()
         try:
             assert main(["simulate", "--config", str(cfg), "--out",
-                         str(tmp_path / f"out_{n_years}")]) == EXIT_OK
+                         str(tmp_path / f"out_{n_years}"),
+                         "--threads", str(threads)]) == EXIT_OK
             _, peaks[n_years] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

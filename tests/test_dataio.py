@@ -369,7 +369,8 @@ def test_paths_and_series_writers_match_csv_writer(tmp_path):
 
 
 def test_csv_panel_writer_matches_csv_writer(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataio, "_PANEL_BLOCK", 2)  # several blocks
+    # several blocks: two agents of three years each
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 2 * 3 * 8)
     finite = [v for v in _ODD if np.isfinite(v)]
     incomes = np.array(finite + finite[:2]).reshape(4, 3)
     write_panel(IncomePanel(years=np.arange(1990, 1993), incomes=incomes,

@@ -7,10 +7,12 @@ smaller than one block, one agent past a block and whole multiples of a
 block all occur.
 """
 
+import contextlib
 import io
 import json
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -35,22 +37,51 @@ def _panel(n_agents, n_years, seed=0):
                        seed=seed, fingerprint="f")
 
 
+def _write(panel, directory, spooled: bool, threads: int) -> None:
+    """write_panel of ``panel``, in memory or spooled year by year, on
+    ``threads`` writer threads."""
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if threads > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(threads))
+        if spooled:
+            spool = stack.enter_context(dataio.PanelSpool(
+                directory, panel.years, panel.n_agents, panel.seed))
+            for year, row in zip(panel.years.tolist(), panel.incomes.T):
+                spool(year, row)
+            spool.fingerprint = panel.fingerprint
+            panel = spool
+        write_panel(panel, directory, _pool=pool)
+
+
+# the default block of a 2-year panel, in agents
+_DEFAULT_BLOCK = dataio._block_agents(10**9, 2)
+
+
 @SETTINGS
 @given(n_agents=st.integers(2, 40), n_years=st.integers(1, 9),
-       block=st.sampled_from([1, 3, 7, 16, dataio._PANEL_BLOCK]),
+       block=st.sampled_from([1, 3, 7, 16, None]),
+       spooled=st.booleans(), threads=st.sampled_from([1, 2, 3]),
        seed=st.integers(0, 2**32 - 1))
-@example(n_agents=2, n_years=1, block=dataio._PANEL_BLOCK, seed=0)
-@example(n_agents=dataio._PANEL_BLOCK + 1, n_years=2,
-         block=dataio._PANEL_BLOCK, seed=1)
-def test_roundtrip_and_npy_bytes(n_agents, n_years, block, seed):
+@example(n_agents=2, n_years=1, block=None, spooled=False, threads=1,
+         seed=0)
+@example(n_agents=_DEFAULT_BLOCK + 1, n_years=2, block=None, spooled=True,
+         threads=2, seed=1)
+def test_roundtrip_and_npy_bytes(n_agents, n_years, block, spooled, threads,
+                                 seed):
+    # ``block`` agents per block (None: the default byte budget), from an
+    # in-memory panel or a spool, on one writer thread or several
     panel = _panel(n_agents, n_years, seed)
     saved = io.BytesIO()
     np.save(saved, np.ascontiguousarray(panel.incomes))
+    budget = (dataio._PANEL_BLOCK_BYTES if block is None
+              else block * 8 * n_years)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataio, "_PANEL_BLOCK", block):
-        write_panel(panel, tmp)
+            mock.patch.object(dataio, "_PANEL_BLOCK_BYTES", budget):
+        _write(panel, tmp, spooled, threads)
         data = (Path(tmp) / "panel_incomes.npy").read_bytes()
         back = read_panel(tmp)
+        assert not (Path(tmp) / dataio.SPOOL_NAME).exists()
     assert data == saved.getvalue()  # so the SHA-256 is np.save's too
     assert np.array_equal(back.years, panel.years)
     assert np.array_equal(back.incomes, panel.incomes)

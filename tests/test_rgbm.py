@@ -173,6 +173,20 @@ def test_overflow_names_agent_and_year():
     assert "1999" in str(err.value)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_overflow_names_the_first_agent_on_any_thread_count(threads):
+    # agents 4 and 9 overflow, in different slices on 2 and 3 threads:
+    # each slice checks its own agents, and the first one is named
+    x = np.ones(10)
+    x[[4, 9]] = 1e302
+    params = ModelParams(mu=10.0, sigma=0.0, dt=1e6, n_agents=10)
+    with warnings.catch_warnings(), \
+            pytest.raises(PropagationOverflowError) as err:
+        warnings.simplefilter("error")
+        step(Population(x, 1999), params, 0.0, RngStream(0), threads=threads)
+    assert (err.value.agent, err.value.year) == (4, 1999)
+
+
 def test_negative_incomes_not_clamped():
     pop = Population(np.array([0.01, 0.02, 3.0, 3.0]), 2003)
     params = ModelParams(mu=0.0, sigma=0.0, dt=1.0, n_agents=4)
