@@ -528,11 +528,12 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     year at a time instead (``simulate`` spools them to disk). Passing
     both is a ValueError.
 
-    With ``threads > 1`` the steps run on a pool of ``threads`` workers:
-    ``_pool``, the caller's executor for the whole run, or one made for
-    this call. One of its workers then hands each stepped row to the hook
-    while this thread takes the row's share, and both are done before
-    the next step starts, so no row waits in memory.
+    The replay runs on a pool: ``_pool``, the caller's executor for the
+    whole run, or one of ``threads`` workers made for this call. Each
+    step's agent slices run on its workers (one slice, on this thread,
+    when ``threads`` is 1); then one worker hands the stepped row to the
+    hook while this thread takes the row's share, and both are done
+    before the next step starts, so no row waits in memory.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -546,19 +547,15 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     state = initial
     del initial
     shares = np.empty(len(rates))
-    with (ThreadPoolExecutor(max_workers=threads)
-          if _pool is None and threads > 1 else nullcontext(_pool)) as pool:
+    with (ThreadPoolExecutor(max_workers=threads) if _pool is None
+          else nullcontext(_pool)) as pool:
         for i, (year, tau) in enumerate(rates):
             state = step(state, params, float(tau), stream, threads=threads,
                          _pool=pool)
             assert state.year == year
-            row = (None if pool is None else
-                   pool.submit(sink, year, state.incomes))
+            row = pool.submit(sink, year, state.incomes)
             shares[i] = bottom_share_of(state.incomes, 0.5)
-            if row is None:
-                sink(year, state.incomes)
-            else:
-                row.result()
+            row.result()
     _warn_undefined(rates.years, shares)
     panel = None if rows is None else rows.panel(rates, params, seed)
     return PartialSeries(rates.years.copy(), shares), panel

@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -31,8 +30,8 @@ from .dataio import (_INT64_MAX, _INT64_MIN, PanelSpool, RunManifest,
                      write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
-from .poverty import (PovertyAccumulator, _check_period, _pooled,
-                      persistence_report, transition_report)
+from .poverty import (PovertyAccumulator, _check_period, _persistence,
+                      _pooled, _transitions)
 from .rgbm import ModelParams, init_lognormal
 from .series import AnnualSeries, interpolate_missing, missing_year_blocks
 
@@ -398,8 +397,7 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
     # panel file, and is shut down before the spool is deleted
     with PanelSpool(out, np.arange(rates.first_year - 1, rates.last_year + 1),
                     cfg.model.n_agents, cfg.seed) as spool, \
-            (ThreadPoolExecutor(max_workers=cfg.threads)
-             if cfg.threads > 1 else nullcontext()) as pool:
+            ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         # drawn in the call, as in _run_calibration: replay holds the only
         # reference and frees it at the first step
         shares, _ = replay(
@@ -456,16 +454,15 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
     """Write the reports of one poverty-line definition; return its
     summary entry."""
     out = cfg.out_dir
-    line, pp, bpl = acc.line, acc.poverty_panel(), acc.bpl
-    years = f"{int(pp.years[0])}-{int(pp.years[-1])}"
+    line, table, bpl = acc.line, acc.count_table(), acc.bpl
+    years = f"{int(line.years[0])}-{int(line.years[-1])}"
     t_ps = range(1, cfg.tp_max + 1)
-    trans = transition_report(pp)
-    persist = persistence_report(pp, t_ps)
+    steps = line.years[1:]  # the years with a predecessor
     blocks = [
         _columns(line.years, ["poverty_line"], [line.z]),
-        _columns(trans.years, ["p_in", "p_out", "p_tx", "p_in_at_risk"],
-                 [trans.p_in, trans.p_out, trans.p_tx, trans.p_in_at_risk]),
-        *(_columns(persist.years, ["p_stic", "p_esc"], persist.by_tp[t],
+        _columns(steps, ["p_in", "p_out", "p_tx", "p_in_at_risk"],
+                 _transitions(table)),
+        *(_columns(steps, ["p_stic", "p_esc"], _persistence(table, t),
                    [t, t]) for t in t_ps),
         _columns(bpl.years, ["bpl_gini", "bpl_negatives_floored"],
                  [bpl.gini, bpl.negatives_floored])]
@@ -477,7 +474,8 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
     # per period: p_in, p_out and p_tx, then p_stic and p_esc per t_p
     names = ["p_in", "p_out", "p_tx"] + ["p_stic", "p_esc"] * len(t_ps)
     thresholds = [0, 0, 0] + [t for t in t_ps for _ in range(2)]
-    pooled = _pooled(pp, cfg.pool_periods, t_ps, cfg.pooled_method)
+    pooled = _pooled(line.years, table, cfg.pool_periods, t_ps,
+                     cfg.pooled_method)
     firsts, lasts = np.array(cfg.pool_periods).T
     first, *columns = _columns(firsts, names, pooled.T, thresholds)
     write_pooled_csv([first, np.repeat(lasts, len(names)), *columns],

@@ -381,11 +381,13 @@ def _write_blocks(panel, fd: int, offset: int, pool) -> None:
     A task takes one of at most ``_PANEL_WRITERS`` :class:`_BlockReader`
     objects, reads its block with it and writes the block with
     ``os.pwrite`` at its place in the file, so the blocks may land in any
-    order. After a failure the blocks not yet started are cancelled;
+    order. The readers are handed out last in, first out, so a reader is
+    made only when every one made so far is in use: a one-worker pool
+    makes one. After a failure the blocks not yet started are cancelled;
     every task is finished or cancelled before the first error is
     raised, so no thread touches ``fd`` once this returns.
     """
-    readers = queue.SimpleQueue()
+    readers = queue.LifoQueue()
     for _ in range(_PANEL_WRITERS):
         readers.put(None)  # made on first use
     n_years = len(panel.years)
@@ -429,10 +431,12 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
     to ``on_block``, if given, before it is written; the buffer is reused
     for the next block.
 
-    The private ``_pool`` is the run's executor: given one, an ``npy``
-    panel without ``on_block`` is written by its threads, each block with
-    ``os.pwrite`` at its offset in the file. A ``csv`` panel and one with
-    ``on_block`` are written in agent order by the calling thread.
+    The private ``_pool`` is the run's executor (``simulate`` passes its
+    own, of one worker or more): given one, an ``npy`` panel without
+    ``on_block`` is written by its threads, each block with ``os.pwrite``
+    at its offset in the file. A ``csv`` panel, one with ``on_block``
+    (``pipeline``'s) and any panel written without a pool are written in
+    agent order by the calling thread.
     OutputError names a file or directory that cannot be written.
     """
     out_dir = _output_dir(out_dir)

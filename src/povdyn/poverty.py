@@ -106,25 +106,17 @@ class PovertyPanel:
     it is read and not kept. The count table behind every transition,
     persistence and pooled statistic is built from the flags on first use
     and kept (see :func:`_count_table`), so the flags must not change
-    afterwards. The panel of a :class:`PovertyAccumulator` holds only the
-    count table, built year by year, and the agent count; its ``poor`` is
-    ``None``, and what needs the flags raises ValueError.
+    afterwards. A :class:`PovertyAccumulator` keeps no flags: it builds
+    the same table year by year (:meth:`PovertyAccumulator.count_table`).
     """
 
     years: np.ndarray          # int64, consecutive
-    poor: np.ndarray | None    # (n, t) bool
+    poor: np.ndarray           # (n, t) bool
     _tail: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _n_agents: int = field(default=0, repr=False, compare=False)
 
     @property
     def n_agents(self) -> int:
-        return self._n_agents if self.poor is None else self.poor.shape[0]
-
-    def _flags(self) -> np.ndarray:
-        """``poor``; ValueError for a panel that keeps no flags."""
-        if self.poor is None:
-            raise ValueError("this poverty panel keeps no per-agent flags")
-        return self.poor
+        return self.poor.shape[0]
 
     @property
     def duration(self) -> np.ndarray:
@@ -133,10 +125,9 @@ class PovertyPanel:
         Left-censored: agents poor in the first year start at 1. A new
         array, the transposed view of year-major storage, on every read.
         """
-        flags = self._flags()
-        by_year = np.empty(flags.T.shape, dtype=np.int32)
+        by_year = np.empty(self.poor.T.shape, dtype=np.int32)
         prev = np.zeros(self.n_agents, dtype=np.int32)
-        for row, poor in zip(by_year, flags.T):
+        for row, poor in zip(by_year, self.poor.T):
             prev = _next_duration(prev, poor, out=row)
         return by_year.T
 
@@ -347,7 +338,7 @@ def _count_table(pp: PovertyPanel) -> np.ndarray:
     """
     if pp._tail is None:
         spells = _Spells(pp.n_agents, len(pp.years))
-        for poor in pp._flags().T:  # year-major rows, contiguous from classify
+        for poor in pp.poor.T:  # year-major rows, contiguous from classify
             spells.push(poor)
         pp._tail = spells.tail()
     return pp._tail
@@ -374,12 +365,13 @@ def _transitions(rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _persistence(rows: np.ndarray, t_p: int) -> tuple[np.ndarray, ...]:
-    """(p_esc, p_stic) of one row or a stack of rows for threshold t_p."""
+    """(p_stic, p_esc) of one row or a stack of rows for threshold t_p,
+    in the order of the reports."""
     if not 1 <= t_p:
         raise ValueError("t_p must be >= 1")
     d = min(int(t_p), rows.shape[-2] - 1)
-    return (_ratio(rows[..., d, 0], rows[..., 0, 0]),
-            _ratio(rows[..., d, 1], rows[..., 0, 1]))
+    return (_ratio(rows[..., d, 1], rows[..., 0, 1]),
+            _ratio(rows[..., d, 0], rows[..., 0, 0]))
 
 
 def transition_probs(pp: PovertyPanel, t: int) -> TransitionProbs:
@@ -395,7 +387,7 @@ def persistence_probs(pp: PovertyPanel, t: int, t_p: int
 
     The duration condition dur >= t_p is evaluated at ``t-1``.
     """
-    p_esc, p_stic = _persistence(_row(pp, t), t_p)
+    p_stic, p_esc = _persistence(_row(pp, t), t_p)
     return float(p_esc), float(p_stic)
 
 
@@ -413,8 +405,7 @@ def persistence_report(pp: PovertyPanel, tp_values=range(1, 11)
     rows = _count_table(pp)
     report = PersistenceReport(years=pp.years[1:].copy())
     for t_p in tp_values:
-        esc, stic = _persistence(rows, int(t_p))
-        report.by_tp[int(t_p)] = (stic, esc)
+        report.by_tp[int(t_p)] = _persistence(rows, int(t_p))
     return report
 
 
@@ -433,9 +424,12 @@ def _check_period(period, first_year: int, last_year: int
     return first, last
 
 
-def _pooled(pp: PovertyPanel, periods, t_ps, method: str) -> np.ndarray:
+def _pooled(years: np.ndarray, table: np.ndarray, periods, t_ps,
+            method: str) -> np.ndarray:
     """Pooled statistics of checked periods, one row per period: p_in,
-    p_out and p_tx, then p_stic and p_esc for each threshold of ``t_ps``.
+    p_out and p_tx, then p_stic and p_esc for each threshold of ``t_ps``,
+    from the count ``table`` (see :func:`_count_table`) of the poverty
+    ``years``.
 
     ``counts`` sums each period's count rows once (int64, exact), then
     divides. ``mean`` averages each annual statistic's defined values in
@@ -444,10 +438,10 @@ def _pooled(pp: PovertyPanel, periods, t_ps, method: str) -> np.ndarray:
     padding or masking in place would move the bits).
     """
     def stats(rows):  # along a new last axis
-        persist = (p for t_p in t_ps for p in _persistence(rows, t_p)[::-1])
+        persist = (p for t_p in t_ps for p in _persistence(rows, t_p))
         return np.stack([*_transitions(rows)[:3], *persist], axis=-1)
 
-    y0, table = int(pp.years[0]), _count_table(pp)
+    y0 = int(years[0])
     # table row i holds the step into year y0 + 1 + i
     spans = [(max(first, y0 + 1) - y0 - 1, last - y0)
              for first, last in periods]
@@ -476,7 +470,8 @@ def pooled_metrics(pp: PovertyPanel, period: tuple[int, int], t_p: int,
     if method not in ("counts", "mean"):
         raise ValueError("method must be 'counts' or 'mean'")
     p_in, p_out, p_tx, p_stic, p_esc = _pooled(
-        pp, [(first, last)], [t_p], method)[0].tolist()
+        pp.years, _count_table(pp), [(first, last)], [t_p], method
+    )[0].tolist()
     return PooledMetrics(first, last, t_p, p_in, p_out, p_tx, p_esc, p_stic)
 
 
@@ -533,13 +528,11 @@ def _bpl_gini(col: np.ndarray, poor: np.ndarray) -> tuple[float, bool]:
 
 
 def bpl_gini_series(panel: IncomePanel, pp: PovertyPanel) -> BplGiniReport:
-    """Within-poor Gini per year, negatives floored to 0 and flagged;
-    ValueError for a panel without flags."""
-    poor = pp._flags()
+    """Within-poor Gini per year, negatives floored to 0 and flagged."""
     out = np.full(len(pp.years), np.nan)
     flags = np.zeros(len(pp.years), dtype=bool)
     for j, year in enumerate(pp.years):
-        out[j], flags[j] = _bpl_gini(panel.column(int(year)), poor[:, j])
+        out[j], flags[j] = _bpl_gini(panel.column(int(year)), pp.poor[:, j])
     return BplGiniReport(years=pp.years.copy(), gini=out,
                          negatives_floored=flags)
 
@@ -637,11 +630,11 @@ class PovertyAccumulator:
     :meth:`bundle`. Per agent it keeps one bool row and one int32 row,
     whatever the number of years, so a panel that is never held whole
     (the pipeline's, stepped by the calibration) can be measured as it is
-    made. The results equal those of :func:`classify`,
-    :func:`transition_report`, :func:`persistence_report`,
-    :func:`pooled_metrics`, :func:`bpl_gini_series` and
-    :func:`sample_paths` on the whole panel, bit for bit; those functions
-    run the same per-year steps.
+    made. Its lines, :meth:`count_table`, within-poor Ginis and bundle
+    equal those of :func:`classify`, :func:`_count_table`,
+    :func:`bpl_gini_series` and :func:`sample_paths` on the whole panel,
+    bit for bit, since those functions run the same per-year steps; every
+    transition, persistence and pooled statistic is read from the table.
 
     Raises DataError (or NonContiguousSeriesError) when the HCR years are
     not contiguous or leave ``panel_years`` (first, last), and when a head
@@ -690,13 +683,13 @@ class PovertyAccumulator:
                                                   self.k_above)
         self._j = j + 1
 
-    def poverty_panel(self) -> PovertyPanel:
-        """The count table of every pushed year, as a flag-free panel."""
+    def count_table(self) -> np.ndarray:
+        """The count table of the HCR years, the one :func:`_count_table`
+        builds from :func:`classify`'s flags; ValueError until every HCR
+        year is pushed."""
         if self._j != len(self.hcr):
             raise ValueError(f"{self._j} of {len(self.hcr)} HCR years pushed")
-        return PovertyPanel(years=self.hcr.years.copy(), poor=None,
-                            _tail=self._spells.tail(),
-                            _n_agents=len(self._poor))
+        return self._spells.tail()
 
     def gather(self, a0: int, block: np.ndarray) -> None:
         """Keep the picked agents' incomes among the (k, T) agents-major

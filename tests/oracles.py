@@ -48,9 +48,11 @@ def transition_probs(poor, j):
             ratio(c["n_in"] + c["n_out"], c["n_p_cur"] + c["n_p_prev"]))
 
 
-def persistence_probs(poor, j, t_p):
-    """(p_esc, p_stic) at column j via full history scans."""
-    dur = durations_by_scan(poor)
+def persistence_probs(poor, j, t_p, dur=None):
+    """(p_esc, p_stic) at column j via full history scans; ``dur``, if
+    given, is ``durations_by_scan(poor)``, scanned once by the caller."""
+    if dur is None:
+        dur = durations_by_scan(poor)
     n = poor.shape[0]
     n_esc = n_stick = n_np_cur = n_p_cur = 0
     for i in range(n):
@@ -68,9 +70,11 @@ def persistence_probs(poor, j, t_p):
     return p_esc, p_stic
 
 
-def pooled_counts(poor, first_j, last_j, t_p):
-    """Summed numerators/denominators over columns first_j..last_j."""
-    dur = durations_by_scan(poor)
+def pooled_counts(poor, first_j, last_j, t_p, dur=None):
+    """Summed numerators/denominators over columns first_j..last_j;
+    ``dur`` as in :func:`persistence_probs`."""
+    if dur is None:
+        dur = durations_by_scan(poor)
     n = poor.shape[0]
     sums = dict(n_in=0, n_out=0, n_p_prev=0, n_p_cur=0, n_np_cur=0,
                 n_esc=0, n_stick=0)

@@ -395,8 +395,9 @@ def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys,
     # step's temporaries are gone and need less. Only the shares grow
     # with the years; the panel is spooled to disk. The panel writer
     # runs after the last step and holds two block buffers of 2 MiB per
-    # block reader, one reader on one thread and at most two on more:
-    # 2.6 vectors at 200,000 agents on one thread, 5.2 on two or three.
+    # block reader, one reader on one thread and at most two on more
+    # (test_pool_writer_makes_a_reader_only_when_all_are_busy): 2.6
+    # vectors at 200,000 agents on one thread, 5.2 on two or three.
     # What is left under the bound is the noise draw's block buffers and
     # small objects. The thread count is given on the command line,
     # because it sets the writer's share of the peak.
@@ -660,7 +661,8 @@ def test_config_above_cap_exit_code(tmp_path, capsys, override, text, key,
 
 @pytest.mark.parametrize("text", [
     "paths_below = -1", "paths_above = -3", "init_s50 = nan",
-    "init_s50 = inf",
+    "init_s50 = inf", "tp_max = 0", "panel_format = parquet",
+    "pool_periods =",
 ])
 def test_bad_report_or_start_value_exit_code(tmp_path, capsys, text):
     # checked when the config is built; before, a negative path count
@@ -671,7 +673,10 @@ def test_bad_report_or_start_value_exit_code(tmp_path, capsys, text):
     code = run(["calibrate", "--config", str(cfg), "--out",
                 str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert text.split()[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    first = err.splitlines()[0]
+    assert first.startswith("config error: ") and text.split()[0] in first
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value, code", [
@@ -877,7 +882,8 @@ def test_head_count_outside_unit_interval_fails_its_definition(
 
 
 @pytest.mark.parametrize("edit, line", [("swap rows", 2),
-                                        ("rename a year", 1)])
+                                        ("rename a year", 1),
+                                        ("extra row", 7), ("short row", 2)])
 def test_metrics_checks_the_csv_panel_labels(tmp_path, fixtures_dir, capsys,
                                              edit, line):
     # the labels were not read: with agents 0 and 1 swapped, each got the
@@ -887,15 +893,21 @@ def test_metrics_checks_the_csv_panel_labels(tmp_path, fixtures_dir, capsys,
     rows = (panel / "panel.csv").read_text().splitlines(keepends=True)
     if edit == "swap rows":
         rows[1], rows[2] = rows[2], rows[1]
-    else:
+    elif edit == "rename a year":
         rows[0] = rows[0].replace("y2003", "x2003")
+    elif edit == "extra row":  # a sixth agent beside the metadata's five
+        rows.append("5" + rows[-1][1:])
+    else:  # agent 0 loses its last year
+        rows[1] = rows[1].rsplit(",", 1)[0] + "\n"
     (panel / "panel.csv").write_text("".join(rows))
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"panel_dir = {panel}\npool_periods = 2001-2007\n"
                    f"hcr_small = {fixtures_dir / 'hcr_small.csv'}\n")
     assert run(["metrics", "--config", str(cfg), "--out",
                 str(tmp_path / "run")]) == EXIT_DATA
-    assert f"{panel / 'panel.csv'}:{line}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {panel / 'panel.csv'}:{line}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["pipeline", "metrics"])
@@ -977,6 +989,110 @@ def test_panel_meta_is_a_directory_exit_code(tmp_path, fixtures_dir, capsys):
                 str(tmp_path / "run")])
     assert code == EXIT_DATA
     assert "panel_meta.json" in capsys.readouterr().err
+
+
+def _npy_panel(d: Path, fixtures: Path) -> Path:
+    """The fixture panel rewritten as an ``npy`` panel under ``d``."""
+    dataio.write_panel(dataio.read_panel(fixtures / "panel_small"), d)
+    return d
+
+
+def _edit_npy_version(d: Path, fixtures: Path) -> Path:
+    path = _npy_panel(d, fixtures) / "panel_incomes.npy"
+    raw = bytearray(path.read_bytes())
+    raw[6] = 2  # the magic string's major version: a 2.0 header
+    path.write_bytes(bytes(raw))
+    return d
+
+
+def _edit_meta(d: Path, fixtures: Path, **changes) -> Path:
+    shutil.copytree(fixtures / "panel_small", d)
+    meta = json.loads((d / "panel_meta.json").read_text())
+    (d / "panel_meta.json").write_text(json.dumps({**meta, **changes}))
+    return d
+
+
+# (command, config lines, panel maker, first stderr line): {d} is the
+# test's directory, {panel} the panel directory the maker returns
+_TYPED_ERRORS = {
+    "malformed period": (
+        "pipeline", "pool_periods = 1962:1971", None,
+        "config error: bad period '1962:1971'; expected e.g. 1962-1971"),
+    "missing config file": (
+        "calibrate", None, None,
+        "config error: config file not found: {d}/cfg.txt"),
+    "calibrate without inequality_csv": (
+        "calibrate", "init_s50 = 0.3\nstart_year = 1950", None,
+        "config error: calibration needs inequality_csv"),
+    "one inequality row": (
+        "calibrate", "inequality_csv = {d}/s50.csv", None,
+        "data error: {d}/s50.csv: need at least two rows (initialization "
+        "year plus one target year)"),
+    "year outside int64": (
+        "calibrate", "inequality_csv = {d}/s50_big.csv", None,
+        "data error: {d}/s50_big.csv:3: year 9223372036854775808 out of "
+        "range"),
+    "npy header 2.0": (
+        "metrics", None, _edit_npy_version,
+        "data error: {panel}/panel_incomes.npy: unreadable .npy header "
+        "(unsupported .npy format version)"),
+    "non-string fingerprint": (
+        "metrics", None, lambda d, f: _edit_meta(d, f, fingerprint=7),
+        "data error: {panel}/panel_meta.json: fingerprint must be a "
+        "string"),
+    "last year before the first": (
+        "metrics", None,
+        lambda d, f: _edit_meta(d, f, first_year=2007, last_year=2000),
+        "data error: {panel}/panel_meta.json: 5 agents over years "
+        "2007..2000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TYPED_ERRORS))
+def test_typed_error_exit_code_and_first_line(tmp_path, fixtures_dir,
+                                              capsys, case):
+    # a bad config or input that no other test feeds through main: its
+    # typed error, exit code and message, and no traceback
+    command, text, make_panel, first = _TYPED_ERRORS[case]
+    (tmp_path / "s50.csv").write_text("year,s50\n1950,0.3\n")
+    (tmp_path / "s50_big.csv").write_text(
+        "year,s50\n1950,0.3\n9223372036854775808,0.3\n")
+    panel = tmp_path / "panel"
+    if make_panel is not None:
+        make_panel(panel, fixtures_dir)
+        text = (f"panel_dir = {panel}\n"
+                f"hcr_small = {fixtures_dir / 'hcr_small.csv'}")
+    elif command == "pipeline":
+        text += (f"\ninequality_csv = {fixtures_dir / 's50_synthetic.csv'}"
+                 f"\nhcr_base = {fixtures_dir / 'hcr_base.csv'}")
+    cfg = tmp_path / "cfg.txt"
+    if text is not None:
+        cfg.write_text(text.format(d=tmp_path) + "\n")
+    out = tmp_path / "o"
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == (EXIT_CONFIG if first.startswith("config") else EXIT_DATA)
+    assert err.splitlines()[0] == first.format(d=tmp_path, panel=panel)
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_short_spool_read_is_an_output_error(tmp_path, monkeypatch, capsys):
+    # a spool read that comes back short is an OSError naming the spool;
+    # raised in the panel write, it ends the run as an output error
+    cfg = _simulate_config(tmp_path, [0.01] * 3, 50)
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv",
+                        lambda fd, buffers, offset:
+                        preadv(fd, buffers, offset) - 8)
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_IO
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"output error: cannot write {out / 'panel_incomes.npy'}: "
+        f"{out / SPOOL_NAME}: year 1950 is cut short")
+    assert "Traceback" not in err
+    assert not (out / SPOOL_NAME).exists()
 
 
 def test_version_flag(capsys):

@@ -217,3 +217,31 @@ def test_npy_header_with_a_bad_escape_is_data_error_without_a_warning(
         with pytest.raises(DataError, match="unreadable .npy header"):
             read_panel(tmp_path)
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_writer_makes_a_reader_only_when_all_are_busy(tmp_path,
+                                                          monkeypatch,
+                                                          workers):
+    # the readers are handed out last in, first out, so a lone worker gets
+    # its own reader back for every block; first in, first out, it took
+    # the second empty slot for its second block and built a second
+    # reader (two more block buffers at the peak of simulate --threads 1)
+    panel = _panel(23, 3)
+    saved = io.BytesIO()
+    np.save(saved, np.ascontiguousarray(panel.incomes))
+    made = []
+    reader = dataio._BlockReader
+
+    def counted(p):
+        made.append(p)
+        return reader(p)
+    monkeypatch.setattr(dataio, "_BlockReader", counted)
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 2 * 8 * 3)  # 2 agents
+    with ThreadPoolExecutor(workers) as pool:
+        write_panel(panel, tmp_path, _pool=pool)
+    assert (tmp_path / "panel_incomes.npy").read_bytes() == saved.getvalue()
+    if workers == 1:
+        assert len(made) == 1
+    else:
+        assert 1 <= len(made) <= dataio._PANEL_WRITERS

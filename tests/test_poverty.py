@@ -13,7 +13,8 @@ from povdyn.errors import (DataError, NonContiguousSeriesError,
                            UndefinedGiniError)
 from povdyn.poverty import (IncomePanel, PovertyAccumulator,
                             PovertyLineSeries, _bpl_gini, _check_period,
-                            _count_table, _pooled, bpl_gini_series,
+                            _count_table, _persistence, _pooled,
+                            _transitions, bpl_gini_series,
                             classify, gini, persistence_probs,
                             persistence_report, pooled_metrics,
                             poverty_line_from_hcr, sample_paths,
@@ -688,7 +689,7 @@ def test_pooled_arrays_equal_pooled_metrics_bit_for_bit(method):
             rng.choice(len(periods), size=min(len(periods), 30),
                        replace=False)))] + [(years[0], years[-1])]
         t_ps = range(1, len(years) + 3)
-        pooled = _pooled(pp, periods, t_ps, method)
+        pooled = _pooled(pp.years, _count_table(pp), periods, t_ps, method)
         assert pooled.shape == (len(periods), 3 + 2 * len(t_ps))
         for row, period in zip(pooled, periods):
             for t_p in t_ps:
@@ -819,8 +820,7 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
         for year in hcr.years:
             acc.push(panel.column(int(year)))
         line, pp = classify(panel, hcr)
-        streamed = acc.poverty_panel()
-        assert streamed.poor is None
+        table = acc.count_table()
 
         cols = [panel.column(int(y)) for y in hcr.years]
         want_z = [np.sort(c)[k] if k < n else np.inf for c, k in
@@ -830,27 +830,30 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
 
         poor = np.column_stack([c < z for c, z in zip(cols, want_z)])
         assert np.array_equal(pp.poor, poor)
-        tail = _count_table(streamed)
-        assert np.array_equal(tail, _oracle_tail(poor)), trial
-        assert np.array_equal(tail, _count_table(pp)), trial
+        assert np.array_equal(table, _oracle_tail(poor)), trial
+        assert np.array_equal(table, _count_table(pp)), trial
 
+        # the report stage's views of the table against the public reports
         tps = [1, 2, len(hcr.years) + 2]
-        a, b = transition_report(streamed), transition_report(pp)
-        for field in ("years", "p_in", "p_out", "p_tx", "p_in_at_risk"):
-            assert np.array_equal(getattr(a, field), getattr(b, field),
+        b = transition_report(pp)
+        assert np.array_equal(hcr.years[1:], b.years), trial
+        for got, field in zip(_transitions(table),
+                              ("p_in", "p_out", "p_tx", "p_in_at_risk")):
+            assert np.array_equal(got, getattr(b, field),
                                   equal_nan=True), (trial, field)
-        a, b = persistence_report(streamed, tps), persistence_report(pp, tps)
+        b = persistence_report(pp, tps)
         for t_p in tps:
-            assert np.array_equal(a.by_tp[t_p], b.by_tp[t_p],
+            assert np.array_equal(_persistence(table, t_p), b.by_tp[t_p],
                                   equal_nan=True), trial
         if len(hcr.years) > 1:
             period = (int(hcr.years[0]), int(hcr.years[-1]))
             for method in ("counts", "mean"):
                 for t_p in tps:
-                    a = pooled_metrics(streamed, period, t_p, method)
+                    a = _pooled(hcr.years, table, [period], [t_p], method)[0]
                     b = pooled_metrics(pp, period, t_p, method)
-                    assert all(_same(x, y) for x, y in
-                               zip(vars(a).values(), vars(b).values())), trial
+                    assert all(_same(x, y) for x, y in zip(
+                        a, (b.p_in, b.p_out, b.p_tx, b.p_stic, b.p_esc))), \
+                        trial
 
         bpl = bpl_gini_series(panel, pp)
         assert np.array_equal(acc.bpl.gini, bpl.gini, equal_nan=True)
@@ -905,8 +908,8 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
         pushed.gather(0, panel.incomes)
 
         assert np.array_equal(hook.line.z, pushed.line.z), trial
-        assert np.array_equal(_count_table(hook.poverty_panel()),
-                              _count_table(pushed.poverty_panel())), trial
+        assert np.array_equal(hook.count_table(), pushed.count_table()), \
+            trial
         assert np.array_equal(hook.bpl.gini, pushed.bpl.gini, equal_nan=True)
         assert np.array_equal(hook.bpl.negatives_floored,
                               pushed.bpl.negatives_floored)
@@ -935,14 +938,6 @@ def test_accumulator_rejects_bad_head_counts():
         PovertyAccumulator(hcr, 5, (2001, 2003))
 
 
-def test_streamed_poverty_panel_has_no_durations():
-    acc = PovertyAccumulator(AnnualSeries(np.array([2000]), [0.5]), 4,
-                             (2000, 2000))
-    acc.push(np.arange(4.0))
-    with pytest.raises(ValueError):
-        acc.poverty_panel().duration
-
-
 def _streamed(n_agents: int, n_years: int) -> PovertyAccumulator:
     """An accumulator at HCR 0.5 from 2000, every year pushed."""
     hcr = AnnualSeries(np.arange(2000, 2000 + n_years), [0.5] * n_years)
@@ -952,16 +947,15 @@ def _streamed(n_agents: int, n_years: int) -> PovertyAccumulator:
     return acc
 
 
-def test_streamed_poverty_panel_counts_its_agents():
-    # it raised AttributeError: the count came from the flags
-    assert _streamed(4, 3).poverty_panel().n_agents == 4
-
-
-def test_bpl_gini_of_a_streamed_poverty_panel_is_a_value_error():
-    # it raised TypeError, indexing the missing flags
-    panel = panel_from_matrix(np.arange(8.0).reshape(4, 2), first_year=2000)
-    with pytest.raises(ValueError, match="no per-agent flags"):
-        bpl_gini_series(panel, _streamed(4, 2).poverty_panel())
+def test_count_table_before_every_hcr_year_is_a_value_error():
+    hcr = AnnualSeries(np.arange(2000, 2003), [0.5] * 3)
+    acc = PovertyAccumulator(hcr, 4, (2000, 2002))
+    for pushed in range(3):
+        with pytest.raises(ValueError, match=f"{pushed} of 3 HCR years "
+                                             "pushed"):
+            acc.count_table()
+        acc.push(np.arange(4.0))
+    assert acc.count_table().shape == (2, 4, 2)
 
 
 def test_push_past_the_last_hcr_year_is_a_value_error():
@@ -969,4 +963,4 @@ def test_push_past_the_last_hcr_year_is_a_value_error():
     acc = _streamed(4, 2)
     with pytest.raises(ValueError, match="all 2 HCR years already pushed"):
         acc.push(np.arange(4.0))
-    assert len(acc.poverty_panel().years) == 2
+    assert acc.count_table().shape == (1, 3, 2)  # the step of two years
