@@ -530,10 +530,10 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
 
     The replay runs on a pool: ``_pool``, the caller's executor for the
     whole run, or one of ``threads`` workers made for this call. Each
-    step's agent slices run on its workers (one slice, on this thread,
-    when ``threads`` is 1); then one worker hands the stepped row to the
-    hook while this thread takes the row's share, and both are done
-    before the next step starts, so no row waits in memory.
+    step's ``threads`` agent slices run on its workers; then one worker
+    hands the stepped row to the hook while this thread takes the row's
+    share, and both are done before the next step starts, so no row waits
+    in memory.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(

@@ -67,6 +67,9 @@ def _parse_periods(text: str) -> tuple[tuple[int, int], ...]:
         if a > b:
             raise ConfigError(f"period {part!r} runs backward; expected "
                               "first-last, e.g. 1962-1971")
+        if (a, b) in periods:
+            # its rows would be written twice, and summary.json keys it once
+            raise ConfigError(f"pool_periods repeats the period {a}-{b}")
         periods.append((a, b))
     if not periods:
         raise ConfigError("pool_periods is empty")
@@ -125,12 +128,12 @@ _KEYS = {
     "panel_format": _Key(str, "npy"),
     "out_dir": _Key(Path, Path("out"), "--out", "output directory"),
     "threads": _Key(int, _env_threads, "--threads",
-                    "worker threads of simulate: agent slices stepped in "
-                    "parallel per year, each year's spool write beside "
-                    "its share, and the panel file written in blocks "
-                    "(never changes results); calibrate and pipeline "
-                    "always use one helper thread beside the fit and "
-                    "ignore it; default from POVDYN_THREADS"),
+                    "worker threads of simulate (agent slices stepped in "
+                    "parallel, each year's spool write beside its share) "
+                    "and of simulate and pipeline's npy panel file, "
+                    "written in blocks; never changes results. The fit "
+                    "keeps one helper thread; calibrate ignores it; "
+                    "default from POVDYN_THREADS"),
 }
 
 
@@ -617,7 +620,10 @@ def cmd_pipeline(args) -> int:
             for name, exc in failed.items():
                 print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
             raise DataError("all poverty-line definitions failed")
-        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
+        # the pool writes the panel file; the fit keeps its own serial
+        # helper. The pool is shut down before the spool is deleted
+        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool, \
+                ThreadPoolExecutor(max_workers=cfg.threads) as pool:
 
             def sink(year: int, incomes: np.ndarray) -> None:
                 spool(year, incomes)
@@ -634,7 +640,7 @@ def cmd_pipeline(args) -> int:
                 start_year, result.tau_effective, cfg.model, cfg.seed)
             # the path bundles' incomes are read in the same pass
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
-                        on_block=gather)
+                        on_block=gather, _pool=pool)
         stage = "metrics"
         _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
     except PovdynError:

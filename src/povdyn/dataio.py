@@ -16,8 +16,8 @@ import os
 import queue
 import tokenize
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, wait
-from contextlib import contextmanager
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -322,11 +322,10 @@ class _BlockReader:
     """Reads a panel's agents one block at a time, agents-major, into
     buffers of its own, so one reader serves one thread.
 
-    ``reader(a0)`` is the (k, T) incomes of agents ``a0 .. a0+k-1``: an
-    in-memory panel's year-major rows are transposed into the block
-    buffer; a :class:`PanelSpool` is read into a year-major buffer first
-    (:meth:`PanelSpool.read_agents`), then transposed the same way. The
-    block is overwritten by the next call.
+    ``reader(a0)`` is the (k, T) incomes of agents ``a0 .. a0+k-1``: the
+    panel's ``read_agents`` fills a year-major buffer (see
+    :meth:`PanelSpool.read_agents`), which is transposed into the block
+    buffer. The block is overwritten by the next call.
     """
 
     def __init__(self, panel):
@@ -334,22 +333,19 @@ class _BlockReader:
         n_years = len(panel.years)
         self.k = _block_agents(panel.n_agents, n_years)
         self.block = np.empty((self.k, n_years))
-        self.rows = (np.empty(self.k * n_years)
-                     if isinstance(panel, PanelSpool) else None)
+        self.rows = np.empty(self.k * n_years)
 
     def __call__(self, a0: int) -> np.ndarray:
         block = self.block[:min(self.k, self.panel.n_agents - a0)]
-        if self.rows is None:
-            np.copyto(block, self.panel.incomes[a0:a0 + len(block)])
-        else:
-            rows = self.rows[:block.size].reshape(block.shape[::-1])
-            self.panel.read_agents(a0, rows)
-            np.copyto(block, rows.T)
+        rows = self.rows[:block.size].reshape(block.shape[::-1])
+        self.panel.read_agents(a0, rows)
+        np.copyto(block, rows.T)
         return block
 
 
 def _agent_blocks(panel, on_block=None):
-    """``(a0, block)`` over a panel's agents in order, one block at a time.
+    """``(a0, block)`` over a panel's agents in order, one block at a time:
+    the order of a ``csv`` panel's rows, which have no fixed offsets.
 
     ``block`` is the (k, T) agents-major incomes of agents ``a0 ..
     a0+k-1``, read by one :class:`_BlockReader`, so no full-size copy is
@@ -374,18 +370,20 @@ def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
         view, offset = view[n:], offset + n
 
 
-def _write_blocks(panel, fd: int, offset: int, pool) -> None:
+def _write_blocks(panel, fd: int, offset: int, pool, on_block=None
+                  ) -> None:
     """Write a panel's agents-major incomes to ``fd`` from ``offset`` on,
     one block of agents per task on the threads of ``pool``.
 
     A task takes one of at most ``_PANEL_WRITERS`` :class:`_BlockReader`
-    objects, reads its block with it and writes the block with
-    ``os.pwrite`` at its place in the file, so the blocks may land in any
-    order. The readers are handed out last in, first out, so a reader is
-    made only when every one made so far is in use: a one-worker pool
-    makes one. After a failure the blocks not yet started are cancelled;
-    every task is finished or cancelled before the first error is
-    raised, so no thread touches ``fd`` once this returns.
+    objects, reads its block with it, hands ``(a0, block)`` to
+    ``on_block``, if given, on its own thread, and writes the block with
+    ``os.pwrite`` at its place in the file, so the blocks may land, and
+    reach ``on_block``, in any order. The readers are handed out last in,
+    first out, so a reader is made only when every one made so far is in
+    use: a one-worker pool makes one. After a failure the blocks not yet
+    started are cancelled; every task is finished or cancelled before the
+    first error is raised, so no thread touches ``fd`` once this returns.
     """
     readers = queue.LifoQueue()
     for _ in range(_PANEL_WRITERS):
@@ -397,7 +395,10 @@ def _write_blocks(panel, fd: int, offset: int, pool) -> None:
         try:
             if read is None:
                 read = _BlockReader(panel)
-            _pwrite_all(fd, read(a0), offset + a0 * n_years * 8)
+            block = read(a0)
+            if on_block is not None:
+                on_block(a0, block)
+            _pwrite_all(fd, block, offset + a0 * n_years * 8)
         finally:
             readers.put(read)
 
@@ -431,13 +432,14 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
     to ``on_block``, if given, before it is written; the buffer is reused
     for the next block.
 
-    The private ``_pool`` is the run's executor (``simulate`` passes its
-    own, of one worker or more): given one, an ``npy`` panel without
-    ``on_block`` is written by its threads, each block with ``os.pwrite``
-    at its offset in the file. A ``csv`` panel, one with ``on_block``
-    (``pipeline``'s) and any panel written without a pool are written in
-    agent order by the calling thread.
-    OutputError names a file or directory that cannot be written.
+    An ``npy`` panel is written by the threads of the private ``_pool``,
+    the run's executor (``simulate`` and ``pipeline`` pass their own), or
+    of a one-worker pool made for this call: each block is written with
+    ``os.pwrite`` at its offset in the file, and reaches ``on_block`` on
+    that thread, in any order (see :func:`_write_blocks`). A ``csv``
+    panel is written, and handed to ``on_block``, in agent order by the
+    calling thread. OutputError names a file or directory that cannot be
+    written.
     """
     out_dir = _output_dir(out_dir)
     if fmt == "npy":
@@ -449,12 +451,10 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
                   "shape": (panel.n_agents, len(panel.years))}
         with _output(written[1], "wb") as f:
             np.lib.format.write_array_header_1_0(f, header)
-            if _pool is None or on_block is not None:
-                for _, block in _agent_blocks(panel, on_block):
-                    f.write(block)
-            else:
-                f.flush()
-                _write_blocks(panel, f.fileno(), f.tell(), _pool)
+            f.flush()
+            with (nullcontext(_pool) if _pool is not None else
+                  ThreadPoolExecutor(max_workers=1)) as pool:
+                _write_blocks(panel, f.fileno(), f.tell(), pool, on_block)
     elif fmt == "csv":
         written = [out_dir / "panel.csv"]
         _write_csv(written[0],

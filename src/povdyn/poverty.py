@@ -86,6 +86,11 @@ class IncomePanel:
     def column(self, year: int) -> np.ndarray:
         return self.incomes[:, self.index_of(year)]
 
+    def read_agents(self, a0: int, out: np.ndarray) -> None:
+        """Fill ``out`` ((T, k), year-major) with the incomes of agents
+        ``a0 .. a0+k-1``, as :meth:`PanelSpool.read_agents` does."""
+        np.copyto(out, self.incomes[a0:a0 + out.shape[1]].T)
+
 
 @dataclass
 class PovertyLineSeries:
@@ -626,15 +631,16 @@ class PovertyAccumulator:
     flags, the spell lengths from the previous year's, the year's row of
     the count table and the within-poor Gini; in the first year it also
     picks the ``k_below`` and ``k_above`` agents of the path bundle, as
-    :func:`sample_paths` does, and :meth:`gather` keeps their incomes for
-    :meth:`bundle`. Per agent it keeps one bool row and one int32 row,
-    whatever the number of years, so a panel that is never held whole
-    (the pipeline's, stepped by the calibration) can be measured as it is
-    made. Its lines, :meth:`count_table`, within-poor Ginis and bundle
-    equal those of :func:`classify`, :func:`_count_table`,
-    :func:`bpl_gini_series` and :func:`sample_paths` on the whole panel,
-    bit for bit, since those functions run the same per-year steps; every
-    transition, persistence and pooled statistic is read from the table.
+    :func:`sample_paths` does, and :meth:`gather` keeps their incomes, one
+    block of agents at a time in any order, for :meth:`bundle`. Per agent
+    it keeps one bool row and one int32 row, whatever the number of
+    years, so a panel that is never held whole (the pipeline's, stepped
+    by the calibration) can be measured as it is made. Its lines,
+    :meth:`count_table`, within-poor Ginis and bundle equal those of
+    :func:`classify`, :func:`_count_table`, :func:`bpl_gini_series` and
+    :func:`sample_paths` on the whole panel, bit for bit, since those
+    functions run the same per-year steps; every transition, persistence
+    and pooled statistic is read from the table.
 
     Raises DataError (or NonContiguousSeriesError) when the HCR years are
     not contiguous or leave ``panel_years`` (first, last), and when a head
@@ -656,7 +662,7 @@ class PovertyAccumulator:
                                                             dtype=bool))
         self.k_below, self.k_above = k_below, k_above
         self.below = self.above = np.empty(0, dtype=np.intp)
-        self._paths: tuple[np.ndarray, np.ndarray] | None = None
+        self._paths = (np.empty((0, len(self.years))),) * 2
         self._poor = np.empty(n_agents, dtype=bool)
         self._spells = _Spells(n_agents, len(hcr))
         self._j = 0
@@ -681,6 +687,9 @@ class PovertyAccumulator:
         if j == 0:
             self.below, self.above = _path_agents(col, poor, self.k_below,
                                                   self.k_above)
+            # panel incomes are finite: NaN marks a row not yet gathered
+            self._paths = tuple(np.full((len(a), len(self.years)), np.nan)
+                                for a in (self.below, self.above))
         self._j = j + 1
 
     def count_table(self) -> np.ndarray:
@@ -693,19 +702,19 @@ class PovertyAccumulator:
 
     def gather(self, a0: int, block: np.ndarray) -> None:
         """Keep the picked agents' incomes among the (k, T) agents-major
-        ``block`` of agents ``a0 .. a0+k-1`` over the panel years;
-        ``a0 == 0`` starts over."""
-        if a0 == 0:
-            self._paths = tuple(np.empty((len(agents), len(self.years)))
-                                for agents in (self.below, self.above))
+        ``block`` of agents ``a0 .. a0+k-1`` over the panel years.
+
+        Only the rows of those agents are written, so the blocks may come
+        in any order, and from several threads at once."""
         for agents, rows in zip((self.below, self.above), self._paths):
             lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
             rows[lo:hi] = block[agents[lo:hi] - a0]  # agents ascending
 
     def bundle(self, seed: int) -> TrajectoryBundle:
         """The path bundle of the picked agents over the panel years, from
-        the incomes :meth:`gather` kept; ValueError before any block."""
-        if self._paths is None:
-            raise ValueError("no block of the panel gathered")
+        the incomes :meth:`gather` kept; ValueError unless every picked
+        agent's row has been gathered."""
+        if any(np.isnan(rows).any() for rows in self._paths):
+            raise ValueError("a picked agent's incomes are not gathered")
         return _bundle(self.years, self.line, self.below, self.above,
                        *self._paths, self.k_below, self.k_above, seed)

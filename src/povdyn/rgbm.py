@@ -176,11 +176,11 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
 
     The year's noise is read from the stream at (agent, pop.year), the mean
     is computed once pre-update, and the result carries ``pop.year + 1``.
-    With ``threads > 1`` each worker draws the noise for its own slice of
-    agents, updates that slice and checks it for overflow; the bytes do not
-    depend on ``threads``. The workers are those of ``_pool``, an executor
-    that a caller stepping many years keeps for the whole run, or else of
-    an executor made for this call.
+    The agents are cut into ``threads`` slices, and a worker draws the
+    noise for each slice, updates it and checks it for overflow; the bytes
+    do not depend on ``threads``. The workers are those of ``_pool``, an
+    executor that a caller stepping many years keeps for the whole run,
+    or else of an executor made for this call.
 
     Raises
     ------
@@ -202,16 +202,13 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
         return None if bad is None else lo + bad
 
     ranges = _chunk_ranges(pop.n, threads)
-    if len(ranges) == 1:
-        found = [update(0, pop.n)]
-    else:
-        with (nullcontext(_pool) if _pool is not None else
-              ThreadPoolExecutor(max_workers=len(ranges))) as pool:
-            futures = [pool.submit(update, lo, hi) for lo, hi in ranges]
-            # every slice is done before a result is read: no worker
-            # writes into ``out`` once the step has returned or raised
-            wait(futures)
-            found = [f.result() for f in futures]
+    with (nullcontext(_pool) if _pool is not None else
+          ThreadPoolExecutor(max_workers=len(ranges))) as pool:
+        futures = [pool.submit(update, lo, hi) for lo, hi in ranges]
+        # every slice is done before a result is read: no worker writes
+        # into ``out`` once the step has returned or raised
+        wait(futures)
+        found = [f.result() for f in futures]
     bad = [i for i in found if i is not None]
     if bad:
         raise PropagationOverflowError(min(bad), pop.year)

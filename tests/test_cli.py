@@ -23,6 +23,8 @@ from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
                         build_config, build_parser, main)
 from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
                            read_report_csv, read_series)
+from povdyn.errors import DataError
+from povdyn.poverty import PovertyAccumulator
 from povdyn.rgbm import ModelParams, init_lognormal
 
 
@@ -126,26 +128,22 @@ def test_metrics_zero_hcr_rules(tmp_path, fixtures_dir, monkeypatch):
 
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory):
-    """One fixture pipeline run with 1 thread and one with 4."""
+    """The output directory of one fixture pipeline run on 1 thread."""
     fixtures = Path(__file__).parent / "fixtures"
-    import os
     cwd = os.getcwd()
     os.chdir(fixtures)
     try:
-        outs = {}
-        for threads in (1, 4):
-            out = tmp_path_factory.mktemp(f"pipe_t{threads}")
-            code = main(["pipeline", "--config", "pipeline_small.cfg",
-                         "--out", str(out), "--threads", str(threads)])
-            assert code == EXIT_OK
-            outs[threads] = out
+        out = tmp_path_factory.mktemp("pipe_t1")
+        code = main(["pipeline", "--config", "pipeline_small.cfg",
+                     "--out", str(out), "--threads", "1"])
+        assert code == EXIT_OK
     finally:
         os.chdir(cwd)
-    return outs
+    return out
 
 
 def test_pipeline_produces_all_outputs(pipeline_runs):
-    out = pipeline_runs[1]
+    out = pipeline_runs
     expected = [
         "tau.csv", "tau_effective.csv", "residuals.csv", "replay_shares.csv",
         "fitted_shares.csv", "panel_years.npy", "panel_incomes.npy",
@@ -160,17 +158,47 @@ def test_pipeline_produces_all_outputs(pipeline_runs):
     assert len(manifests) == 1
 
 
-def test_pipeline_thread_count_does_not_change_bytes(pipeline_runs):
-    a, b = pipeline_runs[1], pipeline_runs[4]
-    names = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
-    for name in names:
-        assert filecmp.cmp(a / name, b / name, shallow=False), name
-    assert read_manifest(a / "manifest.json").digest == \
-        read_manifest(b / "manifest.json").digest
+def _fixture_panel_years(fixtures_dir: Path) -> int:
+    """Years of the fixture pipeline's panel: one per inequality row."""
+    return len(read_series(fixtures_dir / "s50_synthetic.csv",
+                           value_col="s50"))
+
+
+def test_pipeline_thread_count_does_not_change_bytes(tmp_path, fixtures_dir,
+                                                     monkeypatch, capsys):
+    # the run's pool writes the panel file in blocks of 60 agents, and
+    # each block's path incomes are gathered on the thread that writes it:
+    # a panel one agent short of a block and one agent past it, in both
+    # formats, written on one thread and on two and three
+    monkeypatch.chdir(fixtures_dir)
+    block = 60
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
+                        block * 8 * _fixture_panel_years(fixtures_dir))
+    for fmt, n in itertools.product(("npy", "csv"), (block - 1, block + 1)):
+        cfg = tmp_path / f"{fmt}.cfg"
+        cfg.write_text((fixtures_dir / "pipeline_small.cfg").read_text()
+                       + f"panel_format = {fmt}\n")
+        outs = [tmp_path / f"{fmt}_{n}_{threads}" for threads in (1, 2, 3)]
+        for threads, out in enumerate(outs, start=1):
+            assert main(["pipeline", "--config", str(cfg), "--out", str(out),
+                         "--n-agents", str(n), "--threads", str(threads)]
+                        ) == EXIT_OK
+        # the calibration's 5 files, 3 reports for each of 3 definitions,
+        # the panel's files, summary.json and the manifest
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 5 + 3 * 3 + (3 if fmt == "npy" else 2) + 2
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                if name != "manifest.json":
+                    assert filecmp.cmp(outs[0] / name, out / name,
+                                       shallow=False), (fmt, n, name)
+            assert read_manifest(outs[0] / "manifest.json").digest == \
+                read_manifest(out / "manifest.json").digest
 
 
 def test_reports_reference_manifest_digest(pipeline_runs):
-    out = pipeline_runs[1]
+    out = pipeline_runs
     digest = read_manifest(out / "manifest.json").digest
     assert read_manifest(out / "manifest.json").verify()
     for csv_file in out.glob("*.csv"):
@@ -181,7 +209,7 @@ def test_reports_reference_manifest_digest(pipeline_runs):
 
 
 def test_poverty_line_ordering_across_definitions(pipeline_runs):
-    out = pipeline_runs[1]
+    out = pipeline_runs
     lines = {}
     for name in ("base", "mid", "high"):
         rows = read_report_csv(out / f"metrics_{name}.csv")
@@ -192,7 +220,7 @@ def test_poverty_line_ordering_across_definitions(pipeline_runs):
 
 
 def test_calibration_residuals_small_on_fixture(pipeline_runs):
-    out = pipeline_runs[1]
+    out = pipeline_runs
     residuals = read_series(out / "residuals.csv")
     assert float(residuals.values.max()) <= 1e-4
 
@@ -361,6 +389,51 @@ def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"output error: cannot write "
                           f"{out / 'panel_incomes.npy'}: [Errno 28] ")
+
+
+@pytest.mark.parametrize("failure", ["pwrite", "on_block"])
+def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
+                                        capsys, failure):
+    # no space left while a writer thread writes its block, or a failure
+    # while it hands its block to the accumulators: the run ends in the
+    # typed error, the spool is gone and so are the pool's threads
+    monkeypatch.chdir(fixtures_dir)
+    out = tmp_path / "pipe"
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
+                        10 * 8 * _fixture_panel_years(fixtures_dir))
+    on_main = []
+    if failure == "pwrite":
+        pwrite, calls = os.pwrite, itertools.count()
+
+        def failing_pwrite(fd, data, offset):
+            on_main.append(threading.current_thread() is
+                           threading.main_thread())
+            if next(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data, offset)
+        monkeypatch.setattr(os, "pwrite", failing_pwrite)
+        code, second = EXIT_IO, (f"output error: cannot write "
+                                 f"{out / 'panel_incomes.npy'}: [Errno 28] ")
+    else:
+        gather = PovertyAccumulator.gather
+
+        def failing_gather(self, a0, block):
+            on_main.append(threading.current_thread() is
+                           threading.main_thread())
+            if a0 == 10:  # the second block
+                raise DataError("no paths from the second block")
+            return gather(self, a0, block)
+        monkeypatch.setattr(PovertyAccumulator, "gather", failing_gather)
+        code, second = EXIT_DATA, "data error: no paths from the second block"
+    before = set(threading.enumerate())
+    assert main(["pipeline", "--config", "pipeline_small.cfg", "--out",
+                 str(out), "--threads", "2"]) == code
+    assert set(threading.enumerate()) == before
+    assert len(on_main) >= 4 and not any(on_main)
+    assert not (out / SPOOL_NAME).exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "pipeline aborted in stage 'simulate'"
+    assert err[1].startswith(second)
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "metrics",
@@ -1018,6 +1091,9 @@ _TYPED_ERRORS = {
     "malformed period": (
         "pipeline", "pool_periods = 1962:1971", None,
         "config error: bad period '1962:1971'; expected e.g. 1962-1971"),
+    "repeated period": (
+        "metrics", "pool_periods = 2001-2003, 2001-2003", None,
+        "config error: pool_periods repeats the period 2001-2003"),
     "missing config file": (
         "calibrate", None, None,
         "config error: config file not found: {d}/cfg.txt"),

@@ -5,7 +5,9 @@ definitions, both panel formats and both pooling methods) and checks the
 CLI end to end:
 
 - (a) ``simulate`` writes the same panel and ``shares.csv`` bytes on 1, 2
-  and 3 threads;
+  and 3 threads, and ``pipeline`` the same bytes in every file but its
+  manifest; the panel files are written in blocks of 1 KiB (6 to 42
+  agents), so most panels span several blocks;
 - (b) every value in ``metrics_<name>.csv`` and ``pooled_<name>.csv``, from
   ``metrics`` on that panel and from ``pipeline`` on its own panel, equals
   a brute-force scan of the written panel by :mod:`oracles`, with an
@@ -27,6 +29,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from povdyn import dataio
 from povdyn.cli import EXIT_OK, main
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -106,9 +110,11 @@ def _report_lines(d: Path, run: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _panel_bytes(out: Path) -> dict:
+def _bytes(out: Path) -> dict:
+    """The bytes of every file in ``out`` but the manifest, whose
+    timestamp differs from run to run."""
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
-            if p.name.startswith("panel") or p.name == "shares.csv"}
+            if p.name != "manifest.json"}
 
 
 def _written_panel(out: Path) -> tuple[int, np.ndarray]:
@@ -247,28 +253,29 @@ def _check_reports(out: Path, run: dict) -> None:
                   periods=[(1995, 2004), (1996, 1996)], tp_max=21,
                   pooled_method="counts", panel_format="npy"))
 def test_cli_on_random_small_runs_matches_the_oracles(run):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataio, "_PANEL_BLOCK_BYTES", 1024):
         d = Path(tmp)
         reports = _report_lines(d, run)
-        # (a) simulate on 1, 2 and 3 threads
         _series(d / "rates.csv", "value", run["y0"] + 1, run["rates"])
         (d / "sim.cfg").write_text(
             f"rates_csv = {d / 'rates.csv'}\ninit_s50 = 0.3\n"
             f"start_year = {run['y0']}\n" + reports)
-        written = []
-        for threads in (1, 2, 3):
-            out = d / f"sim_{threads}"
-            _run(["simulate", "--config", str(d / "sim.cfg"), "--out",
-                  str(out), "--threads", str(threads)])
-            written.append(_panel_bytes(out))
-        assert written[0] == written[1] == written[2]
-        # (b) metrics on that panel, then pipeline on its own panel
-        _run(["metrics", "--config", str(d / "sim.cfg"), "--out",
-              str(d / "sim_1")])
-        _check_reports(d / "sim_1", run)
         _series(d / "s50.csv", "s50", run["y0"], run["targets"])
         (d / "pipe.cfg").write_text(
             f"inequality_csv = {d / 's50.csv'}\n" + reports)
-        _run(["pipeline", "--config", str(d / "pipe.cfg"), "--out",
-              str(d / "pipe")])
-        _check_reports(d / "pipe", run)
+        # (a) simulate and pipeline on 1, 2 and 3 threads
+        for command, cfg in (("simulate", "sim.cfg"), ("pipeline",
+                                                       "pipe.cfg")):
+            written = []
+            for threads in (1, 2, 3):
+                out = d / f"{command}_{threads}"
+                _run([command, "--config", str(d / cfg), "--out", str(out),
+                      "--threads", str(threads)])
+                written.append(_bytes(out))
+            assert written[0] == written[1] == written[2], command
+        # (b) metrics on simulate's panel, and pipeline's own reports
+        _run(["metrics", "--config", str(d / "sim.cfg"), "--out",
+              str(d / "simulate_1")])
+        _check_reports(d / "simulate_1", run)
+        _check_reports(d / "pipeline_1", run)

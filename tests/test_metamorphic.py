@@ -1,0 +1,116 @@
+"""Metamorphic checks: ``metrics`` on transformed copies of one panel.
+
+The panel is the fixture pipeline's (400 agents, 1950-2006, three
+poverty-line definitions). Each copy is written with ``write_panel`` and
+measured by ``metrics`` under the fixture's report settings; the reports
+are compared below their ``# manifest:`` line, whose digest covers the
+panel directory.
+
+- Every income times 2**k, k in -3..3. Scaling by a power of 2 is exact,
+  so every count, ratio and within-poor Gini keeps its bits: only the
+  ``poverty_line`` rows of ``metrics_*`` and the incomes in ``paths_*``
+  change, and the path bundles pick the same agents.
+- The agents permuted. Lines are order statistics and counts do not see
+  the order: ``metrics_*`` and ``pooled_*`` keep their bytes, and each
+  path bundle picks the same agents under their new numbers. The
+  within-poor Gini's total is summed in agent order, so its last bit may
+  move under a permutation; on this panel its 12-digit text does not.
+"""
+
+import csv
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from povdyn.cli import EXIT_OK, main
+from povdyn.dataio import read_panel, write_panel
+from povdyn.poverty import IncomePanel
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _config(d: Path) -> Path:
+    """The fixture pipeline's config with absolute input paths."""
+    lines = []
+    for line in (FIXTURES / "pipeline_small.cfg").read_text().splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key == "inequality_csv" or key.startswith("hcr_"):
+            line = f"{key} = {FIXTURES / value}"
+        lines.append(line)
+    path = d / "pipeline.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _measure(panel: IncomePanel, cfg: Path, d: Path) -> dict[str, list]:
+    """The report lines of ``metrics`` on ``panel``, below the manifest
+    line, by file name."""
+    write_panel(panel, d / "panel")
+    (d / "metrics.cfg").write_text(cfg.read_text()
+                                   + f"panel_dir = {d / 'panel'}\n")
+    assert main(["metrics", "--config", str(d / "metrics.cfg"), "--out",
+                 str(d / "out")]) == EXIT_OK
+    return {p.name: p.read_text().splitlines()[1:]
+            for p in sorted((d / "out").glob("*_*.csv"))}
+
+
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory):
+    """The fixture pipeline's panel, its config and its reports."""
+    d = tmp_path_factory.mktemp("metamorphic")
+    cfg = _config(d)
+    assert main(["pipeline", "--config", str(cfg), "--out",
+                 str(d / "pipe")]) == EXIT_OK
+    panel = read_panel(d / "pipe")
+    reports = _measure(panel, cfg, d / "base")
+    assert len(reports) == 9
+    return panel, cfg, reports
+
+
+def _paths(lines: list[str]) -> dict[str, list[str]]:
+    """A paths report's columns by header label."""
+    header, *rows = csv.reader(lines)
+    return dict(zip(header, map(list, zip(*rows))))
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_scaling_every_income_by_a_power_of_two(tmp_path, measured, k):
+    panel, cfg, want = measured
+    got = _measure(IncomePanel(panel.years, panel.incomes * 2.0**k,
+                               panel.seed, panel.fingerprint), cfg, tmp_path)
+    assert got.keys() == want.keys()
+    for name, lines in want.items():
+        if name.startswith("paths_"):
+            assert _paths(got[name]).keys() == _paths(lines).keys(), name
+            continue
+        assert len(got[name]) == len(lines), name
+        for a, b in zip(lines, got[name]):
+            # a metrics row: year, statistic, t_p, value, defined
+            a, b = a.split(","), b.split(",")
+            if name.startswith("metrics_") and a[1] == "poverty_line":
+                assert b[:3] == a[:3] and b[4] == a[4] == "1"
+                assert float(b[3]) == pytest.approx(float(a[3]) * 2.0**k,
+                                                    rel=1e-11)
+            else:
+                assert a == b, (name, k)
+
+
+def test_permuting_the_agents(tmp_path, measured):
+    panel, cfg, want = measured
+    # new agent i is old agent perm[i]
+    perm = np.random.default_rng(5).permutation(panel.n_agents)
+    got = _measure(IncomePanel(panel.years, panel.incomes[perm],
+                               panel.seed, panel.fingerprint), cfg, tmp_path)
+    assert got.keys() == want.keys()
+    for name, lines in want.items():
+        if not name.startswith("paths_"):
+            assert got[name] == lines, name
+            continue
+        renamed = {}
+        for label, column in _paths(got[name]).items():
+            kind, _, agent = label.partition("_")
+            if kind in ("below", "above"):
+                label = f"{kind}_{perm[int(agent)]}"
+            renamed[label] = column
+        assert renamed == _paths(lines), name

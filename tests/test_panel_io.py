@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import tempfile
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from povdyn import dataio
 from povdyn.dataio import read_panel, write_panel
 from povdyn.errors import DataError
-from povdyn.poverty import IncomePanel
+from povdyn.poverty import IncomePanel, PovertyAccumulator
+from povdyn.series import AnnualSeries
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FILES = ("panel_incomes.npy", "panel_years.npy", "panel_meta.json")
@@ -245,3 +247,34 @@ def test_pool_writer_makes_a_reader_only_when_all_are_busy(tmp_path,
         assert len(made) == 1
     else:
         assert 1 <= len(made) <= dataio._PANEL_WRITERS
+
+
+def test_paths_gathered_by_the_pool_writer_equal_the_ordered_gather(
+        tmp_path, monkeypatch):
+    # the blocks reach on_block on three writer threads, in any order;
+    # each picked agent's row is kept from its own block, so the bundle is
+    # the one gathered from the whole panel in order, bit for bit
+    panel = _panel(40, 5, seed=3)
+    saved = io.BytesIO()
+    np.save(saved, np.ascontiguousarray(panel.incomes))
+    hcr = AnnualSeries(panel.years, [0.3] * 5)
+    span = (panel.first_year, panel.last_year)
+    accs = [PovertyAccumulator(hcr, 40, span, 6, 6) for _ in range(2)]
+    for acc in accs:
+        for year in panel.years.tolist():
+            acc(year, panel.column(year))
+    monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 3 * 8 * 5)  # 3 agents
+    on_threads = set()
+
+    def gather(a0, block):
+        on_threads.add(threading.get_ident())
+        accs[0].gather(a0, block)
+    with ThreadPoolExecutor(3) as pool:
+        write_panel(panel, tmp_path, on_block=gather, _pool=pool)
+    accs[1].gather(0, panel.incomes)
+    got, want = (acc.bundle(seed=0) for acc in accs)
+    for field in ("below_agents", "above_agents", "below_paths",
+                  "above_paths"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert threading.get_ident() not in on_threads
+    assert (tmp_path / "panel_incomes.npy").read_bytes() == saved.getvalue()

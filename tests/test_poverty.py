@@ -886,7 +886,7 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
 
 def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
     # fed every panel year, some before and after its HCR series, and the
-    # path incomes block by block, as the CLI does
+    # path incomes block by block, as the CLI does, in any block order
     rng = np.random.default_rng(15)
     for trial in range(25):
         mat = rng.normal(1.0, 1.5, (int(rng.integers(2, 40)), 8))
@@ -902,8 +902,10 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
             hook(int(year), panel.column(int(year)))
         for year in hcr.years:
             pushed.push(panel.column(int(year)))
+        # the blocks in shuffled order, as a pool's writer threads may
+        # hand them over
         size = int(rng.integers(1, n + 1))
-        for a0 in range(0, n, size):
+        for a0 in rng.permutation(range(0, n, size)).tolist():
             hook.gather(a0, panel.incomes[a0:a0 + size])
         pushed.gather(0, panel.incomes)
 
@@ -925,9 +927,19 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
 
 
 def test_accumulator_bundle_before_gather_is_a_value_error():
-    acc = _streamed(4, 2)
-    with pytest.raises(ValueError, match="no block"):
+    # agent 1 is picked below the line and agent 2 at it: the bundle is
+    # refused until the row of each is gathered, whichever block holds it
+    acc = _streamed(4, 2, k_below=1, k_above=1)
+    incomes = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
+    with pytest.raises(ValueError, match="not gathered"):
         acc.bundle(seed=0)
+    acc.gather(2, incomes[2:])
+    with pytest.raises(ValueError, match="not gathered"):
+        acc.bundle(seed=0)
+    acc.gather(0, incomes[:2])
+    bundle = acc.bundle(seed=0)
+    assert np.array_equal(bundle.below_paths, incomes[[1]])
+    assert np.array_equal(bundle.above_paths, incomes[[2]])
 
 
 def test_accumulator_rejects_bad_head_counts():
@@ -938,10 +950,13 @@ def test_accumulator_rejects_bad_head_counts():
         PovertyAccumulator(hcr, 5, (2001, 2003))
 
 
-def _streamed(n_agents: int, n_years: int) -> PovertyAccumulator:
-    """An accumulator at HCR 0.5 from 2000, every year pushed."""
+def _streamed(n_agents: int, n_years: int, k_below: int = 0,
+              k_above: int = 0) -> PovertyAccumulator:
+    """An accumulator at HCR 0.5 from 2000, every year pushed: agent i's
+    income is i in every year."""
     hcr = AnnualSeries(np.arange(2000, 2000 + n_years), [0.5] * n_years)
-    acc = PovertyAccumulator(hcr, n_agents, (2000, 2000 + n_years - 1))
+    acc = PovertyAccumulator(hcr, n_agents, (2000, 2000 + n_years - 1),
+                             k_below, k_above)
     for _ in range(n_years):
         acc.push(np.arange(float(n_agents)))
     return acc
