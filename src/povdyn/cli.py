@@ -24,10 +24,10 @@ from . import __version__
 from .calibrate import (CalibrationConfig, CalibrationResult, fit_series,
                         panel_fingerprint, replay)
 from .dataio import (_INT64_MAX, _INT64_MIN, PanelSpool, RunManifest,
-                     _output_dir, json_value, read_hcr_file, read_panel,
-                     read_series, write_json, write_manifest, write_panel,
-                     write_paths_csv, write_pooled_csv, write_report_csv,
-                     write_series)
+                     StoredPanel, _output_dir, json_value,
+                     read_hcr_file, read_series, spool_panel, write_json,
+                     write_manifest, write_panel, write_paths_csv,
+                     write_pooled_csv, write_report_csv, write_series)
 from .errors import (CalibrationDivergenceError, ConfigError, DataError,
                      OutputError, PovdynError)
 from .poverty import (PovertyAccumulator, _check_period, _persistence,
@@ -583,19 +583,45 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
+                  ) -> None:
+    """Hand every year of ``spool`` to each accumulator, read into one
+    reused row, and gather the path bundles' incomes from the same rows;
+    no (years, agents) array is held, and the row is freed before the
+    reports are written."""
+    years = spool.years.tolist()
+    row = np.empty(spool.n_agents)
+    for t, year in enumerate(years):
+        spool.read_year(t, row)
+        for acc in accs.values():
+            acc(year, row)
+            acc.gather_year(year, row)
+    # each definition picks its path agents in its first HCR year: the
+    # years before it are read again for their incomes
+    picked = max((acc.hcr.first_year for acc in accs.values()),
+                 default=years[0])
+    for t, year in enumerate(years[:picked - years[0]]):
+        spool.read_year(t, row)
+        for acc in accs.values():
+            acc.gather_year(year, row)
+
+
 def cmd_metrics(args) -> int:
     cfg = build_config(args)
     if not cfg.hcr_files:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
-    panel = read_panel(cfg.panel_dir or cfg.out_dir)
-    manifest = _make_manifest(cfg, cfg.hcr_files.values())
-    accs, failed = _definitions(cfg, panel.years, panel.n_agents)
-    for year in map(int, panel.years):
-        for acc in accs.values():
-            acc(year, panel.column(year))
-    for acc in accs.values():
-        acc.gather(0, panel.incomes)
-    _run_metrics(cfg, manifest, panel.fingerprint, accs, failed)
+    # The stored panel is turned year-major into a spool in the output
+    # directory, one block of agents at a time, and every check of its
+    # files is made in that pass, before any report is written. The
+    # spool is deleted however the block is left.
+    stored = StoredPanel(cfg.panel_dir or cfg.out_dir)
+    with PanelSpool(cfg.out_dir, stored.years, stored.n_agents,
+                    stored.seed) as spool:
+        spool_panel(stored, spool)
+        manifest = _make_manifest(cfg, cfg.hcr_files.values())
+        accs, failed = _definitions(cfg, spool.years, spool.n_agents)
+        _push_spooled(spool, accs)
+    _run_metrics(cfg, manifest, stored.fingerprint, accs, failed)
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 

@@ -248,23 +248,30 @@ _PANEL_WRITERS = 2
 SPOOL_NAME = "panel_spool.tmp"
 
 
-def _block_agents(n_agents: int, n_years: int) -> int:
-    """Agents per block of a panel: as many as fill ``_PANEL_BLOCK_BYTES``
-    with their incomes of every year, at least one and at most all."""
-    return max(1, min(n_agents, _PANEL_BLOCK_BYTES // (8 * n_years)))
+def _block_agents(n_agents: int, n_years: int,
+                  nbytes: int | None = None) -> int:
+    """Agents per block of a panel: as many as fill ``nbytes`` (default
+    ``_PANEL_BLOCK_BYTES``) with their incomes of every year, at least one
+    and at most all."""
+    nbytes = _PANEL_BLOCK_BYTES if nbytes is None else nbytes
+    return max(1, min(n_agents, nbytes // (8 * n_years)))
 
 
 class PanelSpool:
-    """An income panel that arrives one year at a time, spooled to disk.
+    """An income panel spooled to disk year-major, never held in memory.
 
-    A spool is a row hook: ``spool(year, incomes)`` appends each year's
-    incomes, in year order, to ``panel_spool.tmp`` in the output
-    directory as one float64 row: a year-major (T, N) file, never held in
-    memory. It goes beside the outputs, not to a temporary directory,
-    which may be memory-backed. :func:`write_panel` reads it back one
-    block of agents at a time, one ``os.preadv`` per year into the
-    block's year-major buffer, and several threads may read at once. The
-    file is open inside the ``with`` block; leaving the block, by an
+    The spool is ``panel_spool.tmp`` in the output directory, a (T, N)
+    file of float64 rows. It goes beside the outputs, not to a temporary
+    directory, which may be memory-backed. It is filled in one of two
+    ways. As a row hook, ``spool(year, incomes)`` appends each year's
+    incomes in year order (``simulate`` and ``pipeline``, as the years
+    are stepped). A stored panel, which arrives agents-major, is written
+    one block of agents at a time with :meth:`write_agents`
+    (:func:`spool_panel`, for ``metrics``). :func:`write_panel` reads a
+    spool back one block of agents at a time, one ``os.preadv`` per year
+    into the block's year-major buffer, and several threads may read at
+    once; ``metrics`` reads it one year at a time (:meth:`read_year`).
+    The file is open inside the ``with`` block; leaving the block, by an
     error too, closes and deletes it, and any OSError inside it is an
     OutputError naming the spool. ``fingerprint`` is set by the caller
     once the rates are known.
@@ -304,6 +311,25 @@ class PanelSpool:
             if os.preadv(fd, [row], t * row_bytes + a0 * 8) != row.nbytes:
                 raise OSError(f"{self.path}: year {int(self.years[t])} "
                               "is cut short")
+
+    def write_agents(self, a0: int, rows: np.ndarray) -> None:
+        """Write ``rows`` ((T, k), year-major, each row contiguous), the
+        incomes of agents ``a0 .. a0+k-1``, at their place in every year's
+        row: one ``os.pwrite`` per year, the inverse of
+        :meth:`read_agents`."""
+        fd = self._file.fileno()
+        row_bytes = self.n_agents * 8
+        for t, row in enumerate(rows):
+            _pwrite_all(fd, row, t * row_bytes + a0 * 8)
+
+    def read_year(self, t: int, out: np.ndarray) -> None:
+        """Fill ``out`` (N,) with the incomes of the ``t``-th year: one
+        ``os.preadv``."""
+        self._file.flush()
+        if os.preadv(self._file.fileno(), [out], t * out.nbytes) != \
+                out.nbytes:
+            raise OSError(f"{self.path}: year {int(self.years[t])} "
+                          "is cut short")
 
     def __enter__(self) -> "PanelSpool":
         _output_dir(self.path.parent)
@@ -480,6 +506,12 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
 _PANEL_META_KEYS = ("seed", "fingerprint", "n_agents", "first_year",
                    "last_year", "format")
 
+# bytes per block buffer of a ``csv`` panel being read: each value is
+# parsed on its own, which costs far more than the transposes and the
+# writes that larger blocks would save, and a small buffer keeps
+# read_panel's peak near the panel's own size
+_CSV_BLOCK_BYTES = 64 << 10
+
 
 def _check_npy_header(f, path: Path, dtype, shape: tuple[int, ...]) -> None:
     """Check the header and size of the ``.npy`` file open as ``f``.
@@ -515,48 +547,146 @@ def _read_into(f, out: np.ndarray, path: Path) -> None:
         raise DataError(f"{path}: file ended early")
 
 
-def _read_npy_panel(directory: Path, n_agents: int, n_years: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Years and year-major (T, N) incomes of an ``npy`` panel.
+class StoredPanel:
+    """A panel written by :func:`write_panel`, read one block of agents at
+    a time.
 
-    The agents-major file is read one block of agents at a time into the
-    year-major array, so only one full-size copy ever exists.
+    Making one reads and checks ``panel_meta.json`` and, for an ``npy``
+    panel, ``panel_years.npy``, and checks the head of the incomes file:
+    the ``.npy`` header and the file's size, or the ``csv`` header row and
+    that the file is long enough for the metadata's agents. So a panel
+    whose metadata or headers are wrong is refused before anything is
+    written. :meth:`blocks` then reads the incomes, agents-major as they
+    are stored, and checks the rest. ``years``, ``n_agents``, ``seed`` and
+    ``fingerprint`` are the metadata's.
+
+    Raises DataError when the metadata is missing, unreadable, not valid
+    JSON, lacks a key or names an unknown format, when a panel file cannot
+    be read or parsed, is cut short or runs on past its data, when the
+    files disagree with the metadata on the agent count, the year range or
+    the element type (``int64`` years, ``float64`` incomes), when a
+    ``csv`` panel's year headers or agent fields are not the metadata's
+    years and 0, 1, 2, ... in order, and when an income is not finite.
     """
-    path = directory / "panel_years.npy"
-    with open(path, "rb") as f:
-        _check_npy_header(f, path, np.int64, (n_years,))
-        years = np.empty(n_years, dtype=np.int64)
-        _read_into(f, years, path)
-    path = directory / "panel_incomes.npy"
-    with open(path, "rb") as f:
-        _check_npy_header(f, path, np.float64, (n_agents, n_years))
-        by_year = np.empty((n_years, n_agents))
-        k = _block_agents(n_agents, n_years)
+
+    def __init__(self, directory):
+        directory = self.directory = Path(directory)
+        meta_path = directory / "panel_meta.json"
+        if not meta_path.exists():
+            raise DataError(f"no panel_meta.json under {directory}")
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise DataError(f"cannot read {meta_path}: {exc.strerror or exc}"
+                            ) from None
+        except ValueError as exc:
+            raise DataError(f"{meta_path}: not valid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"{meta_path}: expected a JSON object")
+        missing = [k for k in _PANEL_META_KEYS if k not in meta]
+        if missing:
+            raise DataError(f"{meta_path}: missing keys {missing}")
+        if meta["format"] not in ("npy", "csv"):
+            raise DataError(f"{meta_path}: unknown panel format "
+                            f"{meta['format']!r}")
+        if not isinstance(meta["fingerprint"], str):
+            raise DataError(f"{meta_path}: fingerprint must be a string")
+        try:
+            self.seed = int(meta["seed"])
+            self.n_agents = n_agents = int(meta["n_agents"])
+            first, last = int(meta["first_year"]), int(meta["last_year"])
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{meta_path}: bad value ({exc})") from None
+        n_years = last - first + 1
+        if n_years < 1 or n_agents < 0:
+            raise DataError(f"{meta_path}: {n_agents} agents over years "
+                            f"{first}..{last}")
+        self.fingerprint = meta["fingerprint"]
+        self.format = meta["format"]
+        self.first_year, self.last_year = first, last
+        try:
+            if self.format == "npy":
+                path = directory / "panel_years.npy"
+                with open(path, "rb") as f:
+                    _check_npy_header(f, path, np.int64, (n_years,))
+                    years = np.empty(n_years, dtype=np.int64)
+                    _read_into(f, years, path)
+            with self._open():  # the head of the incomes file
+                pass
+        except (OSError, ValueError, csv.Error) as exc:
+            raise DataError(f"cannot read panel under {directory}: {exc}"
+                            ) from None
+        # sized by the files checked above, not by the metadata alone
+        self.years = np.arange(first, last + 1, dtype=np.int64)
+        if self.format == "npy" and not np.array_equal(years, self.years):
+            raise DataError(
+                f"{directory}: panel years do not match the metadata range "
+                f"{first}..{last}")
+
+    @contextmanager
+    def _open(self):
+        """The incomes file, its head checked, at the first agent: the
+        binary file of an ``npy`` panel, a ``csv.reader`` of a ``csv``
+        one."""
+        n_agents = self.n_agents
+        n_years = self.last_year - self.first_year + 1
+        if self.format == "npy":
+            path = self.directory / "panel_incomes.npy"
+            with open(path, "rb") as f:
+                _check_npy_header(f, path, np.float64, (n_agents, n_years))
+                yield f
+            return
+        path = self.directory / "panel.csv"
+        with open(path, newline="", encoding="utf-8") as f:
+            # a field and its separator take two bytes at least: a file
+            # too short for the metadata's years and agents is refused
+            # before its header is built
+            if os.fstat(f.fileno()).st_size < \
+                    2 * (n_years + 1) * (n_agents + 1):
+                raise DataError(f"{path}: too short for {n_agents} agents "
+                                f"over {n_years} years")
+            reader = csv.reader(f)
+            header = ["agent"] + [f"y{y}" for y in
+                                  range(self.first_year, self.last_year + 1)]
+            if next(reader, None) != header:
+                raise DataError(f"{path}:1: header is not agent, "
+                                f"{header[1]}..{header[-1]}")
+            yield reader
+
+    def blocks(self):
+        """``(a0, block)`` over the agents in order: ``block`` is the (k,
+        T) agents-major incomes of agents ``a0 .. a0+k-1``, in one buffer
+        that the next block overwrites. An ``npy`` block is one read of
+        ``_PANEL_BLOCK_BYTES`` at most; a ``csv`` block is parsed one agent
+        row at a time into a buffer of ``_CSV_BLOCK_BYTES`` at most. Each
+        block's incomes are checked to be finite before it is yielded.
+        """
+        n_agents, n_years = self.n_agents, len(self.years)
+        csv_panel = self.format == "csv"
+        k = _block_agents(n_agents, n_years, _CSV_BLOCK_BYTES if csv_panel
+                          else _PANEL_BLOCK_BYTES)
         buf = np.empty((k, n_years))
-        for a0 in range(0, n_agents, k):
-            block = buf[:min(k, n_agents - a0)]
-            _read_into(f, block, path)
-            by_year[:, a0:a0 + len(block)] = block.T
-    return years, by_year
+        try:
+            with self._open() as f:
+                if csv_panel:
+                    yield from self._csv_blocks(f, buf)
+                    return
+                path = self.directory / "panel_incomes.npy"
+                for a0 in range(0, n_agents, k):
+                    block = buf[:min(k, n_agents - a0)]
+                    _read_into(f, block, path)
+                    self._check_finite(path, a0, block)
+                    yield a0, block
+        except (OSError, ValueError, IndexError, csv.Error) as exc:
+            raise DataError(f"cannot read panel under {self.directory}: "
+                            f"{exc}") from None
 
-
-def _read_csv_panel(directory: Path, years: np.ndarray, n_agents: int
-                    ) -> np.ndarray:
-    """Year-major (T, N) incomes of a ``csv`` panel, read one agent row at
-    a time. The header must be ``agent`` and ``y<year>`` for each of
-    ``years``, and row i's agent field must be i."""
-    path = directory / "panel.csv"
-    header = ["agent"] + [f"y{int(y)}" for y in years]
-    with open(path, newline="", encoding="utf-8") as f:
-        # a field and its separator take two bytes at least: a file too
-        # short for the metadata's agents is refused before allocating
-        if os.fstat(f.fileno()).st_size < 2 * len(header) * n_agents:
-            raise DataError(f"{path}: too short for {n_agents} agents")
-        reader = csv.reader(f)
-        if next(reader, None) != header:
-            raise DataError(f"{path}:1: header is not agent, "
-                            f"{header[1]}..{header[-1]}")
-        by_year = np.empty((len(years), n_agents))
+    def _csv_blocks(self, reader, buf: np.ndarray):
+        """The blocks of :meth:`blocks` from the agent rows of ``reader``;
+        row i's agent field must be i, and it must hold a value for each
+        year."""
+        path = self.directory / "panel.csv"
+        n_agents, k = self.n_agents, len(buf)
         i = -1
         for i, row in enumerate(reader):
             where = f"{path}:{reader.line_num}"
@@ -565,78 +695,69 @@ def _read_csv_panel(directory: Path, years: np.ndarray, n_agents: int
             if row[:1] != [str(i)]:
                 raise DataError(f"{where}: agent field {row[:1]}, "
                                 f"expected {i}")
-            if len(row) != len(header):
+            if len(row) != buf.shape[1] + 1:
                 raise DataError(f"{where}: agent {i} has {len(row) - 1} "
-                                f"values, expected {len(years)}")
-            by_year[:, i] = [float(v) for v in row[1:]]
-    if i + 1 != n_agents:
-        raise DataError(f"{path}: {i + 1} agents, metadata says {n_agents}")
-    return by_year
+                                f"values, expected {buf.shape[1]}")
+            buf[i % k] = [float(v) for v in row[1:]]
+            if i % k == k - 1:
+                self._check_finite(path, i + 1 - k, buf)
+                yield i + 1 - k, buf
+        if i + 1 != n_agents:
+            raise DataError(f"{path}: {i + 1} agents, metadata says "
+                            f"{n_agents}")
+        if n_agents % k:
+            block = buf[:n_agents % k]
+            self._check_finite(path, n_agents - len(block), block)
+            yield n_agents - len(block), block
+
+    def _check_finite(self, path: Path, a0: int, block: np.ndarray) -> None:
+        """DataError naming the file, the agent and the year of the first
+        income of ``block`` (agents ``a0 ..``) that is not finite."""
+        if not np.isfinite(block).all():
+            i, t = np.argwhere(~np.isfinite(block))[0].tolist()
+            raise DataError(f"{path}: non-finite income {block[i, t]} of "
+                            f"agent {a0 + i} in year {self.first_year + t}")
+
+
+def spool_panel(stored: StoredPanel, spool: PanelSpool) -> None:
+    """Fill ``spool`` with the incomes of ``stored``: the blocked
+    transpose of :func:`write_panel` run in reverse.
+
+    Each block of :meth:`StoredPanel.blocks` is transposed into one reused
+    year-major buffer and written with :meth:`PanelSpool.write_agents`, so
+    every check of the stored files is made in this pass, and memory
+    holds one block and its transpose whatever the panel's size. (The
+    writes on a helper thread, beside the next block's read, were slower
+    on two cores: 18-22 ms against 16-18 ms for a 10k x 121 panel.)
+    """
+    rows = np.empty(0)
+    for a0, block in stored.blocks():
+        if rows.size < block.size:  # the first block is the largest
+            rows = np.empty(block.size)
+        by_year = rows[:block.size].reshape(block.shape[::-1])
+        np.copyto(by_year, block.T)
+        spool.write_agents(a0, by_year)
 
 
 def read_panel(directory):
-    """Load a panel written by :func:`write_panel`.
+    """Load a panel written by :func:`write_panel` into an
+    :class:`~povdyn.poverty.IncomePanel`, for the library: no command
+    holds a whole panel.
 
-    The incomes land in the panel's year-major memory; an ``npy`` file is
-    read one block of agents at a time and a ``csv`` file one agent row
-    at a time, so the panel is never held twice. Raises DataError when
-    the metadata is missing, unreadable, not valid JSON, lacks a key or
-    names an unknown format, when a panel file cannot be read or parsed,
-    is cut short or runs on past its data, when the arrays disagree with
-    the metadata on the agent count, the year range or the element type
-    (``int64`` years, ``float64`` incomes), and when a ``csv`` panel's
-    year headers or agent fields are not the metadata's years and
-    0, 1, 2, ... in order.
+    The panel is read by :class:`StoredPanel`, which makes every check
+    and raises its DataErrors, one block of agents at a time into the
+    panel's year-major memory, so the panel is held once, beside one block
+    buffer of ``_PANEL_BLOCK_BYTES`` at most (``_CSV_BLOCK_BYTES`` for a
+    ``csv`` file).
     """
     from .poverty import IncomePanel
 
-    directory = Path(directory)
-    meta_path = directory / "panel_meta.json"
-    if not meta_path.exists():
-        raise DataError(f"no panel_meta.json under {directory}")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {meta_path}: {exc.strerror or exc}"
-                        ) from None
-    except ValueError as exc:
-        raise DataError(f"{meta_path}: not valid JSON ({exc})") from None
-    if not isinstance(meta, dict):
-        raise DataError(f"{meta_path}: expected a JSON object")
-    missing = [k for k in _PANEL_META_KEYS if k not in meta]
-    if missing:
-        raise DataError(f"{meta_path}: missing keys {missing}")
-    if meta["format"] not in ("npy", "csv"):
-        raise DataError(f"{meta_path}: unknown panel format "
-                        f"{meta['format']!r}")
-    if not isinstance(meta["fingerprint"], str):
-        raise DataError(f"{meta_path}: fingerprint must be a string")
-    try:
-        seed = int(meta["seed"])
-        n_agents = int(meta["n_agents"])
-        first, last = int(meta["first_year"]), int(meta["last_year"])
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{meta_path}: bad value ({exc})") from None
-    n_years = last - first + 1
-    if n_years < 1 or n_agents < 0:
-        raise DataError(f"{meta_path}: {n_agents} agents over years "
-                        f"{first}..{last}")
-    try:
-        if meta["format"] == "npy":
-            years, by_year = _read_npy_panel(directory, n_agents, n_years)
-        else:
-            years = np.arange(first, last + 1, dtype=np.int64)
-            by_year = _read_csv_panel(directory, years, n_agents)
-    except (OSError, ValueError, IndexError) as exc:
-        raise DataError(f"cannot read panel under {directory}: {exc}"
-                        ) from None
-    # IncomePanel checks that the years are consecutive
-    if int(years[0]) != first:
-        raise DataError(
-            f"{directory}: panel years do not match the metadata range "
-            f"{first}..{last}")
-    return IncomePanel(years=years, incomes=by_year.T, seed=seed,
-                       fingerprint=meta["fingerprint"])
+    stored = StoredPanel(directory)
+    by_year = np.empty((len(stored.years), stored.n_agents))
+    for a0, block in stored.blocks():
+        by_year[:, a0:a0 + len(block)] = block.T
+    return IncomePanel(years=stored.years, incomes=by_year.T,
+                       seed=stored.seed, fingerprint=stored.fingerprint)
 
 
 # ---------------------------------------------------------------------------

@@ -279,25 +279,37 @@ class _Spells:
     """Spell lengths and the count table, fed one year of flags at a time.
 
     Keeps one int32 row of spell lengths, updated in place once the
-    year's count row has read it, and the (T - 1, T + 1, 2) table of
-    counts. Row ``j - 1`` of the table is ``bincount(duration[j - 1] * 2
-    + poor[j])``: the agents by spell length at ``j - 1`` and status at
-    ``j`` (0 non-poor, 1 poor).
+    year's count row has read it, the histogram of those lengths, and the
+    (T - 1, T + 1, 2) table of counts. Row ``j - 1`` of the table counts
+    the agents by spell length ``d`` at ``j - 1`` and status at ``j`` (0
+    non-poor, 1 poor), ``bincount(duration[j - 1] * 2 + poor[j])``. It is
+    built from histograms: with ``h_j = bincount(duration[j])``, an agent
+    poor at ``j`` with length ``d`` at ``j - 1`` has length ``d + 1`` at
+    ``j``, so ``row[d, 1] = h_j[d + 1]``, counted by one bincount over the
+    poor agents' lengths at ``j - 1``, and ``row[d, 0] = h_{j-1}[d] -
+    row[d, 1]``; ``h_j[0]`` is the agents not poor at ``j``.
     """
 
     def __init__(self, n_agents: int, n_years: int):
         self.counts = np.zeros((max(n_years - 1, 0), n_years + 1, 2),
                                dtype=np.int64)
         self._duration = np.zeros(n_agents, dtype=np.int32)
+        self._hist = np.zeros(n_years + 1, dtype=np.int64)
         self._j = 0
 
     def push(self, poor: np.ndarray) -> None:
-        j = self._j
+        j, hist = self._j, self._hist
         if j:
-            key = np.multiply(self._duration, 2, dtype=np.intp)
-            key += poor
-            self.counts[j - 1] = np.bincount(
-                key, minlength=self.counts[j - 1].size).reshape(-1, 2)
+            # the agents poor at j by spell length at j - 1
+            stay = np.bincount(np.compress(poor, self._duration),
+                               minlength=len(hist))
+            row = self.counts[j - 1]
+            row[:, 1] = stay
+            np.subtract(hist, stay, out=row[:, 0])
+            hist[1:] = stay[:-1]
+        else:  # every spell starts at length 1
+            hist[1] = np.count_nonzero(poor)
+        hist[0] = len(self._duration) - hist[1:].sum()
         _next_duration(self._duration, poor, out=self._duration)
         self._j = j + 1
 
@@ -632,7 +644,8 @@ class PovertyAccumulator:
     the count table and the within-poor Gini; in the first year it also
     picks the ``k_below`` and ``k_above`` agents of the path bundle, as
     :func:`sample_paths` does, and :meth:`gather` keeps their incomes, one
-    block of agents at a time in any order, for :meth:`bundle`. Per agent
+    block of agents at a time in any order, for :meth:`bundle`, or
+    :meth:`gather_year` one year at a time. Per agent
     it keeps one bool row and one int32 row, whatever the number of
     years, so a panel that is never held whole (the pipeline's, stepped
     by the calibration) can be measured as it is made. Its lines,
@@ -710,10 +723,18 @@ class PovertyAccumulator:
             lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
             rows[lo:hi] = block[agents[lo:hi] - a0]  # agents ascending
 
+    def gather_year(self, year: int, incomes: np.ndarray) -> None:
+        """Keep the picked agents' incomes of the panel year ``year`` among
+        ``incomes``, every agent's; before the agents are picked there is
+        nothing to keep."""
+        t = year - int(self.years[0])
+        for agents, rows in zip((self.below, self.above), self._paths):
+            rows[:, t] = incomes[agents]
+
     def bundle(self, seed: int) -> TrajectoryBundle:
         """The path bundle of the picked agents over the panel years, from
-        the incomes :meth:`gather` kept; ValueError unless every picked
-        agent's row has been gathered."""
+        the incomes :meth:`gather` and :meth:`gather_year` kept;
+        ValueError unless every picked agent's row has been gathered."""
         if any(np.isnan(rows).any() for rows in self._paths):
             raise ValueError("a picked agent's incomes are not gathered")
         return _bundle(self.years, self.line, self.below, self.above,

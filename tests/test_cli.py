@@ -1,5 +1,6 @@
 """End-to-end CLI runs on the committed fixtures."""
 
+import csv
 import errno
 import filecmp
 import io
@@ -560,33 +561,41 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
     assert max(peaks.values()) <= (7 + 7 / 8 + 1 / 2) * 8 * n
 
 
-def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
-                                                            capsys):
-    # Peak, in float64 N-vectors: the stored panel, which metrics reads
-    # whole (T + 1 vectors over T years of HCR), and per definition the
-    # accumulator's int32 spell row and bool flag row (1/2 + 1/8, three
-    # definitions: 1 + 7/8). Above them, the largest moment is the first
-    # year's path pick: one masked copy of the column, partitioned in
-    # place, beside the complement of the poor flags and a boolean mask
-    # (1 + 1/8 and a little). Measured with tracemalloc around each step
-    # at 20 years, that is the panel + 3.06; every other step needs
-    # less: the line's partition copy and the count row's intp key one
-    # vector each (+ 2.93 and + 2.97), and the within-poor Gini of the
-    # 0.5 definition, which sorts its compressed poor incomes in place,
-    # 0.5 for them, 0.5 for the weights and 1/16 for the negative scan
-    # (+ 2.93). So the peak is under the panel + 3 + 1/4; what is left is
-    # small objects and the count tables, whose size grows with the
-    # square of the years but stays far under a vector (+ 3.16 at 60
-    # years). So from 20 to 60 years the peak grows by the panel's 40
-    # vectors, within one.
-    n = 200_000
+@pytest.mark.parametrize("fmt, n, spans", [("npy", 200_000, (20, 60)),
+                                           ("csv", 20_000, (10, 30))],
+                         ids=["npy", "csv"])
+def test_metrics_peak_memory_does_not_grow_with_years(tmp_path, capsys, fmt,
+                                                      n, spans):
+    # Peak, in float64 N-vectors: the year row read from the spool (1),
+    # and per definition the accumulator's int32 spell row and bool flag
+    # row (1/2 + 1/8, three definitions: 1 + 7/8). Above them, the
+    # largest moment is the first year's path pick: one masked copy of
+    # the row, partitioned in place, beside the complement of the poor
+    # flags and a boolean mask (1 + 1/4). That is 4 + 1/8; every other
+    # step needs less: the line's partition copy (1), the count row's
+    # compressed spell lengths of the poor and their intp cast (3/4 at
+    # most, at HCR 0.5), and the within-poor Gini of the 0.5 definition,
+    # which sorts its compressed poor incomes in place (1/2 for them, 1/2
+    # for the weights and 1/16 for the negative scan). The spool is
+    # filled before any accumulator exists, through one block and its
+    # transpose (2 x 2 MiB for npy, 2.6 vectors at 200,000 agents; 2 x 64
+    # KiB for csv), and the row is freed before the reports. What does
+    # not scale with the agents stays under 1 1/2 MiB: the manifest's
+    # digest reads each HCR file in blocks of 1 MiB, and the three count
+    # tables (16 (T - 1) (T + 1) bytes each, 173 KB at 60 years), the
+    # report text and small objects take less than half a MiB. The
+    # panel is never held, so when the years triple the peak grows by
+    # less than one vector. Parsing a csv panel is slow, so its run has
+    # fewer agents and years; a third of the years is still ten.
     peaks = {}
-    for n_years in (20, 60):
+    for n_years in spans:
         cfg = _memory_run_inputs(tmp_path, n_years, n)
         sim = tmp_path / f"sim_{n_years}"
         sim.mkdir()
-        assert main(["simulate", "--config",
-                     str(_simulate_config(sim, [0.01] * n_years, n)),
+        sim_cfg = _simulate_config(sim, [0.01] * n_years, n)
+        with open(sim_cfg, "a") as f:
+            f.write(f"panel_format = {fmt}\n")
+        assert main(["simulate", "--config", str(sim_cfg),
                      "--out", str(sim / "panel")]) == EXIT_OK
         with open(cfg, "a") as f:
             f.write(f"panel_dir = {sim / 'panel'}\n")
@@ -597,9 +606,8 @@ def test_metrics_peak_memory_is_the_panel_and_a_few_vectors(tmp_path,
             _, peaks[n_years] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert abs(peaks[60] - peaks[20] - 40 * 8 * n) <= 8 * n
-    for n_years, peak in peaks.items():
-        assert peak <= (n_years + 1 + 3 + 1 / 4) * 8 * n
+    assert abs(peaks[spans[1]] - peaks[spans[0]]) <= 8 * n
+    assert max(peaks.values()) <= (4 + 1 / 4) * 8 * n + (3 << 19)
 
 
 # ---------------------------------------------------------------------------
@@ -983,6 +991,25 @@ def test_metrics_checks_the_csv_panel_labels(tmp_path, fixtures_dir, capsys,
     assert "Traceback" not in err
 
 
+def test_csv_panel_field_over_the_csv_limit_is_a_data_error(
+        tmp_path, fixtures_dir, capsys):
+    # the csv module's csv.Error escaped the reader as a traceback
+    panel = tmp_path / "panel"
+    shutil.copytree(fixtures_dir / "panel_small", panel)
+    rows = (panel / "panel.csv").read_text().splitlines(keepends=True)
+    rows[2] = rows[2][:5] + "1" * (csv.field_size_limit() + 1) + rows[2][5:]
+    (panel / "panel.csv").write_text("".join(rows))
+    out = tmp_path / "run"
+    assert run(["metrics", "--config",
+                str(_metrics_config(tmp_path, panel, fixtures_dir)),
+                "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read panel under {panel}: "
+                          "field larger than field limit")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["pipeline", "metrics"])
 def test_no_definition_fails_before_any_work(tmp_path, fixtures_dir,
                                              monkeypatch, capsys, command):
@@ -1169,6 +1196,69 @@ def test_short_spool_read_is_an_output_error(tmp_path, monkeypatch, capsys):
         f"{out / SPOOL_NAME}: year 1950 is cut short")
     assert "Traceback" not in err
     assert not (out / SPOOL_NAME).exists()
+
+
+def _metrics_config(d: Path, panel: Path, fixtures: Path) -> Path:
+    """A metrics config over ``panel`` with the fixture's definition."""
+    cfg = d / "metrics.cfg"
+    cfg.write_text(f"panel_dir = {panel}\npool_periods = 2001-2007\n"
+                   f"hcr_small = {fixtures / 'hcr_small.csv'}\n")
+    return cfg
+
+
+def test_metrics_spool_write_failure_is_an_output_error(tmp_path,
+                                                         fixtures_dir,
+                                                         monkeypatch,
+                                                         capsys):
+    # a disk that fills while the stored panel is spooled: an output
+    # error naming the spool, no spool left and no report written
+    cfg = _metrics_config(
+        tmp_path, _npy_panel(tmp_path / "panel", fixtures_dir), fixtures_dir)
+
+    def full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(os, "pwrite", full)
+    out = tmp_path / "run"
+    assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_IO
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"output error: cannot write {out / SPOOL_NAME}: [Errno "
+        f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["npy", "csv"])
+def test_non_finite_stored_income_names_the_agent_and_year(
+        tmp_path, fixtures_dir, capsys, fmt):
+    # it was "panel incomes must be finite", with no file, agent or year
+    panel = tmp_path / "panel"
+    if fmt == "npy":
+        _npy_panel(panel, fixtures_dir)
+        path = panel / "panel_incomes.npy"
+        raw = bytearray(path.read_bytes())
+        # agent 3, year 2002 of the (5, 8) array, which ends the file
+        pos = len(raw) - 5 * 8 * 8 + (3 * 8 + 2) * 8
+        raw[pos:pos + 8] = np.float64(np.inf).tobytes()
+        path.write_bytes(bytes(raw))
+    else:
+        shutil.copytree(fixtures_dir / "panel_small", panel)
+        path = panel / "panel.csv"
+        rows = path.read_text().splitlines(keepends=True)
+        fields = rows[4].split(",")  # agent 3
+        fields[3] = "inf"  # 2002
+        rows[4] = ",".join(fields)
+        path.write_text("".join(rows))
+    out = tmp_path / "run"
+    assert run(["metrics", "--config",
+                str(_metrics_config(tmp_path, panel, fixtures_dir)),
+                "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        f"data error: {path}: non-finite income inf of agent 3 in year 2002")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_version_flag(capsys):

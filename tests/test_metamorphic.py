@@ -15,16 +15,20 @@ panel directory.
   path bundle picks the same agents under their new numbers. The
   within-poor Gini's total is summed in agent order, so its last bit may
   move under a permutation; on this panel its 12-digit text does not.
+- ``metrics`` run twice into one output directory, on an ``npy`` and a
+  ``csv`` copy: the second run writes the first run's bytes, the
+  manifest's timestamp aside, and leaves no spool behind.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from povdyn.cli import EXIT_OK, main
-from povdyn.dataio import read_panel, write_panel
+from povdyn.dataio import SPOOL_NAME, read_panel, write_panel
 from povdyn.poverty import IncomePanel
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,3 +118,23 @@ def test_permuting_the_agents(tmp_path, measured):
                 label = f"{kind}_{perm[int(agent)]}"
             renamed[label] = column
         assert renamed == _paths(lines), name
+
+
+@pytest.mark.parametrize("fmt", ["npy", "csv"])
+def test_metrics_twice_into_one_out(tmp_path, measured, fmt):
+    panel, cfg, _ = measured
+    write_panel(panel, tmp_path / "panel", fmt=fmt)
+    (tmp_path / "metrics.cfg").write_text(
+        cfg.read_text() + f"panel_dir = {tmp_path / 'panel'}\n")
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert main(["metrics", "--config", str(tmp_path / "metrics.cfg"),
+                     "--out", str(out)]) == EXIT_OK
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        del manifest["timestamp"]  # the run's time, outside the digest
+        runs.append((files, manifest))
+    assert runs[0] == runs[1]
+    assert SPOOL_NAME not in runs[0][0]
+    assert len(runs[0][0]) == 10  # nine reports and summary.json

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povdyn import dataio
+from povdyn.cli import EXIT_DATA, main
 from povdyn.dataio import read_panel, write_panel
 from povdyn.errors import DataError
 from povdyn.poverty import IncomePanel, PovertyAccumulator
@@ -90,6 +91,35 @@ def test_roundtrip_and_npy_bytes(n_agents, n_years, block, spooled, threads,
     assert back.incomes.shape == (n_agents, n_years)
     assert back.incomes.T.flags.c_contiguous
     assert (back.seed, back.fingerprint) == (panel.seed, panel.fingerprint)
+
+
+@SETTINGS
+@given(n_agents=st.integers(1, 40), n_years=st.integers(1, 9),
+       block=st.sampled_from([1, 3, 7, 16, None]),
+       fmt=st.sampled_from(["npy", "csv"]), seed=st.integers(0, 2**32 - 1))
+def test_spooled_stored_panel_reads_back_every_year(n_agents, n_years, block,
+                                                    fmt, seed):
+    # metrics turns the stored panel year-major into a spool, block by
+    # block; each year read back is the year of read_panel, bit for bit
+    panel = _panel(n_agents, n_years, seed)
+    budget = (dataio._PANEL_BLOCK_BYTES if block is None
+              else block * 8 * n_years)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataio, "_PANEL_BLOCK_BYTES", budget), \
+            mock.patch.object(dataio, "_CSV_BLOCK_BYTES", budget):
+        write_panel(panel, Path(tmp) / "panel", fmt=fmt)
+        want = read_panel(Path(tmp) / "panel")
+        stored = dataio.StoredPanel(Path(tmp) / "panel")
+        with dataio.PanelSpool(Path(tmp) / "out", stored.years,
+                               stored.n_agents, stored.seed) as spool:
+            dataio.spool_panel(stored, spool)
+            row = np.empty(n_agents)
+            for t, year in enumerate(want.years.tolist()):
+                spool.read_year(t, row)
+                assert row.tobytes() == want.column(year).tobytes()
+        assert list((Path(tmp) / "out").iterdir()) == []
+    if fmt == "npy":
+        assert np.array_equal(want.incomes, panel.incomes)
 
 
 @pytest.mark.parametrize("array", [
@@ -170,6 +200,37 @@ def test_damaged_panel_files_raise_data_error(n_agents, n_years, name, data):
         path.write_bytes(_mutate(name, path.read_bytes(), data.draw))
         with pytest.raises(DataError):
             read_panel(tmp)
+
+
+@SETTINGS
+@given(n_agents=st.integers(2, 20), n_years=st.integers(2, 6),
+       name=st.sampled_from(FILES), data=st.data())
+def test_damaged_panel_files_fail_metrics_before_any_report(n_agents, n_years,
+                                                            name, data):
+    # metrics streams the stored panel into its spool, so every check
+    # must fire in that pass: exit 3 with a data error, no traceback, and
+    # nothing left in --out, neither the spool nor a report
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_panel(_panel(n_agents, n_years), tmp / "panel")
+        path = tmp / "panel" / name
+        path.write_bytes(_mutate(name, path.read_bytes(), data.draw))
+        last = 1990 + n_years - 1
+        (tmp / "hcr.csv").write_text("year,hcr\n" + "".join(
+            f"{y},0.5\n" for y in range(1990, last + 1)))
+        (tmp / "cfg.txt").write_text(
+            f"panel_dir = {tmp / 'panel'}\nhcr_a = {tmp / 'hcr.csv'}\n"
+            f"pool_periods = 1990-{last}\n")
+        out = tmp / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["metrics", "--config", str(tmp / "cfg.txt"),
+                         "--out", str(out)])
+        assert code == EXIT_DATA
+        assert err.getvalue().startswith("data error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_npy_header_with_a_bytes_key_is_data_error(tmp_path):

@@ -13,7 +13,7 @@ from povdyn.errors import (DataError, NonContiguousSeriesError,
                            UndefinedGiniError)
 from povdyn.poverty import (IncomePanel, PovertyAccumulator,
                             PovertyLineSeries, _bpl_gini, _check_period,
-                            _count_table, _persistence, _pooled,
+                            _count_table, _persistence, _pooled, _Spells,
                             _transitions, bpl_gini_series,
                             classify, gini, persistence_probs,
                             persistence_report, pooled_metrics,
@@ -621,6 +621,29 @@ def test_hcr_one_classifies_everyone_poor():
     assert np.isnan(rep.by_tp[1][1]).all()  # p_esc: no non-poor agent
 
 
+def test_spell_rows_from_histograms_equal_the_keyed_bincount():
+    # each row is built from spell-length histograms; the reference is
+    # the keyed bincount it replaced, bincount(duration * 2 + poor)
+    rng = np.random.default_rng(23)
+    panels = [random_poverty_panel(rng, n_max=50, t_max=12)
+              for _ in range(30)]
+    panels += [np.zeros((3, 4), bool), np.ones((3, 4), bool),
+               np.ones((2, 1), bool), np.zeros((0, 3), bool)]
+    for poor in panels:
+        n, t = poor.shape
+        spells = _Spells(n, t)
+        want = np.zeros((max(t - 1, 0), t + 1, 2), dtype=np.int64)
+        duration = np.zeros(n, dtype=np.int64)
+        for j, flags in enumerate(poor.T):
+            spells.push(np.ascontiguousarray(flags))
+            if j:
+                want[j - 1] = np.bincount(duration * 2 + flags,
+                                          minlength=2 * (t + 1)
+                                          ).reshape(-1, 2)
+            duration = (duration + 1) * flags
+        assert np.array_equal(spells.counts, want)
+
+
 def test_count_table_is_built_once_per_panel(monkeypatch):
     import povdyn.poverty as poverty
     pp = pp_from_flags(random_poverty_panel(np.random.default_rng(22)))
@@ -886,7 +909,8 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
 
 def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
     # fed every panel year, some before and after its HCR series, and the
-    # path incomes block by block, as the CLI does, in any block order
+    # path incomes block by block, as pipeline does, in any block order,
+    # or year by year, as metrics does, the years before the pick again
     rng = np.random.default_rng(15)
     for trial in range(25):
         mat = rng.normal(1.0, 1.5, (int(rng.integers(2, 40)), 8))
@@ -898,8 +922,13 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
         k_above = int(rng.integers(0, n - k_below + 1))
         hook = PovertyAccumulator(hcr, n, span, k_below, k_above)
         pushed = PovertyAccumulator(hcr, n, span, k_below, k_above)
-        for year in panel.years:
-            hook(int(year), panel.column(int(year)))
+        by_year = PovertyAccumulator(hcr, n, span, k_below, k_above)
+        for year in panel.years.tolist():
+            hook(year, panel.column(year))
+            by_year(year, panel.column(year))
+            by_year.gather_year(year, panel.column(year))
+        for year in panel.years[:3].tolist():
+            by_year.gather_year(year, panel.column(year))
         for year in hcr.years:
             pushed.push(panel.column(int(year)))
         # the blocks in shuffled order, as a pool's writer threads may
@@ -918,11 +947,14 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got, want = hook.bundle(seed=1), pushed.bundle(seed=1)
+            yearly = by_year.bundle(seed=1)
         assert np.array_equal(got.years, panel.years)
         assert np.array_equal(got.below_paths, panel.incomes[got.below_agents])
         for field in ("line_values", "below_agents", "above_agents",
                       "below_paths", "above_paths"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert np.array_equal(getattr(yearly, field),
+                                  getattr(want, field))
         assert got.truncated == want.truncated
 
 
