@@ -583,27 +583,35 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
-                  ) -> None:
-    """Hand every year of ``spool`` to each accumulator, read into one
-    reused row, and gather the path bundles' incomes from the same rows;
-    no (years, agents) array is held, and the row is freed before the
-    reports are written."""
+def _gather_before_picks(spool: PanelSpool,
+                         accs: dict[str, PovertyAccumulator],
+                         row: np.ndarray) -> None:
+    """Read back from ``spool``, into ``row``, the years before the latest
+    first HCR year and hand them to every accumulator's
+    :meth:`~PovertyAccumulator.gather_year`: each definition picks its
+    path agents in its first HCR year, so its row hook kept nothing of the
+    years before."""
     years = spool.years.tolist()
-    row = np.empty(spool.n_agents)
-    for t, year in enumerate(years):
-        spool.read_year(t, row)
-        for acc in accs.values():
-            acc(year, row)
-            acc.gather_year(year, row)
-    # each definition picks its path agents in its first HCR year: the
-    # years before it are read again for their incomes
     picked = max((acc.hcr.first_year for acc in accs.values()),
                  default=years[0])
     for t, year in enumerate(years[:picked - years[0]]):
         spool.read_year(t, row)
         for acc in accs.values():
             acc.gather_year(year, row)
+
+
+def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
+                  ) -> None:
+    """Hand every year of ``spool`` to each accumulator's row hook, read
+    into one reused row, then the years before the path picks again; no
+    (years, agents) array is held, and the row is freed before the
+    reports are written."""
+    row = np.empty(spool.n_agents)
+    for t, year in enumerate(spool.years.tolist()):
+        spool.read_year(t, row)
+        for acc in accs.values():
+            acc(year, row)
+    _gather_before_picks(spool, accs, row)
 
 
 def cmd_metrics(args) -> int:
@@ -655,18 +663,16 @@ def cmd_pipeline(args) -> int:
                 spool(year, incomes)
                 for acc in accs.values():
                     acc(year, incomes)
-
-            def gather(a0: int, block: np.ndarray) -> None:
-                for acc in accs.values():
-                    acc.gather(a0, block)
             result = _run_calibration(cfg, manifest, init_s50, start_year,
                                       targets, sink=sink)
             stage = "simulate"
             spool.fingerprint = panel_fingerprint(
                 start_year, result.tau_effective, cfg.model, cfg.seed)
-            # the path bundles' incomes are read in the same pass
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
-                        on_block=gather, _pool=pool)
+                        _pool=pool)
+            # after the panel write, whose block buffers are freed by now,
+            # so that the row read back adds to no peak
+            _gather_before_picks(spool, accs, np.empty(n))
         stage = "metrics"
         _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
     except PovdynError:

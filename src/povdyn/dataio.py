@@ -45,13 +45,19 @@ def config_digest(mapping: dict) -> str:
     return hashlib.sha256(canonical_json(mapping).encode("utf-8")).hexdigest()
 
 
+# bytes read per call while a file is digested
+_DIGEST_BLOCK_BYTES = 64 << 10
+
+
 def file_digest(path) -> str:
     """SHA-256 of a file's bytes; DataError when it cannot be read."""
     h = hashlib.sha256()
     try:
         with open(path, "rb") as f:
-            for block in iter(lambda: f.read(1 << 20), b""):
-                h.update(block)
+            # one reused buffer: f.read(n) would allocate n bytes per call
+            buf = memoryview(bytearray(_DIGEST_BLOCK_BYTES))
+            while n := f.readinto(buf):
+                h.update(buf[:n])
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}"
                         ) from None
@@ -270,11 +276,12 @@ class PanelSpool:
     (:func:`spool_panel`, for ``metrics``). :func:`write_panel` reads a
     spool back one block of agents at a time, one ``os.preadv`` per year
     into the block's year-major buffer, and several threads may read at
-    once; ``metrics`` reads it one year at a time (:meth:`read_year`).
-    The file is open inside the ``with`` block; leaving the block, by an
-    error too, closes and deletes it, and any OSError inside it is an
-    OutputError naming the spool. ``fingerprint`` is set by the caller
-    once the rates are known.
+    once. ``metrics`` reads it one year at a time (:meth:`read_year`), and
+    ``metrics`` and ``pipeline`` so read back the years before the path
+    agents are picked. The file is open inside the ``with`` block;
+    leaving the block, by an error too, closes and deletes it, and any
+    OSError inside it is an OutputError naming the spool.
+    ``fingerprint`` is set by the caller once the rates are known.
     """
 
     def __init__(self, out_dir, years: np.ndarray, n_agents: int,
@@ -369,22 +376,18 @@ class _BlockReader:
         return block
 
 
-def _agent_blocks(panel, on_block=None):
+def _agent_blocks(panel):
     """``(a0, block)`` over a panel's agents in order, one block at a time:
     the order of a ``csv`` panel's rows, which have no fixed offsets.
 
     ``block`` is the (k, T) agents-major incomes of agents ``a0 ..
     a0+k-1``, read by one :class:`_BlockReader`, so no full-size copy is
     made and the buffers stay the same size however many years the panel
-    has. Each block is handed to ``on_block``, if given, before it is
-    yielded.
+    has.
     """
     read = _BlockReader(panel)
     for a0 in range(0, panel.n_agents, read.k):
-        block = read(a0)
-        if on_block is not None:
-            on_block(a0, block)
-        yield a0, block
+        yield a0, read(a0)
 
 
 def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
@@ -396,20 +399,18 @@ def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
         view, offset = view[n:], offset + n
 
 
-def _write_blocks(panel, fd: int, offset: int, pool, on_block=None
-                  ) -> None:
+def _write_blocks(panel, fd: int, offset: int, pool) -> None:
     """Write a panel's agents-major incomes to ``fd`` from ``offset`` on,
     one block of agents per task on the threads of ``pool``.
 
     A task takes one of at most ``_PANEL_WRITERS`` :class:`_BlockReader`
-    objects, reads its block with it, hands ``(a0, block)`` to
-    ``on_block``, if given, on its own thread, and writes the block with
-    ``os.pwrite`` at its place in the file, so the blocks may land, and
-    reach ``on_block``, in any order. The readers are handed out last in,
-    first out, so a reader is made only when every one made so far is in
-    use: a one-worker pool makes one. After a failure the blocks not yet
-    started are cancelled; every task is finished or cancelled before the
-    first error is raised, so no thread touches ``fd`` once this returns.
+    objects, reads its block with it and writes the block with
+    ``os.pwrite`` at its place in the file, so the blocks may land in any
+    order. The readers are handed out last in, first out, so a reader is
+    made only when every one made so far is in use: a one-worker pool
+    makes one. After a failure the blocks not yet started are cancelled;
+    every task is finished or cancelled before the first error is raised,
+    so no thread touches ``fd`` once this returns.
     """
     readers = queue.LifoQueue()
     for _ in range(_PANEL_WRITERS):
@@ -421,10 +422,7 @@ def _write_blocks(panel, fd: int, offset: int, pool, on_block=None
         try:
             if read is None:
                 read = _BlockReader(panel)
-            block = read(a0)
-            if on_block is not None:
-                on_block(a0, block)
-            _pwrite_all(fd, block, offset + a0 * n_years * 8)
+            _pwrite_all(fd, read(a0), offset + a0 * n_years * 8)
         finally:
             readers.put(read)
 
@@ -441,8 +439,8 @@ def _write_blocks(panel, fd: int, offset: int, pool, on_block=None
             task.result()
 
 
-def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
-                _pool=None) -> list[Path]:
+def write_panel(panel, out_dir, fmt: str = "npy", *, _pool=None
+                ) -> list[Path]:
     """Persist an income panel plus its metadata sidecar.
 
     ``npy`` writes raw arrays (exact, compact); ``csv`` writes a matrix at
@@ -454,18 +452,15 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
     one block of agents at a time, or a :class:`PanelSpool` inside its
     ``with`` block, whose file is transposed the same way (a blocked
     external transpose); a block's buffers take about
-    ``_PANEL_BLOCK_BYTES`` each. Each block ``(a0, block)`` is also handed
-    to ``on_block``, if given, before it is written; the buffer is reused
-    for the next block.
+    ``_PANEL_BLOCK_BYTES`` each.
 
     An ``npy`` panel is written by the threads of the private ``_pool``,
     the run's executor (``simulate`` and ``pipeline`` pass their own), or
     of a one-worker pool made for this call: each block is written with
-    ``os.pwrite`` at its offset in the file, and reaches ``on_block`` on
-    that thread, in any order (see :func:`_write_blocks`). A ``csv``
-    panel is written, and handed to ``on_block``, in agent order by the
-    calling thread. OutputError names a file or directory that cannot be
-    written.
+    ``os.pwrite`` at its offset in the file, in any order (see
+    :func:`_write_blocks`). A ``csv`` panel is written in agent order by
+    the calling thread. OutputError names a file or directory that cannot
+    be written.
     """
     out_dir = _output_dir(out_dir)
     if fmt == "npy":
@@ -480,13 +475,13 @@ def write_panel(panel, out_dir, fmt: str = "npy", on_block=None, *,
             f.flush()
             with (nullcontext(_pool) if _pool is not None else
                   ThreadPoolExecutor(max_workers=1)) as pool:
-                _write_blocks(panel, f.fileno(), f.tell(), pool, on_block)
+                _write_blocks(panel, f.fileno(), f.tell(), pool)
     elif fmt == "csv":
         written = [out_dir / "panel.csv"]
         _write_csv(written[0],
                    ["agent"] + [f"y{int(y)}" for y in panel.years],
                    (_matrix(map(str, range(a0, a0 + len(block))), block)
-                    for a0, block in _agent_blocks(panel, on_block)))
+                    for a0, block in _agent_blocks(panel)))
     else:
         raise ValueError(f"unknown panel format {fmt!r}")
     meta = {

@@ -638,14 +638,15 @@ class PovertyAccumulator:
     """Every statistic of one poverty-line definition, one row at a time.
 
     It is its definition's row hook: ``acc(year, incomes)`` takes the
-    panel's years in order and pushes those of the HCR series. For each
+    panel's years in order, pushes those of the HCR series and keeps the
+    picked agents' incomes of every year (:meth:`gather_year`). For each
     year :meth:`push` computes the poverty line (a partition), the poor
     flags, the spell lengths from the previous year's, the year's row of
     the count table and the within-poor Gini; in the first year it also
     picks the ``k_below`` and ``k_above`` agents of the path bundle, as
-    :func:`sample_paths` does, and :meth:`gather` keeps their incomes, one
-    block of agents at a time in any order, for :meth:`bundle`, or
-    :meth:`gather_year` one year at a time. Per agent
+    :func:`sample_paths` does. The years before that pick are handed to
+    :meth:`gather_year` again, read back from the panel, before
+    :meth:`bundle`. Per agent
     it keeps one bool row and one int32 row, whatever the number of
     years, so a panel that is never held whole (the pipeline's, stepped
     by the calibration) can be measured as it is made. Its lines,
@@ -681,9 +682,11 @@ class PovertyAccumulator:
         self._j = 0
 
     def __call__(self, year: int, incomes: np.ndarray) -> None:
-        """Push ``incomes`` if ``year`` is an HCR year; skip it otherwise."""
+        """Push ``incomes`` if ``year`` is an HCR year, then keep the
+        picked agents' incomes of the panel year ``year``."""
         if self.hcr.first_year <= year <= self.hcr.last_year:
             self.push(incomes)
+        self.gather_year(year, incomes)
 
     def push(self, col: np.ndarray) -> None:
         """Take the incomes of the next HCR year; ValueError once every
@@ -700,7 +703,7 @@ class PovertyAccumulator:
         if j == 0:
             self.below, self.above = _path_agents(col, poor, self.k_below,
                                                   self.k_above)
-            # panel incomes are finite: NaN marks a row not yet gathered
+            # panel incomes are finite: NaN marks a year not yet gathered
             self._paths = tuple(np.full((len(a), len(self.years)), np.nan)
                                 for a in (self.below, self.above))
         self._j = j + 1
@@ -713,16 +716,6 @@ class PovertyAccumulator:
             raise ValueError(f"{self._j} of {len(self.hcr)} HCR years pushed")
         return self._spells.tail()
 
-    def gather(self, a0: int, block: np.ndarray) -> None:
-        """Keep the picked agents' incomes among the (k, T) agents-major
-        ``block`` of agents ``a0 .. a0+k-1`` over the panel years.
-
-        Only the rows of those agents are written, so the blocks may come
-        in any order, and from several threads at once."""
-        for agents, rows in zip((self.below, self.above), self._paths):
-            lo, hi = np.searchsorted(agents, (a0, a0 + len(block)))
-            rows[lo:hi] = block[agents[lo:hi] - a0]  # agents ascending
-
     def gather_year(self, year: int, incomes: np.ndarray) -> None:
         """Keep the picked agents' incomes of the panel year ``year`` among
         ``incomes``, every agent's; before the agents are picked there is
@@ -733,8 +726,8 @@ class PovertyAccumulator:
 
     def bundle(self, seed: int) -> TrajectoryBundle:
         """The path bundle of the picked agents over the panel years, from
-        the incomes :meth:`gather` and :meth:`gather_year` kept;
-        ValueError unless every picked agent's row has been gathered."""
+        the incomes :meth:`gather_year` kept; ValueError unless every
+        panel year of the picked agents has been gathered."""
         if any(np.isnan(rows).any() for rows in self._paths):
             raise ValueError("a picked agent's incomes are not gathered")
         return _bundle(self.years, self.line, self.below, self.above,

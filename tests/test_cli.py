@@ -24,8 +24,6 @@ from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
                         build_config, build_parser, main)
 from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
                            read_report_csv, read_series)
-from povdyn.errors import DataError
-from povdyn.poverty import PovertyAccumulator
 from povdyn.rgbm import ModelParams, init_lognormal
 
 
@@ -167,9 +165,8 @@ def _fixture_panel_years(fixtures_dir: Path) -> int:
 
 def test_pipeline_thread_count_does_not_change_bytes(tmp_path, fixtures_dir,
                                                      monkeypatch, capsys):
-    # the run's pool writes the panel file in blocks of 60 agents, and
-    # each block's path incomes are gathered on the thread that writes it:
-    # a panel one agent short of a block and one agent past it, in both
+    # the run's pool writes the panel file in blocks of 60 agents: a
+    # panel one agent short of a block and one agent past it, in both
     # formats, written on one thread and on two and three
     monkeypatch.chdir(fixtures_dir)
     block = 60
@@ -392,12 +389,14 @@ def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
                           f"{out / 'panel_incomes.npy'}: [Errno 28] ")
 
 
-@pytest.mark.parametrize("failure", ["pwrite", "on_block"])
+@pytest.mark.parametrize("failure", ["pwrite", "read_year"])
 def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
                                         capsys, failure):
-    # no space left while a writer thread writes its block, or a failure
-    # while it hands its block to the accumulators: the run ends in the
-    # typed error, the spool is gone and so are the pool's threads
+    # no space left while a writer thread writes its block, or a read
+    # error on the main thread when, after the panel write, the year
+    # before the definitions' first (1951) is read back from the spool
+    # for the path incomes: the run ends in the output error, the spool
+    # is gone and so are the pool's threads
     monkeypatch.chdir(fixtures_dir)
     out = tmp_path / "pipe"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
@@ -413,24 +412,25 @@ def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return pwrite(fd, data, offset)
         monkeypatch.setattr(os, "pwrite", failing_pwrite)
-        code, second = EXIT_IO, (f"output error: cannot write "
-                                 f"{out / 'panel_incomes.npy'}: [Errno 28] ")
+        second = (f"output error: cannot write {out / 'panel_incomes.npy'}: "
+                  "[Errno 28] ")
     else:
-        gather = PovertyAccumulator.gather
-
-        def failing_gather(self, a0, block):
+        def failing_read_year(self, t, row):
             on_main.append(threading.current_thread() is
                            threading.main_thread())
-            if a0 == 10:  # the second block
-                raise DataError("no paths from the second block")
-            return gather(self, a0, block)
-        monkeypatch.setattr(PovertyAccumulator, "gather", failing_gather)
-        code, second = EXIT_DATA, "data error: no paths from the second block"
+            assert (out / "panel_meta.json").is_file()  # the panel is written
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        monkeypatch.setattr(dataio.PanelSpool, "read_year",
+                            failing_read_year)
+        second = f"output error: cannot write {out / SPOOL_NAME}: [Errno 5] "
     before = set(threading.enumerate())
     assert main(["pipeline", "--config", "pipeline_small.cfg", "--out",
-                 str(out), "--threads", "2"]) == code
+                 str(out), "--threads", "2"]) == EXIT_IO
     assert set(threading.enumerate()) == before
-    assert len(on_main) >= 4 and not any(on_main)
+    if failure == "pwrite":
+        assert len(on_main) >= 4 and not any(on_main)
+    else:
+        assert on_main == [True]
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "pipeline aborted in stage 'simulate'"
@@ -545,7 +545,9 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
     # the fit holds three vectors, and needs less. Only arrays of years,
     # or of years squared (the count tables), grow with the years; the
     # panel is spooled to disk. What is left under the bound is the prefetch
-    # draw's and the panel writer's block buffers and small objects.
+    # draw's and the panel writer's block buffers and small objects; the
+    # row read back for the path incomes (1) comes after the fit and the
+    # panel write.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -580,10 +582,11 @@ def test_metrics_peak_memory_does_not_grow_with_years(tmp_path, capsys, fmt,
     # filled before any accumulator exists, through one block and its
     # transpose (2 x 2 MiB for npy, 2.6 vectors at 200,000 agents; 2 x 64
     # KiB for csv), and the row is freed before the reports. What does
-    # not scale with the agents stays under 1 1/2 MiB: the manifest's
-    # digest reads each HCR file in blocks of 1 MiB, and the three count
-    # tables (16 (T - 1) (T + 1) bytes each, 173 KB at 60 years), the
-    # report text and small objects take less than half a MiB. The
+    # not scale with the agents stays under 1/2 MiB + 64 KiB: the
+    # manifest's digest reads each HCR file into one reused 64 KiB
+    # buffer, and the three count tables (16 (T - 1) (T + 1) bytes each,
+    # 173 KB at 60 years), the report text and small objects take less
+    # than half a MiB. The
     # panel is never held, so when the years triple the peak grows by
     # less than one vector. Parsing a csv panel is slow, so its run has
     # fewer agents and years; a third of the years is still ten.
@@ -607,7 +610,8 @@ def test_metrics_peak_memory_does_not_grow_with_years(tmp_path, capsys, fmt,
         finally:
             tracemalloc.stop()
     assert abs(peaks[spans[1]] - peaks[spans[0]]) <= 8 * n
-    assert max(peaks.values()) <= (4 + 1 / 4) * 8 * n + (3 << 19)
+    assert max(peaks.values()) <= \
+        (4 + 1 / 4) * 8 * n + (1 << 19) + (64 << 10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Series parsing, interpolation, writers, round trips, manifests."""
 
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -469,6 +470,16 @@ def test_manifest_input_digest_tracks_content(tmp_path):
     f.write_text("year,value\n2000,2\n")
     d2 = RunManifest.create(7, {}, [f], "0.1.0").digest
     assert d1 != d2
+
+
+@pytest.mark.parametrize("size", [0, (64 << 10) - 1, 64 << 10,
+                                  (64 << 10) + 1, 3 << 20])
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    # sizes around the reused read buffer, and several buffers' worth
+    data = np.random.default_rng(size).bytes(size)
+    f = tmp_path / "in.bin"
+    f.write_bytes(data)
+    assert dataio.file_digest(f) == hashlib.sha256(data).hexdigest()
 
 
 def test_json_summary_uses_nulls(tmp_path):

@@ -11,7 +11,12 @@ CLI end to end:
 - (b) every value in ``metrics_<name>.csv`` and ``pooled_<name>.csv``, from
   ``metrics`` on that panel and from ``pipeline`` on its own panel, equals
   a brute-force scan of the written panel by :mod:`oracles`, with an
-  undefined (empty) value exactly where the oracle's ratio is 0/0.
+  undefined (empty) value exactly where the oracle's ratio is 0/0; and
+  every ``paths_<name>.csv`` holds the agents nearest below and at or
+  above the first-year line (ties by index, as a stable sort orders
+  them) and their rows of the written panel. Definitions may start after
+  the panel's first year, so the years before the pick, which both
+  commands read back from their spool, are covered.
 
 The panel files are read back with NumPy and the ``csv`` module, not with
 povdyn's reader. Each ratio is compared as the 12-digit text the writers
@@ -142,17 +147,53 @@ def _gini(col, poor) -> tuple[float, float]:
     return value, float(any(v < 0 for v in subset))
 
 
+def _lines(cols, hcr) -> list[float]:
+    """The poverty line of each year's incomes ``cols`` at its head count:
+    the (K+1)-th smallest income, K = round(h N), or inf when K = N."""
+    lines = []
+    for col, h in zip(cols, hcr):
+        k = math.floor(h * len(col) + 0.5)
+        lines.append(math.inf if k >= len(col) else float(np.sort(col)[k]))
+    return lines
+
+
+def _text(value: float) -> str:
+    return "" if math.isnan(value) else FMT % value
+
+
+def _expected_paths(y0: int, incomes: np.ndarray, first: int, hcr
+                    ) -> list[list[str]]:
+    """The oracle's ``paths_<name>.csv`` rows, header first, of one
+    definition on the panel ``incomes`` from ``y0``: the agents a stable
+    sort of the first-year incomes puts nearest below the line and at or
+    above it, as many as ``metrics`` and ``pipeline`` ask for by default
+    (20 each, capped at the population), over every panel year."""
+    n, n_years = incomes.shape
+    cols = [incomes[:, first - y0 + j] for j in range(len(hcr))]
+    lines = _lines(cols, hcr)
+    k_below = min(20, n // 2)
+    k_above = min(20, n - k_below)
+    order = np.argsort(cols[0], kind="stable")
+    split = int(np.searchsorted(cols[0][order], lines[0], side="left"))
+    below = sorted(order[max(0, split - k_below):split].tolist())
+    above = sorted(order[split:split + k_above].tolist())
+    rows = [["year", "poverty_line"] + [f"below_{a}" for a in below]
+            + [f"above_{a}" for a in above]]
+    for t in range(n_years):
+        j = y0 + t - first
+        line = lines[j] if 0 <= j < len(lines) else math.nan
+        rows.append([str(y0 + t), _text(line)]
+                    + [_text(float(incomes[a, t])) for a in below + above])
+    return rows
+
+
 def _expected(y0: int, incomes: np.ndarray, first: int, hcr, run: dict
               ) -> tuple[dict, dict]:
     """The oracle's metrics rows ``(year, statistic, t_p) -> value`` and
     pooled rows ``(first, last, statistic, t_p) -> value`` of one
     definition on the panel ``incomes`` from ``y0``."""
-    n = incomes.shape[0]
     cols = [incomes[:, first - y0 + j] for j in range(len(hcr))]
-    lines = []
-    for col, h in zip(cols, hcr):
-        k = math.floor(h * n + 0.5)
-        lines.append(math.inf if k >= n else float(np.sort(col)[k]))
+    lines = _lines(cols, hcr)
     poor = np.column_stack([col < z for col, z in zip(cols, lines)])
     dur = oracles.durations_by_scan(poor)
     t_ps = range(1, run["tp_max"] + 1)
@@ -233,6 +274,9 @@ def _check_reports(out: Path, run: dict) -> None:
         rows, pooled = _expected(y0, incomes, first, hcr, run)
         _check(out / f"metrics_d{i}.csv", 1, rows)
         _check(out / f"pooled_d{i}.csv", 2, pooled)
+        with open(out / f"paths_d{i}.csv", newline="") as f:
+            paths = [r for r in csv.reader(f) if not r[0].startswith("#")]
+        assert paths == _expected_paths(y0, incomes, first, hcr), i
 
 
 @SETTINGS

@@ -11,7 +11,6 @@ import contextlib
 import io
 import json
 import tempfile
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,10 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povdyn import dataio
-from povdyn.cli import EXIT_DATA, main
+from povdyn.cli import EXIT_DATA, _gather_before_picks, main
 from povdyn.dataio import read_panel, write_panel
 from povdyn.errors import DataError
-from povdyn.poverty import IncomePanel, PovertyAccumulator
+from povdyn.poverty import (IncomePanel, PovertyAccumulator,
+                            sample_paths)
 from povdyn.series import AnnualSeries
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -310,32 +310,36 @@ def test_pool_writer_makes_a_reader_only_when_all_are_busy(tmp_path,
         assert 1 <= len(made) <= dataio._PANEL_WRITERS
 
 
-def test_paths_gathered_by_the_pool_writer_equal_the_ordered_gather(
+def test_paths_gathered_by_the_row_hook_equal_the_written_panel_rows(
         tmp_path, monkeypatch):
-    # the blocks reach on_block on three writer threads, in any order;
-    # each picked agent's row is kept from its own block, so the bundle is
-    # the one gathered from the whole panel in order, bit for bit
+    # as in pipeline: each year goes to the spool and to the row hooks,
+    # the pool writer writes the panel, and then the years before the
+    # later definition's first are read back from the spool; every
+    # bundle holds its agents' rows of the written panel, bit for bit
     panel = _panel(40, 5, seed=3)
-    saved = io.BytesIO()
-    np.save(saved, np.ascontiguousarray(panel.incomes))
-    hcr = AnnualSeries(panel.years, [0.3] * 5)
     span = (panel.first_year, panel.last_year)
-    accs = [PovertyAccumulator(hcr, 40, span, 6, 6) for _ in range(2)]
-    for acc in accs:
-        for year in panel.years.tolist():
-            acc(year, panel.column(year))
+    accs = {f"from_{j}": PovertyAccumulator(
+        AnnualSeries(panel.years[j:], [0.3] * (5 - j)), 40, span, 6, 6)
+        for j in (0, 2)}
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 3 * 8 * 5)  # 3 agents
-    on_threads = set()
-
-    def gather(a0, block):
-        on_threads.add(threading.get_ident())
-        accs[0].gather(a0, block)
-    with ThreadPoolExecutor(3) as pool:
-        write_panel(panel, tmp_path, on_block=gather, _pool=pool)
-    accs[1].gather(0, panel.incomes)
-    got, want = (acc.bundle(seed=0) for acc in accs)
-    for field in ("below_agents", "above_agents", "below_paths",
-                  "above_paths"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert threading.get_ident() not in on_threads
-    assert (tmp_path / "panel_incomes.npy").read_bytes() == saved.getvalue()
+    with dataio.PanelSpool(tmp_path, panel.years, 40, 0) as spool, \
+            ThreadPoolExecutor(3) as pool:
+        for year, row in zip(panel.years.tolist(), panel.incomes.T):
+            spool(year, row)
+            for acc in accs.values():
+                acc(year, row)
+        write_panel(spool, tmp_path, _pool=pool)
+        _gather_before_picks(spool, accs, np.empty(40))
+    written = read_panel(tmp_path).incomes
+    assert written.tobytes() == panel.incomes.tobytes()
+    for acc in accs.values():
+        got = acc.bundle(seed=0)
+        want = sample_paths(panel, acc.line, 6, 6, seed=0)
+        for field in ("below_agents", "above_agents", "below_paths",
+                      "above_paths"):
+            assert getattr(got, field).tobytes() == \
+                getattr(want, field).tobytes()
+        assert got.below_paths.tobytes() == \
+            written[got.below_agents].tobytes()
+        assert got.above_paths.tobytes() == \
+            written[got.above_agents].tobytes()

@@ -840,8 +840,12 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
         k_above = int(rng.integers(0, n - k_below + 1))
         acc = PovertyAccumulator(hcr, n, (panel.first_year,
                                           panel.last_year), k_below, k_above)
-        for year in hcr.years:
-            acc.push(panel.column(int(year)))
+        # every panel year through the row hook, then the years before the
+        # pick again, as the commands read them back
+        for year in panel.years.tolist():
+            acc(year, panel.column(year))
+        for year in range(panel.first_year, hcr.first_year):
+            acc.gather_year(year, panel.column(year))
         line, pp = classify(panel, hcr)
         table = acc.count_table()
 
@@ -894,7 +898,6 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            acc.gather(0, panel.incomes)
             got = acc.bundle(seed=3)
             want = sample_paths(panel, line, k_above, k_below, seed=3)
         want_below, want_above = _argsort_selection(cols[0], want_z[0],
@@ -908,9 +911,9 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
 
 
 def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
-    # fed every panel year, some before and after its HCR series, and the
-    # path incomes block by block, as pipeline does, in any block order,
-    # or year by year, as metrics does, the years before the pick again
+    # fed every panel year, some before and after its HCR series, and then
+    # the years before the pick again, as the commands do; against the HCR
+    # years pushed and every panel year gathered, in any order
     rng = np.random.default_rng(15)
     for trial in range(25):
         mat = rng.normal(1.0, 1.5, (int(rng.integers(2, 40)), 8))
@@ -922,21 +925,14 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
         k_above = int(rng.integers(0, n - k_below + 1))
         hook = PovertyAccumulator(hcr, n, span, k_below, k_above)
         pushed = PovertyAccumulator(hcr, n, span, k_below, k_above)
-        by_year = PovertyAccumulator(hcr, n, span, k_below, k_above)
         for year in panel.years.tolist():
             hook(year, panel.column(year))
-            by_year(year, panel.column(year))
-            by_year.gather_year(year, panel.column(year))
         for year in panel.years[:3].tolist():
-            by_year.gather_year(year, panel.column(year))
+            hook.gather_year(year, panel.column(year))
         for year in hcr.years:
             pushed.push(panel.column(int(year)))
-        # the blocks in shuffled order, as a pool's writer threads may
-        # hand them over
-        size = int(rng.integers(1, n + 1))
-        for a0 in rng.permutation(range(0, n, size)).tolist():
-            hook.gather(a0, panel.incomes[a0:a0 + size])
-        pushed.gather(0, panel.incomes)
+        for year in rng.permutation(panel.years).tolist():
+            pushed.gather_year(year, panel.column(year))
 
         assert np.array_equal(hook.line.z, pushed.line.z), trial
         assert np.array_equal(hook.count_table(), pushed.count_table()), \
@@ -947,31 +943,41 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got, want = hook.bundle(seed=1), pushed.bundle(seed=1)
-            yearly = by_year.bundle(seed=1)
         assert np.array_equal(got.years, panel.years)
         assert np.array_equal(got.below_paths, panel.incomes[got.below_agents])
+        assert np.array_equal(got.above_paths, panel.incomes[got.above_agents])
         for field in ("line_values", "below_agents", "above_agents",
                       "below_paths", "above_paths"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
-            assert np.array_equal(getattr(yearly, field),
-                                  getattr(want, field))
         assert got.truncated == want.truncated
 
 
 def test_accumulator_bundle_before_gather_is_a_value_error():
     # agent 1 is picked below the line and agent 2 at it: the bundle is
-    # refused until the row of each is gathered, whichever block holds it
+    # refused until every panel year of their rows is gathered
+    incomes = np.arange(4.0)
     acc = _streamed(4, 2, k_below=1, k_above=1)
-    incomes = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     with pytest.raises(ValueError, match="not gathered"):
         acc.bundle(seed=0)
-    acc.gather(2, incomes[2:])
+    acc.gather_year(2001, incomes)
     with pytest.raises(ValueError, match="not gathered"):
         acc.bundle(seed=0)
-    acc.gather(0, incomes[:2])
+    acc.gather_year(2000, incomes)
     bundle = acc.bundle(seed=0)
-    assert np.array_equal(bundle.below_paths, incomes[[1]])
-    assert np.array_equal(bundle.above_paths, incomes[[2]])
+    assert np.array_equal(bundle.below_paths, [[1.0, 1.0]])
+    assert np.array_equal(bundle.above_paths, [[2.0, 2.0]])
+    # the row hook keeps the years it is handed from its pick on, but not
+    # a year before its first HCR year
+    hook = PovertyAccumulator(AnnualSeries(np.array([2001]), [0.5]), 4,
+                              (2000, 2001), 1, 1)
+    hook(2000, incomes)
+    hook(2001, incomes)
+    with pytest.raises(ValueError, match="not gathered"):
+        hook.bundle(seed=0)
+    hook.gather_year(2000, incomes)
+    bundle = hook.bundle(seed=0)
+    assert np.array_equal(bundle.below_paths, [[1.0, 1.0]])
+    assert np.array_equal(bundle.above_paths, [[2.0, 2.0]])
 
 
 def test_accumulator_rejects_bad_head_counts():
