@@ -9,15 +9,15 @@ opens with a comment line referencing the run-manifest digest.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
 import queue
+import stat
 import tokenize
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,8 +41,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# SHA-256 from the interpreter's own module: hashlib would load OpenSSL,
+# whose libcrypto puts 3.6 MB into every process (9% of what importing
+# povdyn.cli costs) to digest a few KB of inputs and JSON. The built-in
+# hash ran at 200-260 MB/s against OpenSSL's 1.2-1.45 GB/s on a 2-vCPU
+# Xeon, about 0.5 s per 100 MB of input. hashlib stays the fallback for
+# an interpreter built without the module
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
 def config_digest(mapping: dict) -> str:
-    return hashlib.sha256(canonical_json(mapping).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(mapping).encode("utf-8")).hexdigest()
 
 
 # bytes read per call while a file is digested
@@ -51,7 +66,7 @@ _DIGEST_BLOCK_BYTES = 64 << 10
 
 def file_digest(path) -> str:
     """SHA-256 of a file's bytes; DataError when it cannot be read."""
-    h = hashlib.sha256()
+    h = _sha256()
     try:
         with open(path, "rb") as f:
             # one reused buffer: f.read(n) would allocate n bytes per call
@@ -68,17 +83,54 @@ def file_digest(path) -> str:
 # output files
 
 @contextmanager
-def _output(path, mode: str = "w"):
-    """Open the output file ``path``: UTF-8 text for ``mode`` "w", binary
-    for a ``mode`` with "b". Any OSError while it is open, its closing
-    included, becomes an OutputError that names it."""
-    path = Path(path)
+def _output_errors(path):
+    """Any OSError inside the block becomes an OutputError that names the
+    output file ``path``."""
     try:
-        with (open(path, mode) if "b" in mode else
-              open(path, mode, newline="", encoding="utf-8")) as f:
-            yield f
+        yield
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def _open(path, mode: str):
+    return (open(path, mode) if "b" in mode else
+            open(path, mode, newline="", encoding="utf-8"))
+
+
+@contextmanager
+def _output(path, mode: str = "w"):
+    """Open the output file ``path``: UTF-8 text for ``mode`` "w", binary
+    for a ``mode`` with "b".
+
+    A new file, or one that replaces a regular file, is written under the
+    temporary sibling name ``.<name>.part``, which no report glob matches,
+    and ``os.replace``-d onto ``path`` once it has closed cleanly: a run
+    that fails while writing it leaves the file of an earlier run whole.
+    On any error the temporary file is removed. Anything else at ``path``
+    (a symlink, a pipe, a device such as ``/dev/stdout``) is written in
+    place, since replacing it would cut the link or the reader off. Any
+    OSError, the closing and the replace included, becomes an OutputError
+    that names ``path``.
+    """
+    path = Path(path)
+    part = path.with_name(f".{path.name}.part")
+    with _output_errors(path):
+        try:
+            staged = stat.S_ISREG(os.lstat(path).st_mode)
+        except FileNotFoundError:
+            staged = True
+        if not staged:
+            with _open(path, mode) as f:
+                yield f
+            return
+        try:
+            with _open(part, mode) as f:
+                yield f
+            os.replace(part, path)
+        except BaseException:
+            with suppress(OSError):
+                part.unlink(missing_ok=True)
+            raise
 
 
 def _output_dir(path) -> Path:
@@ -278,9 +330,10 @@ class PanelSpool:
     into the block's year-major buffer, and several threads may read at
     once. ``metrics`` reads it one year at a time (:meth:`read_year`), and
     ``metrics`` and ``pipeline`` so read back the years before the path
-    agents are picked. The file is open inside the ``with`` block;
-    leaving the block, by an error too, closes and deletes it, and any
-    OSError inside it is an OutputError naming the spool.
+    agents are picked. The spool is written in place, not staged as
+    :func:`_output` stages a report. The file is open inside the ``with``
+    block; leaving the block, by an error too, closes and deletes it, and
+    any OSError inside it is an OutputError naming the spool.
     ``fingerprint`` is set by the caller once the rates are known.
     """
 
@@ -340,15 +393,17 @@ class PanelSpool:
 
     def __enter__(self) -> "PanelSpool":
         _output_dir(self.path.parent)
-        self._opened = _output(self.path, "w+b")
-        self._file = self._opened.__enter__()
+        # left in reverse: the file is closed, then deleted, and an OSError
+        # of the block, the close or the delete names the spool
+        with ExitStack() as stack:
+            stack.enter_context(_output_errors(self.path))
+            stack.callback(self.path.unlink, missing_ok=True)
+            self._file = stack.enter_context(open(self.path, "w+b"))
+            self._exit = stack.pop_all()
         return self
 
-    def __exit__(self, *exc) -> None:
-        try:
-            self._opened.__exit__(*exc)
-        finally:
-            self.path.unlink(missing_ok=True)
+    def __exit__(self, *exc) -> bool:
+        return self._exit.__exit__(*exc)
 
 
 class _BlockReader:

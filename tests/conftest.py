@@ -1,10 +1,16 @@
+import json
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.fixture
@@ -63,3 +69,20 @@ def pp_from_flags(poor, first_year=2000):
     _, pp = classify(panel, hcr)
     assert np.array_equal(pp.poor, poor)
     return pp
+
+
+def fresh(*parts: str, **blas: str):
+    """Run the code ``parts`` in a new interpreter, in development mode
+    with warnings as errors, that imports povdyn from this checkout, with
+    the BLAS thread variables in ``blas`` and no others; the JSON it
+    prints last. A module once imported stays imported, so a test of what
+    an import loads runs here."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(blas, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c",
+         "\n".join(textwrap.dedent(p) for p in parts)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])

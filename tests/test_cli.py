@@ -1,5 +1,6 @@
 """End-to-end CLI runs on the committed fixtures."""
 
+import contextlib
 import csv
 import errno
 import filecmp
@@ -1355,6 +1356,38 @@ def test_report_that_cannot_be_written_exits_5(tmp_path, fixtures_dir,
     assert f"output error: cannot write {out / 'metrics_other.csv'}" in err
     assert (out / "metrics_good.csv").is_file()
     assert not (out / "summary.json").exists()
+
+
+def test_report_cut_short_leaves_the_earlier_file_whole(tmp_path,
+                                                        fixtures_dir,
+                                                        monkeypatch, capsys):
+    # each output file is written under a temporary name and replaces the
+    # earlier run's only once it is closed: a disk that fills while a
+    # report is written leaves that report of the first run as it was
+    cfg = _two_definitions(tmp_path, fixtures_dir, "metrics", None)
+    out = tmp_path / "run"
+    assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_OK
+    names = sorted(os.listdir(out))
+    first = (out / "pooled_other.csv").read_bytes()
+    output = dataio._output
+
+    @contextlib.contextmanager
+    def full(path, mode="w"):
+        with output(path, mode) as f:
+            if Path(path).name == "pooled_other.csv":
+                f.write("# manifest: cut")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield f
+    monkeypatch.setattr(dataio, "_output", full)
+    capsys.readouterr()
+    assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_IO
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"output error: cannot write {out / 'pooled_other.csv'}: [Errno "
+        f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+    assert (out / "pooled_other.csv").read_bytes() == first
+    assert sorted(os.listdir(out)) == names  # no temporary file, no spool
 
 
 @pytest.mark.parametrize("command", ["metrics", "pipeline"])

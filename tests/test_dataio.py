@@ -4,12 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import fresh
 from povdyn import dataio
 from povdyn.dataio import (PanelSpool, RunManifest, read_hcr_file,
                            read_manifest, read_panel, read_report_csv,
@@ -436,6 +440,31 @@ def test_writers_blocked_by_a_regular_file_raise_output_error(tmp_path,
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_output_to_a_link_or_a_pipe_is_written_in_place(tmp_path):
+    # only a regular file is replaced by a staged one: a symlink keeps
+    # pointing at its target, and a pipe's reader gets the bytes
+    _WRITERS["series"](tmp_path)
+    want = (tmp_path / "s.csv").read_bytes()
+    link, target = tmp_path / "link" / "s.csv", tmp_path / "target.csv"
+    link.parent.mkdir()
+    link.symlink_to(target)
+    _WRITERS["series"](link.parent)
+    assert link.is_symlink() and target.read_bytes() == want
+    pipe = tmp_path / "pipe" / "s.csv"
+    pipe.parent.mkdir()
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    _WRITERS["series"](pipe.parent)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [want]
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert os.listdir(link.parent) == os.listdir(pipe.parent) == ["s.csv"]
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -480,6 +509,54 @@ def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
     f = tmp_path / "in.bin"
     f.write_bytes(data)
     assert dataio.file_digest(f) == hashlib.sha256(data).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the digests' SHA-256 comes from the interpreter's own module, so that no
+# command loads OpenSSL: each case in a fresh interpreter
+
+def test_no_command_loads_hashlib(tmp_path, fixtures_dir):
+    # the fit's tau.csv is the simulate run's rates
+    (tmp_path / "sim.cfg").write_text(
+        f"rates_csv = {tmp_path / 'cal' / 'tau.csv'}\n"
+        f"inequality_csv = {fixtures_dir / 's50_synthetic.csv'}\n"
+        "n_agents = 400\n")
+    got = fresh(f"""
+        import json, os, sys
+        from povdyn.cli import main
+        os.chdir({str(fixtures_dir)!r})
+        out = {str(tmp_path)!r}
+        codes = [main(argv) for argv in (
+            ["calibrate", "--config", "pipeline_small.cfg",
+             "--out", out + "/cal"],
+            ["simulate", "--config", out + "/sim.cfg", "--out", out + "/sim"],
+            ["pipeline", "--config", "pipeline_small.cfg",
+             "--out", out + "/pipe"],
+            ["metrics", "--config", "metrics_small.cfg",
+             "--out", out + "/met"])]
+        print(json.dumps({{"codes": codes, "loaded": [
+            m for m in ("hashlib", "_hashlib") if m in sys.modules]}}))
+        """)
+    assert got == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_digests_fall_back_to_hashlib(fixtures_dir):
+    # an interpreter built without its SHA-256 module: hashlib gives the
+    # same digests
+    path = fixtures_dir / "hcr_small.csv"
+    mapping = {"seed": 7, "inputs": {"a": None}}
+    got = fresh(f"""
+        import json, sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        from povdyn import dataio
+        print(json.dumps({{
+            "hashlib": "hashlib" in sys.modules,
+            "config": dataio.config_digest({mapping!r}),
+            "file": dataio.file_digest({str(path)!r})}}))
+        """)
+    assert got == {"hashlib": True,
+                   "config": dataio.config_digest(mapping),
+                   "file": dataio.file_digest(path)}
 
 
 def test_json_summary_uses_nulls(tmp_path):

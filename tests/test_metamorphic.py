@@ -15,6 +15,9 @@ panel directory.
   path bundle picks the same agents under their new numbers. The
   within-poor Gini's total is summed in agent order, so its last bit may
   move under a permutation; on this panel its 12-digit text does not.
+- The definitions renamed and listed in another order. Each one's name
+  only names its files: its ``metrics_``, ``pooled_`` and ``paths_``
+  reports keep their bytes below the manifest line.
 - ``metrics`` run twice into one output directory, on an ``npy`` and a
   ``csv`` copy: the second run writes the first run's bytes, the
   manifest's timestamp aside, and leaves no spool behind.
@@ -118,6 +121,27 @@ def test_permuting_the_agents(tmp_path, measured):
                 label = f"{kind}_{perm[int(agent)]}"
             renamed[label] = column
         assert renamed == _paths(lines), name
+
+
+def test_renaming_and_reordering_the_definitions(tmp_path, measured):
+    panel, cfg, want = measured
+    # new names that sort in another order, listed in a third order
+    names = {"base": "zeta", "mid": "alpha", "high": "mu"}
+    lines = cfg.read_text().splitlines()
+    hcr = {line.partition("=")[0].strip()[len("hcr_"):]: line
+           for line in lines if line.startswith("hcr_")}
+    assert hcr.keys() == names.keys()
+    renamed = tmp_path / "renamed.cfg"
+    renamed.write_text("\n".join(
+        [line for line in lines if not line.startswith("hcr_")]
+        + [hcr[old].replace(f"hcr_{old}", f"hcr_{names[old]}", 1)
+           for old in ("high", "base", "mid")]) + "\n")
+    got = _measure(panel, renamed, tmp_path)
+    assert len(got) == len(want)
+    for old, new in names.items():
+        for prefix in ("metrics_", "pooled_", "paths_"):
+            assert got[f"{prefix}{new}.csv"] == want[f"{prefix}{old}.csv"], \
+                (prefix, old)
 
 
 @pytest.mark.parametrize("fmt", ["npy", "csv"])

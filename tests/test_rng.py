@@ -1,16 +1,12 @@
 """Counter-based stream contract: purity, partitioning, distribution."""
 
 import hashlib
-import json
 import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fresh
 from povdyn import rng
 from povdyn.rng import INIT_TAG, STEP_TAG, RngStream
 
@@ -144,26 +140,8 @@ def test_invalid_range_rejected():
 # loading ndtri: each case in a fresh interpreter, in development mode with
 # warnings as errors, since a module once imported stays imported
 
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _fresh(*parts: str, **blas: str):
-    """Run the code ``parts`` in a new interpreter that imports povdyn
-    from this checkout, with the BLAS thread variables in ``blas`` and no
-    others; the JSON it prints last."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
-    env.update(blas, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c",
-         "\n".join(textwrap.dedent(p) for p in parts)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
-
-
 def test_cli_import_runs_no_scipy_special_init():
-    got = _fresh("""
+    got = fresh("""
         import json, sys
         import povdyn.cli
         heavy = [m for m in ("scipy.special._support_alternative_backends",
@@ -200,7 +178,7 @@ _WATCH = """
 
 
 def test_loader_uses_scipy_special_when_it_is_imported():
-    got = _fresh("BLOCK = False", _WATCH, """
+    got = fresh("BLOCK = False", _WATCH, """
         import scipy.special
         package = sys.modules["scipy.special"]
         builtins.__import__ = watch
@@ -218,7 +196,7 @@ def test_loader_uses_scipy_special_when_it_is_imported():
 def test_loader_falls_back_when_the_private_import_fails():
     # only the loader's absolute import is blocked: the package's own
     # ``from ._ufuncs import *`` is relative, so the fallback loads
-    got = _fresh("BLOCK = True", _WATCH, """
+    got = fresh("BLOCK = True", _WATCH, """
         builtins.__import__ = watch
         import povdyn.rng
         builtins.__import__ = real_import
@@ -252,7 +230,7 @@ _NO_TASKS = not os.path.isdir("/proc/self/task")
 
 @pytest.mark.skipif(_NO_TASKS, reason="no /proc/self/task to count threads")
 def test_cli_import_starts_no_blas_worker():
-    assert _fresh(_THREADS) == {"threads": 1, "environ_kept": True}
+    assert fresh(_THREADS) == {"threads": 1, "environ_kept": True}
 
 
 @pytest.mark.skipif(_NO_TASKS or (os.cpu_count() or 1) < 2,
@@ -260,5 +238,5 @@ def test_cli_import_starts_no_blas_worker():
                            "worker on one core")
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_a_users_blas_thread_count_wins(var):
-    got = _fresh(_THREADS, **{var: "2"})
+    got = fresh(_THREADS, **{var: "2"})
     assert got["threads"] > 1 and got["environ_kept"]
