@@ -83,7 +83,6 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -509,8 +508,7 @@ def _row_hook(initial: Population, n_rates: int, collect_panel: bool,
 
 def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
            seed: int, threads: int = 1, collect_panel: bool = False, *,
-           _sink=None, _pool=None
-           ) -> tuple[PartialSeries, IncomePanel | None]:
+           _sink=None) -> tuple[PartialSeries, IncomePanel | None]:
     """Propagate from ``initial`` under a given rate series.
 
     Uses the same noise stream coordinates as calibration, so a replay
@@ -528,9 +526,8 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     year at a time instead (``simulate`` spools them to disk). Passing
     both is a ValueError.
 
-    The replay runs on a pool: ``_pool``, the caller's executor for the
-    whole run, or one of ``threads`` workers made for this call. Each
-    step's ``threads`` agent slices run on its workers; then one worker
+    The replay runs on a pool of ``threads`` workers made for this call.
+    Each step's ``threads`` agent slices run on its workers; then one worker
     hands the stepped row to the hook while this thread takes the row's
     share, and both are done before the next step starts, so no row waits
     in memory.
@@ -547,8 +544,7 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     state = initial
     del initial
     shares = np.empty(len(rates))
-    with (ThreadPoolExecutor(max_workers=threads) if _pool is None
-          else nullcontext(_pool)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for i, (year, tau) in enumerate(rates):
             state = step(state, params, float(tau), stream, threads=threads,
                          _pool=pool)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,7 +46,7 @@ _DEFAULT_PERIODS = ((1962, 1971), (1972, 1981), (1982, 1991),
 # Caps on the config values that size the run. A typo above them would
 # ask for any amount of memory or threads; the caps reject it before
 # any stage starts. 1e8 agents is 800 MB per income vector (a fit holds
-# about ten); simulate starts a pool of ``threads`` OS threads per run.
+# about ten); simulate steps on a pool of ``threads`` OS threads.
 MAX_AGENTS = 10**8
 MAX_TP = 1000
 MAX_THREADS = 256
@@ -129,11 +128,11 @@ _KEYS = {
     "out_dir": _Key(Path, Path("out"), "--out", "output directory"),
     "threads": _Key(int, _env_threads, "--threads",
                     "worker threads of simulate (agent slices stepped in "
-                    "parallel, each year's spool write beside its share) "
-                    "and of simulate and pipeline's npy panel file, "
-                    "written in blocks; never changes results. The fit "
-                    "keeps one helper thread; calibrate ignores it; "
-                    "default from POVDYN_THREADS"),
+                    "parallel, each year's spool write beside its share); "
+                    "capped at two, the threads that write simulate and "
+                    "pipeline's npy panel file in blocks; never changes "
+                    "results. The fit keeps one helper thread; calibrate "
+                    "ignores it; default from POVDYN_THREADS"),
 }
 
 
@@ -396,22 +395,19 @@ def _run_simulation(cfg: PipelineConfig, manifest: RunManifest,
     init_s50, start_year, _ = _initial_state(cfg)
     out = cfg.out_dir
     # sized by the rates: replay refuses a start_year not the year before;
-    # one pool of cfg.threads workers steps every year and writes the
-    # panel file, and is shut down before the spool is deleted
+    # replay and write_panel each join their threads before they return
     with PanelSpool(out, np.arange(rates.first_year - 1, rates.last_year + 1),
-                    cfg.model.n_agents, cfg.seed) as spool, \
-            ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                    cfg.model.n_agents, cfg.seed) as spool:
         # drawn in the call, as in _run_calibration: replay holds the only
         # reference and frees it at the first step
         shares, _ = replay(
             init_lognormal(cfg.model, init_s50, cfg.seed, year=start_year),
-            rates, cfg.model, cfg.seed, threads=cfg.threads, _sink=spool,
-            _pool=pool)
+            rates, cfg.model, cfg.seed, threads=cfg.threads, _sink=spool)
         spool.fingerprint = panel_fingerprint(start_year, rates, cfg.model,
                                               cfg.seed)
         write_series(shares, out / "shares.csv",
                      manifest_digest=manifest.digest)
-        write_panel(spool, out, fmt=cfg.panel_format, _pool=pool)
+        write_panel(spool, out, fmt=cfg.panel_format, threads=cfg.threads)
     print(f"simulated panel: {spool.n_agents} agents, "
           f"{spool.first_year}-{spool.last_year}")
     _flag_share_range("shares", shares)
@@ -654,10 +650,9 @@ def cmd_pipeline(args) -> int:
             for name, exc in failed.items():
                 print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
             raise DataError("all poverty-line definitions failed")
-        # the pool writes the panel file; the fit keeps its own serial
-        # helper. The pool is shut down before the spool is deleted
-        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool, \
-                ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        # the fit keeps its own serial helper; write_panel joins its
+        # writer threads before the spool is deleted
+        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
 
             def sink(year: int, incomes: np.ndarray) -> None:
                 spool(year, incomes)
@@ -669,7 +664,7 @@ def cmd_pipeline(args) -> int:
             spool.fingerprint = panel_fingerprint(
                 start_year, result.tau_effective, cfg.model, cfg.seed)
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
-                        _pool=pool)
+                        threads=cfg.threads)
             # after the panel write, whose block buffers are freed by now,
             # so that the row read back adds to no peak
             _gather_before_picks(spool, accs, np.empty(n))

@@ -12,13 +12,12 @@ import csv
 import json
 import math
 import os
-import queue
 import stat
 import tokenize
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import ExitStack, contextmanager, nullcontext, suppress
-from dataclasses import asdict, dataclass
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager, suppress
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -295,11 +294,11 @@ def write_series(series: AnnualSeries, path, value_col: str = "value",
 # read in stretches of 34 KiB per year
 _PANEL_BLOCK_BYTES = 2 << 20
 
-# block readers, each with its two buffers, that a threaded panel write
-# holds at most, whatever the pool's size: while one thread writes its
-# block another reads and transposes the next, and the file system takes
-# the writes to one file one at a time, so more readers would mostly
-# add buffers (on 2 cores, 2 threads wrote a 400k x 61 panel in
+# threads that write an ``npy`` panel at most, each with its two block
+# buffers, however many threads the run has: while one thread writes its
+# block the other reads and transposes its next, and the file system
+# takes the writes to one file one at a time, so more threads would
+# mostly add buffers (on 2 cores, 2 threads wrote a 400k x 61 panel in
 # 0.07-0.08 s against 0.12-0.14 s for one)
 _PANEL_WRITERS = 2
 
@@ -327,13 +326,14 @@ class PanelSpool:
     one block of agents at a time with :meth:`write_agents`
     (:func:`spool_panel`, for ``metrics``). :func:`write_panel` reads a
     spool back one block of agents at a time, one ``os.preadv`` per year
-    into the block's year-major buffer, and several threads may read at
-    once. ``metrics`` reads it one year at a time (:meth:`read_year`), and
-    ``metrics`` and ``pipeline`` so read back the years before the path
-    agents are picked. The spool is written in place, not staged as
-    :func:`_output` stages a report. The file is open inside the ``with``
-    block; leaving the block, by an error too, closes and deletes it, and
-    any OSError inside it is an OutputError naming the spool.
+    into the block's year-major buffer, and its two writer threads may
+    read at once. ``metrics`` reads it one year at a time
+    (:meth:`read_year`), and ``metrics`` and ``pipeline`` so read back
+    the years before the path agents are picked. The spool is written in
+    place, not staged as :func:`_output` stages a report. The file is
+    open inside the ``with`` block; leaving the block, by an error too,
+    closes and deletes it, and any OSError inside it is an OutputError
+    naming the spool.
     ``fingerprint`` is set by the caller once the rates are known.
     """
 
@@ -406,43 +406,26 @@ class PanelSpool:
         return self._exit.__exit__(*exc)
 
 
-class _BlockReader:
-    """Reads a panel's agents one block at a time, agents-major, into
-    buffers of its own, so one reader serves one thread.
-
-    ``reader(a0)`` is the (k, T) incomes of agents ``a0 .. a0+k-1``: the
-    panel's ``read_agents`` fills a year-major buffer (see
-    :meth:`PanelSpool.read_agents`), which is transposed into the block
-    buffer. The block is overwritten by the next call.
-    """
-
-    def __init__(self, panel):
-        self.panel = panel
-        n_years = len(panel.years)
-        self.k = _block_agents(panel.n_agents, n_years)
-        self.block = np.empty((self.k, n_years))
-        self.rows = np.empty(self.k * n_years)
-
-    def __call__(self, a0: int) -> np.ndarray:
-        block = self.block[:min(self.k, self.panel.n_agents - a0)]
-        rows = self.rows[:block.size].reshape(block.shape[::-1])
-        self.panel.read_agents(a0, rows)
-        np.copyto(block, rows.T)
-        return block
-
-
-def _agent_blocks(panel):
-    """``(a0, block)`` over a panel's agents in order, one block at a time:
-    the order of a ``csv`` panel's rows, which have no fixed offsets.
+def _agent_blocks(panel, first: int = 0, step: int = 1):
+    """``(a0, block)`` for every ``step``-th block of a panel's agents from
+    the ``first``-th, in agent order.
 
     ``block`` is the (k, T) agents-major incomes of agents ``a0 ..
-    a0+k-1``, read by one :class:`_BlockReader`, so no full-size copy is
-    made and the buffers stay the same size however many years the panel
-    has.
+    a0+k-1``: the panel's ``read_agents`` fills a year-major buffer (see
+    :meth:`PanelSpool.read_agents`), which is transposed into the block
+    buffer. The generator owns both buffers, about ``_PANEL_BLOCK_BYTES``
+    each, so no full-size copy is made, they stay the same size however
+    many years the panel has, and the next block overwrites the last.
     """
-    read = _BlockReader(panel)
-    for a0 in range(0, panel.n_agents, read.k):
-        yield a0, read(a0)
+    n_years = len(panel.years)
+    k = _block_agents(panel.n_agents, n_years)
+    buf, rows = np.empty((k, n_years)), np.empty(k * n_years)
+    for a0 in range(first * k, panel.n_agents, step * k):
+        block = buf[:min(k, panel.n_agents - a0)]
+        by_year = rows[:block.size].reshape(block.shape[::-1])
+        panel.read_agents(a0, by_year)
+        np.copyto(block, by_year.T)
+        yield a0, block
 
 
 def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
@@ -454,47 +437,7 @@ def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
         view, offset = view[n:], offset + n
 
 
-def _write_blocks(panel, fd: int, offset: int, pool) -> None:
-    """Write a panel's agents-major incomes to ``fd`` from ``offset`` on,
-    one block of agents per task on the threads of ``pool``.
-
-    A task takes one of at most ``_PANEL_WRITERS`` :class:`_BlockReader`
-    objects, reads its block with it and writes the block with
-    ``os.pwrite`` at its place in the file, so the blocks may land in any
-    order. The readers are handed out last in, first out, so a reader is
-    made only when every one made so far is in use: a one-worker pool
-    makes one. After a failure the blocks not yet started are cancelled;
-    every task is finished or cancelled before the first error is raised,
-    so no thread touches ``fd`` once this returns.
-    """
-    readers = queue.LifoQueue()
-    for _ in range(_PANEL_WRITERS):
-        readers.put(None)  # made on first use
-    n_years = len(panel.years)
-
-    def write(a0: int) -> None:
-        read = readers.get()
-        try:
-            if read is None:
-                read = _BlockReader(panel)
-            _pwrite_all(fd, read(a0), offset + a0 * n_years * 8)
-        finally:
-            readers.put(read)
-
-    k = _block_agents(panel.n_agents, n_years)
-    tasks = [pool.submit(write, a0) for a0 in range(0, panel.n_agents, k)]
-    try:
-        wait(tasks, return_when=FIRST_EXCEPTION)
-    finally:
-        for task in tasks:
-            task.cancel()
-        wait(tasks)
-    for task in tasks:
-        if not task.cancelled():
-            task.result()
-
-
-def write_panel(panel, out_dir, fmt: str = "npy", *, _pool=None
+def write_panel(panel, out_dir, fmt: str = "npy", *, threads: int = 1
                 ) -> list[Path]:
     """Persist an income panel plus its metadata sidecar.
 
@@ -507,15 +450,15 @@ def write_panel(panel, out_dir, fmt: str = "npy", *, _pool=None
     one block of agents at a time, or a :class:`PanelSpool` inside its
     ``with`` block, whose file is transposed the same way (a blocked
     external transpose); a block's buffers take about
-    ``_PANEL_BLOCK_BYTES`` each.
+    ``_PANEL_BLOCK_BYTES`` each (see :func:`_agent_blocks`).
 
-    An ``npy`` panel is written by the threads of the private ``_pool``,
-    the run's executor (``simulate`` and ``pipeline`` pass their own), or
-    of a one-worker pool made for this call: each block is written with
-    ``os.pwrite`` at its offset in the file, in any order (see
-    :func:`_write_blocks`). A ``csv`` panel is written in agent order by
-    the calling thread. OutputError names a file or directory that cannot
-    be written.
+    An ``npy`` panel is written by ``w = min(threads, _PANEL_WRITERS)``
+    threads of a pool made for this call: thread i writes blocks i, i+w,
+    i+2w, ... with ``os.pwrite`` at their offsets in the file, so the
+    blocks may land in any order. The pool is joined before the first
+    error is raised, so no thread touches the file once this returns or
+    raises. A ``csv`` panel is written in agent order by the calling
+    thread. OutputError names a file or directory that cannot be written.
     """
     out_dir = _output_dir(out_dir)
     if fmt == "npy":
@@ -528,9 +471,16 @@ def write_panel(panel, out_dir, fmt: str = "npy", *, _pool=None
         with _output(written[1], "wb") as f:
             np.lib.format.write_array_header_1_0(f, header)
             f.flush()
-            with (nullcontext(_pool) if _pool is not None else
-                  ThreadPoolExecutor(max_workers=1)) as pool:
-                _write_blocks(panel, f.fileno(), f.tell(), pool)
+            fd, offset = f.fileno(), f.tell()
+            n_years, w = len(panel.years), min(threads, _PANEL_WRITERS)
+
+            def stripe(i: int) -> None:
+                for a0, block in _agent_blocks(panel, i, w):
+                    _pwrite_all(fd, block, offset + a0 * n_years * 8)
+            with ThreadPoolExecutor(max_workers=w) as pool:
+                tasks = [pool.submit(stripe, i) for i in range(w)]
+            for task in tasks:
+                task.result()
     elif fmt == "csv":
         written = [out_dir / "panel.csv"]
         _write_csv(written[0],
@@ -611,7 +561,8 @@ class StoredPanel:
     ``fingerprint`` are the metadata's.
 
     Raises DataError when the metadata is missing, unreadable, not valid
-    JSON, lacks a key or names an unknown format, when a panel file cannot
+    JSON, lacks a key, holds a seed, agent count or year that is not a
+    JSON integer or names an unknown format, when a panel file cannot
     be read or parsed, is cut short or runs on past its data, when the
     files disagree with the metadata on the agent count, the year range or
     the element type (``int64`` years, ``float64`` incomes), when a
@@ -641,12 +592,15 @@ class StoredPanel:
                             f"{meta['format']!r}")
         if not isinstance(meta["fingerprint"], str):
             raise DataError(f"{meta_path}: fingerprint must be a string")
-        try:
-            self.seed = int(meta["seed"])
-            self.n_agents = n_agents = int(meta["n_agents"])
-            first, last = int(meta["first_year"]), int(meta["last_year"])
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"{meta_path}: bad value ({exc})") from None
+        for key in ("seed", "n_agents", "first_year", "last_year"):
+            # what write_panel writes: a float, a bool or a string that
+            # int() would take is a hand edit, and no panel of this seed
+            if type(meta[key]) is not int:
+                raise DataError(f"{meta_path}: {key} must be a JSON "
+                                f"integer, not {meta[key]!r}")
+        self.seed = meta["seed"]
+        self.n_agents = n_agents = meta["n_agents"]
+        first, last = meta["first_year"], meta["last_year"]
         n_years = last - first + 1
         if n_years < 1 or n_agents < 0:
             raise DataError(f"{meta_path}: {n_agents} agents over years "
@@ -879,15 +833,28 @@ def write_json(obj, path) -> None:
 # ---------------------------------------------------------------------------
 # run manifest
 
+def _numeric_environment() -> dict:
+    """What the written bits depend on beyond the inputs: the NumPy and
+    SciPy versions and whether NumPy runs its AVX-512 (``X86_V4``)
+    kernels in this process (null where NumPy has no such level)."""
+    import scipy
+    from numpy._core._multiarray_umath import __cpu_features__
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "x86_v4": __cpu_features__.get("X86_V4")}
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record for one run.
 
     ``digest`` covers seed, config, inputs, and version (not the
-    timestamp), so reruns with identical inputs produce identical digests.
-    An input that cannot be read is recorded with a null digest: the
-    stage that reads it raises the DataError, so that an unreadable file
-    fails only what needs it.
+    timestamp or the environment), so reruns with identical inputs
+    produce identical digests. An input that cannot be read is recorded
+    with a null digest: the stage that reads it raises the DataError, so
+    that an unreadable file fails only what needs it. ``environment`` is
+    the numeric environment of the run (:func:`_numeric_environment`),
+    also outside the digest: NumPy's ``exp`` and its partition order, and
+    so some written bits, differ between its AVX-512 and AVX2 kernels.
     """
 
     seed: int
@@ -896,6 +863,7 @@ class RunManifest:
     version: str
     timestamp: str
     digest: str
+    environment: dict = field(default_factory=dict)
 
     @classmethod
     def create(cls, seed: int, config: dict, input_paths, version: str
@@ -910,7 +878,7 @@ class RunManifest:
                                 "inputs": inputs, "version": version})
         return cls(seed=seed, config=config, inputs=inputs, version=version,
                    timestamp=datetime.now(timezone.utc).isoformat(),
-                   digest=digest)
+                   digest=digest, environment=_numeric_environment())
 
     def verify(self) -> bool:
         return self.digest == config_digest({

@@ -166,7 +166,7 @@ def _fixture_panel_years(fixtures_dir: Path) -> int:
 
 def test_pipeline_thread_count_does_not_change_bytes(tmp_path, fixtures_dir,
                                                      monkeypatch, capsys):
-    # the run's pool writes the panel file in blocks of 60 agents: a
+    # the panel writer's threads write the file in blocks of 60 agents: a
     # panel one agent short of a block and one agent past it, in both
     # formats, written on one thread and on two and three
     monkeypatch.chdir(fixtures_dir)
@@ -367,7 +367,7 @@ def test_simulate_bytes_do_not_depend_on_threads(tmp_path, capsys, size):
 
 def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
     # no space left while a writer thread writes its block: the run ends
-    # in the output error, the spool is gone and so are the pool's threads
+    # in the output error, the spool is gone and so are the run's threads
     cfg = _simulate_config(tmp_path, [0.01] * 6, 300)
     out = tmp_path / "sim"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 10 * 7 * 8)
@@ -397,7 +397,7 @@ def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
     # error on the main thread when, after the panel write, the year
     # before the definitions' first (1951) is read back from the spool
     # for the path incomes: the run ends in the output error, the spool
-    # is gone and so are the pool's threads
+    # is gone and so are the run's threads
     monkeypatch.chdir(fixtures_dir)
     out = tmp_path / "pipe"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
@@ -470,8 +470,8 @@ def test_simulate_peak_memory_does_not_grow_with_years(tmp_path, capsys,
     # step's temporaries are gone and need less. Only the shares grow
     # with the years; the panel is spooled to disk. The panel writer
     # runs after the last step and holds two block buffers of 2 MiB per
-    # block reader, one reader on one thread and at most two on more
-    # (test_pool_writer_makes_a_reader_only_when_all_are_busy): 2.6
+    # writer thread, one thread at --threads 1 and two at 2 or 3
+    # (test_write_panel_stripes_blocks_over_at_most_two_generators): 2.6
     # vectors at 200,000 agents on one thread, 5.2 on two or three.
     # What is left under the bound is the noise draw's block buffers and
     # small objects. The thread count is given on the command line,
@@ -1514,6 +1514,47 @@ def test_readme_config_example_parses_and_names_every_key(tmp_path,
     missing = [key for key in cli._KEYS
                if not re.search(rf"\b{key}\b", section)]
     assert not missing, f"README's config section does not name {missing}"
+
+
+def _readme_output_names() -> set[str]:
+    """The file names quoted in the bullets of the README's output list."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    start = text.index("### Outputs")
+    section = text[start:text.index("\n#", start + 1)]
+    return {name for bullet in re.findall(r"^\* .*(?:\n  .*)*", section,
+                                          re.MULTILINE)
+            for name in re.findall(r"`([^`]+)`", bullet)
+            if re.fullmatch(r"[\w.<>]+\.(?:csv|npy|json|tmp|part)", name)}
+
+
+def test_readme_output_list_names_exactly_the_files_runs_write(
+        tmp_path, fixtures_dir, monkeypatch, capsys):
+    # fixture runs of every command that writes files, the panel in both
+    # formats; <name> stands for each definition, and the spool and the
+    # staged .part files are listed but gone once a run ends
+    monkeypatch.chdir(fixtures_dir)
+    sim = _simulate_config(tmp_path, [0.01] * 3, 50)
+    sim_csv = tmp_path / "sim_csv.cfg"
+    sim_csv.write_text(sim.read_text() + "panel_format = csv\n")
+    written, transient = set(), {SPOOL_NAME, ".<name>.part"}
+    for i, argv in enumerate([
+            ["calibrate", "--config", "pipeline_small.cfg"],
+            ["simulate", "--config", str(sim)],
+            ["simulate", "--config", str(sim_csv)],
+            ["metrics", "--config", "metrics_small.cfg"],
+            ["pipeline", "--config", "pipeline_small.cfg"]]):
+        out = tmp_path / f"out_{i}"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK, argv
+        names = {p.name for p in out.iterdir()}
+        assert SPOOL_NAME not in names, argv
+        assert not [n for n in names if n.endswith(".part")], argv
+        written |= names
+    listed = _readme_output_names()
+    assert transient <= listed
+    definitions = ("base", "mid", "high", "small")
+    assert {name.replace("<name>", d) for name in listed - transient
+            for d in definitions} == written
 
 
 # a value other than the default for every key of the config table

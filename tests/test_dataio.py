@@ -7,8 +7,11 @@ import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,17 @@ def _edit_meta(panel_dir, **changes):
 def test_read_panel_missing_meta_key(panel_copy, key):
     _edit_meta(panel_copy, **{key: None})
     with pytest.raises(DataError, match=key):
+        read_panel(panel_copy)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "5", 5.0],
+                         ids=["float", "bool", "string", "integral_float"])
+@pytest.mark.parametrize("key", ["seed", "n_agents", "first_year",
+                                 "last_year"])
+def test_read_panel_meta_value_not_a_json_integer(panel_copy, key, value):
+    # int() would take each of them: 1.5 as seed 1, true as 1 agent
+    _edit_meta(panel_copy, **{key: value})
+    with pytest.raises(DataError, match=f"{key} must be a JSON integer"):
         read_panel(panel_copy)
 
 
@@ -482,6 +496,50 @@ def test_manifest_digest_recomputation(tmp_path):
                            version=m.version, timestamp=m.timestamp,
                            digest=m.digest)
     assert not tampered.verify()
+
+
+def test_manifest_records_the_numeric_environment(tmp_path):
+    import scipy
+    from numpy._core._multiarray_umath import __cpu_features__
+    m = RunManifest.create(7, {"a": 1}, [], "0.1.0")
+    assert m.environment == {"numpy": np.__version__,
+                             "scipy": scipy.__version__,
+                             "x86_v4": __cpu_features__.get("X86_V4")}
+    write_manifest(m, tmp_path / "manifest.json")
+    assert read_manifest(tmp_path / "manifest.json").environment == \
+        m.environment
+
+
+def test_manifest_digest_leaves_out_the_environment():
+    # as the timestamp: the environment says where a run ran, and two
+    # runs that differ only there keep one digest
+    m = RunManifest.create(7, {"a": 1}, [], "0.1.0")
+    assert m.digest == dataio.config_digest(
+        {"seed": 7, "config": {"a": 1}, "inputs": {}, "version": "0.1.0"})
+    m.environment = {"numpy": "0", "scipy": "0", "x86_v4": None}
+    assert m.verify()
+
+
+def test_manifest_records_avx512_as_the_run_sees_it(tmp_path, fixtures_dir):
+    # NumPy's AVX-512 kernels switched off for one calibrate run: its
+    # manifest records the flag as that process sees it, off
+    code = ("import json, sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from povdyn.cli import main\n"
+            f"code = main(['calibrate', '--config', 'pipeline_small.cfg', "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(json.dumps([code, __cpu_features__.get('X86_V4')]))")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES":
+           "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=fixtures_dir, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    code, seen = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0 and seen is not True
+    assert read_manifest(tmp_path / "manifest.json").environment[
+        "x86_v4"] is seen
 
 
 def test_manifest_digest_stable_across_reruns(tmp_path):

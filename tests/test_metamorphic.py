@@ -21,6 +21,12 @@ panel directory.
 - ``metrics`` run twice into one output directory, on an ``npy`` and a
   ``csv`` copy: the second run writes the first run's bytes, the
   manifest's timestamp aside, and leaves no spool behind.
+
+The first two relations are also checked in-process, on each
+definition's ``PovertyAccumulator`` fed the transformed year rows: the
+lines exactly 2**k times the original (the reports round them to 12
+digits), the count tables identical, and the within-poor Ginis equal to
+a relative 1e-12.
 """
 
 import csv
@@ -31,8 +37,8 @@ import numpy as np
 import pytest
 
 from povdyn.cli import EXIT_OK, main
-from povdyn.dataio import SPOOL_NAME, read_panel, write_panel
-from povdyn.poverty import IncomePanel
+from povdyn.dataio import SPOOL_NAME, read_hcr_file, read_panel, write_panel
+from povdyn.poverty import IncomePanel, PovertyAccumulator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,6 +127,49 @@ def test_permuting_the_agents(tmp_path, measured):
                 label = f"{kind}_{perm[int(agent)]}"
             renamed[label] = column
         assert renamed == _paths(lines), name
+
+
+def _accumulate(panel: IncomePanel, transform) -> list[PovertyAccumulator]:
+    """Each fixture definition's accumulator, fed ``transform`` of every
+    year row of ``panel`` in year order, as ``metrics`` feeds them."""
+    accs = [PovertyAccumulator(read_hcr_file(FIXTURES / f"hcr_{name}.csv")[0],
+                               panel.n_agents,
+                               (panel.first_year, panel.last_year), 5, 5,
+                               name=name)
+            for name in ("base", "mid", "high")]
+    for year in panel.years.tolist():
+        row = transform(np.ascontiguousarray(panel.column(year)))
+        for acc in accs:
+            acc(year, row)
+    return accs
+
+
+def _same_ginis(got: PovertyAccumulator, want: PovertyAccumulator) -> None:
+    assert np.array_equal(np.isnan(got.bpl.gini), np.isnan(want.bpl.gini))
+    assert got.bpl.gini == pytest.approx(want.bpl.gini, rel=1e-12,
+                                         nan_ok=True)
+    assert np.array_equal(got.bpl.negatives_floored,
+                          want.bpl.negatives_floored)
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_scaling_by_a_power_of_two_in_process(measured, k):
+    panel = measured[0]
+    for got, want in zip(_accumulate(panel, lambda row: row * 2.0**k),
+                         _accumulate(panel, lambda row: row)):
+        assert got.line.z.tobytes() == (want.line.z * 2.0**k).tobytes()
+        assert np.array_equal(got.count_table(), want.count_table())
+        _same_ginis(got, want)
+
+
+def test_permuting_the_agents_in_process(measured):
+    panel = measured[0]
+    perm = np.random.default_rng(5).permutation(panel.n_agents)
+    for got, want in zip(_accumulate(panel, lambda row: row[perm]),
+                         _accumulate(panel, lambda row: row)):
+        assert got.line.z.tobytes() == want.line.z.tobytes()
+        assert np.array_equal(got.count_table(), want.count_table())
+        _same_ginis(got, want)
 
 
 def test_renaming_and_reordering_the_definitions(tmp_path, measured):

@@ -12,7 +12,6 @@ import io
 import json
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -41,12 +40,9 @@ def _panel(n_agents, n_years, seed=0):
 
 
 def _write(panel, directory, spooled: bool, threads: int) -> None:
-    """write_panel of ``panel``, in memory or spooled year by year, on
-    ``threads`` writer threads."""
+    """write_panel of ``panel``, in memory or spooled year by year, with
+    ``threads`` threads asked for."""
     with contextlib.ExitStack() as stack:
-        pool = None
-        if threads > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(threads))
         if spooled:
             spool = stack.enter_context(dataio.PanelSpool(
                 directory, panel.years, panel.n_agents, panel.seed))
@@ -54,7 +50,7 @@ def _write(panel, directory, spooled: bool, threads: int) -> None:
                 spool(year, row)
             spool.fingerprint = panel.fingerprint
             panel = spool
-        write_panel(panel, directory, _pool=pool)
+        write_panel(panel, directory, threads=threads)
 
 
 # the default block of a 2-year panel, in agents
@@ -73,7 +69,8 @@ _DEFAULT_BLOCK = dataio._block_agents(10**9, 2)
 def test_roundtrip_and_npy_bytes(n_agents, n_years, block, spooled, threads,
                                  seed):
     # ``block`` agents per block (None: the default byte budget), from an
-    # in-memory panel or a spool, on one writer thread or several
+    # in-memory panel or a spool, with 1, 2 or 3 threads asked for (one
+    # writer thread or two)
     panel = _panel(n_agents, n_years, seed)
     saved = io.BytesIO()
     np.save(saved, np.ascontiguousarray(panel.incomes))
@@ -282,38 +279,37 @@ def test_npy_header_with_a_bad_escape_is_data_error_without_a_warning(
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pool_writer_makes_a_reader_only_when_all_are_busy(tmp_path,
-                                                          monkeypatch,
-                                                          workers):
-    # the readers are handed out last in, first out, so a lone worker gets
-    # its own reader back for every block; first in, first out, it took
-    # the second empty slot for its second block and built a second
-    # reader (two more block buffers at the peak of simulate --threads 1)
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_write_panel_stripes_blocks_over_at_most_two_generators(
+        tmp_path, monkeypatch, threads):
+    # write_panel(threads=t) makes min(t, 2) block generators, one per
+    # writer thread, each with its two buffers: generator i takes blocks
+    # i, i+w, i+2w, ... of the w generators, so every block is written
+    # once, and the file holds np.save's bytes
     panel = _panel(23, 3)
     saved = io.BytesIO()
     np.save(saved, np.ascontiguousarray(panel.incomes))
-    made = []
-    reader = dataio._BlockReader
+    made, blocks = [], []
+    agent_blocks = dataio._agent_blocks
 
-    def counted(p):
-        made.append(p)
-        return reader(p)
-    monkeypatch.setattr(dataio, "_BlockReader", counted)
+    def counted(p, first, step):
+        made.append((first, step))
+        for a0, block in agent_blocks(p, first, step):
+            blocks.append(a0)
+            yield a0, block
+    monkeypatch.setattr(dataio, "_agent_blocks", counted)
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 2 * 8 * 3)  # 2 agents
-    with ThreadPoolExecutor(workers) as pool:
-        write_panel(panel, tmp_path, _pool=pool)
+    write_panel(panel, tmp_path, threads=threads)
     assert (tmp_path / "panel_incomes.npy").read_bytes() == saved.getvalue()
-    if workers == 1:
-        assert len(made) == 1
-    else:
-        assert 1 <= len(made) <= dataio._PANEL_WRITERS
+    w = min(threads, dataio._PANEL_WRITERS)
+    assert sorted(made) == [(i, w) for i in range(w)]
+    assert sorted(blocks) == list(range(0, 23, 2))
 
 
 def test_paths_gathered_by_the_row_hook_equal_the_written_panel_rows(
         tmp_path, monkeypatch):
     # as in pipeline: each year goes to the spool and to the row hooks,
-    # the pool writer writes the panel, and then the years before the
+    # the striped writer writes the panel, and then the years before the
     # later definition's first are read back from the spool; every
     # bundle holds its agents' rows of the written panel, bit for bit
     panel = _panel(40, 5, seed=3)
@@ -322,13 +318,12 @@ def test_paths_gathered_by_the_row_hook_equal_the_written_panel_rows(
         AnnualSeries(panel.years[j:], [0.3] * (5 - j)), 40, span, 6, 6)
         for j in (0, 2)}
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 3 * 8 * 5)  # 3 agents
-    with dataio.PanelSpool(tmp_path, panel.years, 40, 0) as spool, \
-            ThreadPoolExecutor(3) as pool:
+    with dataio.PanelSpool(tmp_path, panel.years, 40, 0) as spool:
         for year, row in zip(panel.years.tolist(), panel.incomes.T):
             spool(year, row)
             for acc in accs.values():
                 acc(year, row)
-        write_panel(spool, tmp_path, _pool=pool)
+        write_panel(spool, tmp_path, threads=3)
         _gather_before_picks(spool, accs, np.empty(40))
     written = read_panel(tmp_path).incomes
     assert written.tobytes() == panel.incomes.tobytes()
