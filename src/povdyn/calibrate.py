@@ -526,11 +526,11 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     year at a time instead (``simulate`` spools them to disk). Passing
     both is a ValueError.
 
-    The replay runs on a pool of ``threads`` workers made for this call.
-    Each step's ``threads`` agent slices run on its workers; then one worker
-    hands the stepped row to the hook while this thread takes the row's
-    share, and both are done before the next step starts, so no row waits
-    in memory.
+    The replay runs on a pool of ``max(threads - 1, 1)`` workers made for
+    this call. They are each step's helpers: they and this thread pull
+    the step's agent chunks from one counter. Then one worker hands the
+    stepped row to the hook while this thread takes the row's share, and
+    both are done before the next step starts, so no row waits in memory.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -544,7 +544,7 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     state = initial
     del initial
     shares = np.empty(len(rates))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
         for i, (year, tau) in enumerate(rates):
             state = step(state, params, float(tau), stream, threads=threads,
                          _pool=pool)

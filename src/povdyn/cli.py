@@ -46,7 +46,8 @@ _DEFAULT_PERIODS = ((1962, 1971), (1972, 1981), (1982, 1991),
 # Caps on the config values that size the run. A typo above them would
 # ask for any amount of memory or threads; the caps reject it before
 # any stage starts. 1e8 agents is 800 MB per income vector (a fit holds
-# about ten); simulate steps on a pool of ``threads`` OS threads.
+# about ten); simulate steps on ``threads`` OS threads, the main one
+# included.
 MAX_AGENTS = 10**8
 MAX_TP = 1000
 MAX_THREADS = 256
@@ -127,8 +128,9 @@ _KEYS = {
     "panel_format": _Key(str, "npy"),
     "out_dir": _Key(Path, Path("out"), "--out", "output directory"),
     "threads": _Key(int, _env_threads, "--threads",
-                    "worker threads of simulate (agent slices stepped in "
-                    "parallel, each year's spool write beside its share); "
+                    "threads that step simulate, the main one included "
+                    "(agent chunks pulled from one counter, each year's "
+                    "spool write beside its share); "
                     "capped at two, the threads that write simulate and "
                     "pipeline's npy panel file in blocks; never changes "
                     "results. The fit keeps one helper thread; calibrate "

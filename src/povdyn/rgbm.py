@@ -111,13 +111,6 @@ def init_lognormal(params: ModelParams, target_s50: float, seed: int,
     return Population(incomes, year)
 
 
-def _chunk_ranges(n: int, threads: int) -> list[tuple[int, int]]:
-    threads = max(1, min(int(threads), n))
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a]
-
-
 # A step may overflow: _checked and the calibration's rate search report
 # every such overflow as a typed error, so the stepping arithmetic runs
 # without NumPy's overflow and invalid-value warnings. The error state is
@@ -170,17 +163,25 @@ def _checked(incomes: np.ndarray, year: int) -> Population:
     return Population(incomes, year + 1)
 
 
+# Agents per chunk of a step: one draw block (rng._BLOCK), so a chunk's
+# noise, base and draw buffers stay in cache. Chunks do not depend on the
+# thread count. 16K-agent chunks were slower, and so were 128K.
+_STEP_CHUNK = 1 << 16
+
+
 def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
          threads: int = 1, *, _pool=None) -> Population:
     """Propagate the population one year under reallocation rate ``tau``.
 
     The year's noise is read from the stream at (agent, pop.year), the mean
     is computed once pre-update, and the result carries ``pop.year + 1``.
-    The agents are cut into ``threads`` slices, and a worker draws the
-    noise for each slice, updates it and checks it for overflow; the bytes
-    do not depend on ``threads``. The workers are those of ``_pool``, an
-    executor that a caller stepping many years keeps for the whole run,
-    or else of an executor made for this call.
+    The agents are cut into chunks of ``_STEP_CHUNK``. This thread and
+    ``threads - 1`` helpers each take the next chunk from one shared
+    counter, draw its noise, update it and check it for overflow; the
+    stream is exact on any agent slice, so the bytes do not depend on
+    ``threads``. The helpers are workers of ``_pool``, an executor that a
+    caller stepping many years keeps for the whole run, or else of an
+    executor made for this call; on one thread none is made.
 
     Raises
     ------
@@ -192,23 +193,35 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     x = pop.incomes
     m = _mean(x)
     out = np.empty_like(x)
+    # the threads share one iterator of chunk starts: a range iterator's
+    # next runs under the interpreter lock, so each chunk is taken once
+    starts = iter(range(0, pop.n, _STEP_CHUNK))
 
-    def update(lo: int, hi: int) -> int | None:
-        w = rng.normals(pop.year, STEP_TAG, lo, hi, params.dt)
-        base, relief = _components(x[lo:hi], m, w, params)
-        apply_rate(base, relief, tau, params.dt, out=out[lo:hi])
-        del w, base, relief  # freed before the check's masks
-        bad = _first_overflow(out[lo:hi])
-        return None if bad is None else lo + bad
+    def run() -> int | None:
+        # the chunks come in rising order, so a thread's first overflow
+        # is its smallest, and the least over the threads is the first
+        for lo in starts:
+            hi = min(lo + _STEP_CHUNK, pop.n)
+            w = rng.normals(pop.year, STEP_TAG, lo, hi, params.dt)
+            base, relief = _components(x[lo:hi], m, w, params, relief=w)
+            apply_rate(base, relief, tau, params.dt, out=out[lo:hi])
+            del w, base, relief  # freed before the check's masks
+            bad = _first_overflow(out[lo:hi])
+            if bad is not None:
+                return lo + bad
+        return None
 
-    ranges = _chunk_ranges(pop.n, threads)
-    with (nullcontext(_pool) if _pool is not None else
-          ThreadPoolExecutor(max_workers=len(ranges))) as pool:
-        futures = [pool.submit(update, lo, hi) for lo, hi in ranges]
-        # every slice is done before a result is read: no worker writes
-        # into ``out`` once the step has returned or raised
-        wait(futures)
-        found = [f.result() for f in futures]
+    helpers = max(1, min(int(threads), -(-pop.n // _STEP_CHUNK))) - 1
+    with (nullcontext(_pool) if _pool is not None or not helpers else
+          ThreadPoolExecutor(max_workers=helpers)) as pool:
+        futures = [pool.submit(run) for _ in range(helpers)]
+        try:
+            found = [run()]
+        finally:
+            # every thread is done before anything is raised or returned:
+            # no helper writes into ``out`` after the step
+            wait(futures)
+    found += [f.result() for f in futures]
     bad = [i for i in found if i is not None]
     if bad:
         raise PropagationOverflowError(min(bad), pop.year)

@@ -26,7 +26,11 @@ The first two relations are also checked in-process, on each
 definition's ``PovertyAccumulator`` fed the transformed year rows: the
 lines exactly 2**k times the original (the reports round them to 12
 digits), the count tables identical, and the within-poor Ginis equal to
-a relative 1e-12.
+a relative 1e-12. Hypothesis checks the same two relations on small
+drawn panels (2-60 agents, 1-8 years, incomes with ties, zeros and
+negatives, head counts 0 and 1 among them, a definition over any run of
+the panel's years): there the lines are compared as values, since a
+permutation may move a -0.0 and a 0.0 that tie at the line.
 """
 
 import csv
@@ -35,10 +39,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from povdyn.cli import EXIT_OK, main
 from povdyn.dataio import SPOOL_NAME, read_hcr_file, read_panel, write_panel
 from povdyn.poverty import IncomePanel, PovertyAccumulator
+from povdyn.series import AnnualSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -211,3 +218,62 @@ def test_metrics_twice_into_one_out(tmp_path, measured, fmt):
     assert runs[0] == runs[1]
     assert SPOOL_NAME not in runs[0][0]
     assert len(runs[0][0]) == 10  # nine reports and summary.json
+
+
+# ---------------------------------------------------------------------------
+# the in-process relations on drawn panels
+
+DRAWN = settings(max_examples=150, deadline=None, derandomize=True)
+
+# incomes far from the float range's ends, so that scaling by 2**k for
+# |k| <= 8 stays exact: no overflow and no subnormal result
+_INCOME = st.one_of(
+    st.integers(-3, 12).map(float),  # ties, zeros and negatives
+    st.floats(-1e3, 1e6).filter(lambda v: v == 0 or abs(v) > 1e-200))
+
+
+@st.composite
+def drawn_panels(draw):
+    """A small panel, one definition's head counts over a run of its
+    years, and an agent permutation."""
+    n_agents = draw(st.integers(2, 60))
+    n_years = draw(st.integers(1, 8))
+    rows = [draw(st.lists(_INCOME, min_size=n_agents, max_size=n_agents))
+            for _ in range(n_years)]
+    first = draw(st.integers(0, n_years - 1))
+    last = draw(st.integers(first, n_years - 1))
+    head_count = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    hcr = draw(st.lists(head_count, min_size=last - first + 1,
+                        max_size=last - first + 1))
+    perm = draw(st.permutations(range(n_agents)))
+    return (np.array(rows), 2000 + first, hcr, np.array(perm),
+            draw(st.integers(-8, 8)))
+
+
+def _accumulate_rows(rows: np.ndarray, first: int, hcr) -> PovertyAccumulator:
+    """One definition's accumulator fed the year rows of a panel from
+    2000."""
+    acc = PovertyAccumulator(
+        AnnualSeries(np.arange(first, first + len(hcr)), hcr),
+        rows.shape[1], (2000, 1999 + len(rows)), 2, 2)
+    for year, row in enumerate(rows, 2000):
+        acc(year, np.ascontiguousarray(row))
+    return acc
+
+
+@DRAWN
+@given(drawn=drawn_panels())
+# two agents tied at 0.0 and -0.0, head counts 0, 1/2 and 1
+@example(drawn=(np.array([[0.0, -0.0], [-1.0, 2.0], [3.0, 3.0]]), 2000,
+                [0.0, 0.5, 1.0], np.array([1, 0]), -8))
+def test_scaling_and_permuting_drawn_panels(drawn):
+    rows, first, hcr, perm, k = drawn
+    want = _accumulate_rows(rows, first, hcr)
+    scaled = _accumulate_rows(rows * 2.0**k, first, hcr)
+    assert np.array_equal(scaled.line.z, want.line.z * 2.0**k)
+    assert np.array_equal(scaled.count_table(), want.count_table())
+    _same_ginis(scaled, want)
+    permuted = _accumulate_rows(rows[:, perm], first, hcr)
+    assert np.array_equal(permuted.line.z, want.line.z)
+    assert np.array_equal(permuted.count_table(), want.count_table())
+    _same_ginis(permuted, want)

@@ -1,11 +1,16 @@
 """Population initialization, one-year propagation, and bottom shares."""
 
 import math
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from povdyn import rgbm
 from povdyn.errors import (InvalidTargetError, PropagationOverflowError,
                            UndefinedShareError)
 from povdyn.rgbm import (ModelParams, Population, bottom_share,
@@ -117,19 +122,35 @@ def test_growth_moment_with_noise():
     assert hits >= 19
 
 
-def test_determinism_across_thread_counts():
-    # step on any thread count is base - (tau*dt)*relief bit for bit,
-    # including negative incomes (they occur under regressive reallocation)
-    for dt in (1.0, 0.5):
-        params = ModelParams(dt=dt, n_agents=10_000)
-        pop = init_lognormal(params, 0.25, seed=4, year=1960)
-        pop.incomes[:5] = -0.3
-        base, relief = step_components(pop, params, RngStream(4))
-        for tau in (0.0, 0.02, -0.25, 0.5):
-            expected = base - (tau * dt) * relief
-            for k in (1, 2, 3, 7):
-                out = step(pop, params, tau, RngStream(4), threads=k)
-                assert np.array_equal(out.incomes, expected)
+def test_determinism_across_thread_counts(monkeypatch):
+    # step on any thread count and chunk size is base - (tau*dt)*relief
+    # bit for bit, including negative incomes (they occur under regressive
+    # reallocation)
+    for chunk in (1, 3, 4, 4096, rgbm._STEP_CHUNK):
+        monkeypatch.setattr(rgbm, "_STEP_CHUNK", chunk)
+        for dt in (1.0, 0.5):
+            params = ModelParams(dt=dt, n_agents=min(10_000, 500 * chunk))
+            pop = init_lognormal(params, 0.25, seed=4, year=1960)
+            pop.incomes[:5] = -0.3
+            base, relief = step_components(pop, params, RngStream(4))
+            for tau in (0.0, 0.02, -0.25, 0.5):
+                expected = base - (tau * dt) * relief
+                for k in (1, 2, 3, 7):
+                    out = step(pop, params, tau, RngStream(4), threads=k)
+                    assert np.array_equal(out.incomes, expected), (chunk, k)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4])
+def test_a_short_last_chunk_and_more_threads_than_chunks(monkeypatch, chunk):
+    # 2*chunk + 1 agents: two whole chunks and one of a single agent, on
+    # thread counts up to more than the three chunks
+    monkeypatch.setattr(rgbm, "_STEP_CHUNK", chunk)
+    params = ModelParams(n_agents=2 * chunk + 1)
+    pop = init_lognormal(params, 0.3, seed=8, year=1980)
+    base, relief = step_components(pop, params, RngStream(8))
+    for k in (1, 2, 3, 4, 9):
+        out = step(pop, params, 0.03, RngStream(8), threads=k)
+        assert np.array_equal(out.incomes, base - 0.03 * relief)
 
 
 def test_scale_equivariance_of_shares():
@@ -173,18 +194,101 @@ def test_overflow_names_agent_and_year():
     assert "1999" in str(err.value)
 
 
+def test_every_chunk_is_stepped_once_under_fast_thread_switches(
+        monkeypatch):
+    # eight threads on one-agent chunks, switching every microsecond: a
+    # chunk taken twice or never shows in the count or in the bytes
+    monkeypatch.setattr(rgbm, "_STEP_CHUNK", 1)
+    components = rgbm._components
+    sizes = []
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x))  # list.append holds the interpreter lock
+        return components(x, *args, **kwargs)
+
+    params = ModelParams(n_agents=2000)
+    pop = init_lognormal(params, 0.3, seed=9, year=1990)
+    base, relief = step_components(pop, params, RngStream(9))
+    monkeypatch.setattr(rgbm, "_components", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = step(pop, params, 0.02, RngStream(9), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [1] * 2000
+    assert np.array_equal(out.incomes, base - 0.02 * relief)
+
+
+def _slow_chunks(monkeypatch, caller_s: float, helper_s: float = 0.0,
+                 fail: bool = False) -> dict:
+    """Make each chunk of a step on the calling thread sleep ``caller_s``
+    (so the helpers take chunks). With ``fail``, the first chunk that a
+    helper takes raises, and the second sleeps ``helper_s``. Returns the
+    counts of chunks in progress and done."""
+    caller = threading.current_thread()
+    components = rgbm._components
+    lock = threading.Lock()
+    state = {"inside": 0, "done": 0, "helper_chunks": 0}
+
+    def slow_components(*args, **kwargs):
+        with lock:
+            on_helper = threading.current_thread() is not caller
+            state["helper_chunks"] += on_helper
+            nth = state["helper_chunks"] if on_helper and fail else 0
+            state["inside"] += nth != 1
+        if nth == 1:
+            raise RuntimeError("chunk failed")
+        try:
+            time.sleep(helper_s if nth == 2 else 0.0 if on_helper
+                       else caller_s)
+            return components(*args, **kwargs)
+        finally:
+            with lock:
+                state["inside"] -= 1
+                state["done"] += 1
+
+    monkeypatch.setattr(rgbm, "_components", slow_components)
+    return state
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_overflow_names_the_first_agent_on_any_thread_count(threads):
-    # agents 4 and 9 overflow, in different slices on 2 and 3 threads:
-    # each slice checks its own agents, and the first one is named
+def test_overflow_names_the_first_agent_on_any_thread_count(monkeypatch,
+                                                            threads):
+    # agents 4 and 9 overflow, in different chunks, which different
+    # threads take (the caller's chunks are slowed, so the helpers take
+    # most): each thread checks its own chunks, and the first agent is
+    # named
+    _slow_chunks(monkeypatch, caller_s=0.002)
     x = np.ones(10)
     x[[4, 9]] = 1e302
     params = ModelParams(mu=10.0, sigma=0.0, dt=1e6, n_agents=10)
-    with warnings.catch_warnings(), \
-            pytest.raises(PropagationOverflowError) as err:
-        warnings.simplefilter("error")
-        step(Population(x, 1999), params, 0.0, RngStream(0), threads=threads)
-    assert (err.value.agent, err.value.year) == (4, 1999)
+    for chunk in (1, 3, 4):
+        monkeypatch.setattr(rgbm, "_STEP_CHUNK", chunk)
+        with warnings.catch_warnings(), \
+                pytest.raises(PropagationOverflowError) as err:
+            warnings.simplefilter("error")
+            step(Population(x, 1999), params, 0.0, RngStream(0),
+                 threads=threads)
+        assert (err.value.agent, err.value.year) == (4, 1999), chunk
+
+
+def test_a_helper_error_is_raised_after_every_thread_joins(monkeypatch):
+    # the first chunk a helper takes raises, while the second outlasts
+    # every chunk the caller takes: the step re-raises the error only once
+    # no thread is inside a chunk, after every other chunk is stepped. The
+    # helpers are those of a pool that outlives the step, as in a replay,
+    # so leaving the pool joins nothing
+    state = _slow_chunks(monkeypatch, caller_s=0.01, helper_s=0.2,
+                         fail=True)
+    monkeypatch.setattr(rgbm, "_STEP_CHUNK", 1)
+    params = ModelParams(n_agents=12)
+    pop = init_lognormal(params, 0.3, seed=2, year=2000)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            step(pop, params, 0.01, RngStream(2), threads=3, _pool=pool)
+        assert state["helper_chunks"] >= 2
+        assert (state["inside"], state["done"]) == (0, 11)
 
 
 def test_negative_incomes_not_clamped():
