@@ -526,11 +526,11 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     year at a time instead (``simulate`` spools them to disk). Passing
     both is a ValueError.
 
-    The replay runs on a pool of ``max(threads - 1, 1)`` workers made for
-    this call. They are each step's helpers: they and this thread pull
-    the step's agent chunks from one counter. Then one worker hands the
-    stepped row to the hook while this thread takes the row's share, and
-    both are done before the next step starts, so no row waits in memory.
+    Each step runs on ``threads`` threads, this one and the step's own
+    helpers, which pull the step's agent chunks from one counter. Then a
+    one-worker row lane made for this call hands the stepped row to the
+    hook while this thread takes the row's share, and both are done
+    before the next step starts, so no row waits in memory.
     """
     if rates.first_year != initial.year + 1:
         raise DataError(
@@ -544,12 +544,11 @@ def replay(initial: Population, rates: AnnualSeries, params: ModelParams,
     state = initial
     del initial
     shares = np.empty(len(rates))
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=1) as lane:
         for i, (year, tau) in enumerate(rates):
-            state = step(state, params, float(tau), stream, threads=threads,
-                         _pool=pool)
+            state = step(state, params, float(tau), stream, threads=threads)
             assert state.year == year
-            row = pool.submit(sink, year, state.incomes)
+            row = lane.submit(sink, year, state.incomes)
             shares[i] = bottom_share_of(state.incomes, 0.5)
             row.result()
     _warn_undefined(rates.years, shares)

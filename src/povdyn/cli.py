@@ -593,7 +593,7 @@ def _gather_before_picks(spool: PanelSpool,
     picked = max((acc.hcr.first_year for acc in accs.values()),
                  default=years[0])
     for t, year in enumerate(years[:picked - years[0]]):
-        spool.read_year(t, row)
+        spool.read(t, 0, row[None])
         for acc in accs.values():
             acc.gather_year(year, row)
 
@@ -606,7 +606,7 @@ def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
     reports are written."""
     row = np.empty(spool.n_agents)
     for t, year in enumerate(spool.years.tolist()):
-        spool.read_year(t, row)
+        spool.read(t, 0, row[None])
         for acc in accs.values():
             acc(year, row)
     _gather_before_picks(spool, accs, row)

@@ -319,17 +319,18 @@ class PanelSpool:
 
     The spool is ``panel_spool.tmp`` in the output directory, a (T, N)
     file of float64 rows. It goes beside the outputs, not to a temporary
-    directory, which may be memory-backed. It is filled in one of two
-    ways. As a row hook, ``spool(year, incomes)`` appends each year's
-    incomes in year order (``simulate`` and ``pipeline``, as the years
-    are stepped). A stored panel, which arrives agents-major, is written
-    one block of agents at a time with :meth:`write_agents`
-    (:func:`spool_panel`, for ``metrics``). :func:`write_panel` reads a
-    spool back one block of agents at a time, one ``os.preadv`` per year
-    into the block's year-major buffer, and its two writer threads may
-    read at once. ``metrics`` reads it one year at a time
-    (:meth:`read_year`), and ``metrics`` and ``pipeline`` so read back
-    the years before the path agents are picked. The spool is written in
+    directory, which may be memory-backed. It has two accessors, both by
+    (year, agent): :meth:`write` puts a year-major rectangle of incomes at
+    its place and :meth:`read` fills one, each with one positional read or
+    write per year, so threads that use it share no file position. As a
+    row hook, ``spool(year, incomes)`` writes the year's row at its own
+    place (``simulate`` and ``pipeline``, as the years are stepped). A
+    stored panel, which arrives agents-major, is written one block of
+    agents at a time (:func:`spool_panel`, for ``metrics``).
+    :func:`write_panel` reads a spool back one block of agents at a time,
+    and its two writer threads may read at once. ``metrics`` reads it one
+    year at a time, and ``metrics`` and ``pipeline`` so read back the
+    years before the path agents are picked. The spool is written in
     place, not staged as :func:`_output` stages a report. The file is
     open inside the ``with`` block; leaving the block, by an error too,
     closes and deletes it, and any OSError inside it is an OutputError
@@ -354,42 +355,29 @@ class PanelSpool:
         return int(self.years[-1])
 
     def __call__(self, year: int, incomes: np.ndarray) -> None:
-        """Spool the incomes of the next year."""
-        self._file.write(incomes)
+        """Spool the incomes (N,) of ``year``, in any year order."""
+        self.write(year - self.first_year, 0, incomes[None])
 
-    def read_agents(self, a0: int, out: np.ndarray) -> None:
-        """Fill ``out`` ((T, k), year-major, each row contiguous) with the
-        incomes of agents ``a0 .. a0+k-1``.
-
-        One ``os.preadv`` per year reads the agents' stretch of that
-        year's row straight into the row of ``out``.
-        """
-        self._file.flush()
+    def read(self, t: int, a0: int, out: np.ndarray) -> None:
+        """Fill ``out`` ((m, k), year-major, each row contiguous) with the
+        incomes of agents ``a0 .. a0+k-1`` in the ``t``-th to
+        ``t+m-1``-th years: one ``os.preadv`` per year, at offset ``(t*N
+        + a0)*8`` for the first."""
         fd = self._file.fileno()
-        row_bytes = self.n_agents * 8
-        for t, row in enumerate(out):
-            if os.preadv(fd, [row], t * row_bytes + a0 * 8) != row.nbytes:
-                raise OSError(f"{self.path}: year {int(self.years[t])} "
+        for i, row in enumerate(out, t):
+            if os.preadv(fd, [row], (i * self.n_agents + a0) * 8) != \
+                    row.nbytes:
+                raise OSError(f"{self.path}: year {int(self.years[i])} "
                               "is cut short")
 
-    def write_agents(self, a0: int, rows: np.ndarray) -> None:
-        """Write ``rows`` ((T, k), year-major, each row contiguous), the
-        incomes of agents ``a0 .. a0+k-1``, at their place in every year's
-        row: one ``os.pwrite`` per year, the inverse of
-        :meth:`read_agents`."""
+    def write(self, t: int, a0: int, rows: np.ndarray) -> None:
+        """Write ``rows`` ((m, k), year-major, each row contiguous), the
+        incomes of agents ``a0 .. a0+k-1`` in the ``t``-th to
+        ``t+m-1``-th years, at their place: the inverse of :meth:`read`,
+        one ``os.pwrite`` per year."""
         fd = self._file.fileno()
-        row_bytes = self.n_agents * 8
-        for t, row in enumerate(rows):
-            _pwrite_all(fd, row, t * row_bytes + a0 * 8)
-
-    def read_year(self, t: int, out: np.ndarray) -> None:
-        """Fill ``out`` (N,) with the incomes of the ``t``-th year: one
-        ``os.preadv``."""
-        self._file.flush()
-        if os.preadv(self._file.fileno(), [out], t * out.nbytes) != \
-                out.nbytes:
-            raise OSError(f"{self.path}: year {int(self.years[t])} "
-                          "is cut short")
+        for i, row in enumerate(rows, t):
+            _pwrite_all(fd, row, (i * self.n_agents + a0) * 8)
 
     def __enter__(self) -> "PanelSpool":
         _output_dir(self.path.parent)
@@ -398,7 +386,8 @@ class PanelSpool:
         with ExitStack() as stack:
             stack.enter_context(_output_errors(self.path))
             stack.callback(self.path.unlink, missing_ok=True)
-            self._file = stack.enter_context(open(self.path, "w+b"))
+            self._file = stack.enter_context(
+                open(self.path, "w+b", buffering=0))
             self._exit = stack.pop_all()
         return self
 
@@ -411,11 +400,11 @@ def _agent_blocks(panel, first: int = 0, step: int = 1):
     the ``first``-th, in agent order.
 
     ``block`` is the (k, T) agents-major incomes of agents ``a0 ..
-    a0+k-1``: the panel's ``read_agents`` fills a year-major buffer (see
-    :meth:`PanelSpool.read_agents`), which is transposed into the block
-    buffer. The generator owns both buffers, about ``_PANEL_BLOCK_BYTES``
-    each, so no full-size copy is made, they stay the same size however
-    many years the panel has, and the next block overwrites the last.
+    a0+k-1``: the panel's ``read`` fills a year-major buffer (see
+    :meth:`PanelSpool.read`), which is transposed into the block buffer.
+    The generator owns both buffers, about ``_PANEL_BLOCK_BYTES`` each, so
+    no full-size copy is made, they stay the same size however many years
+    the panel has, and the next block overwrites the last.
     """
     n_years = len(panel.years)
     k = _block_agents(panel.n_agents, n_years)
@@ -423,7 +412,7 @@ def _agent_blocks(panel, first: int = 0, step: int = 1):
     for a0 in range(first * k, panel.n_agents, step * k):
         block = buf[:min(k, panel.n_agents - a0)]
         by_year = rows[:block.size].reshape(block.shape[::-1])
-        panel.read_agents(a0, by_year)
+        panel.read(0, a0, by_year)
         np.copyto(block, by_year.T)
         yield a0, block
 
@@ -662,57 +651,52 @@ class StoredPanel:
         T) agents-major incomes of agents ``a0 .. a0+k-1``, in one buffer
         that the next block overwrites. An ``npy`` block is one read of
         ``_PANEL_BLOCK_BYTES`` at most; a ``csv`` block is parsed one agent
-        row at a time into a buffer of ``_CSV_BLOCK_BYTES`` at most. Each
-        block's incomes are checked to be finite before it is yielded.
+        row at a time (:meth:`_parse_rows`) into a buffer of
+        ``_CSV_BLOCK_BYTES`` at most. Each block's incomes are checked to
+        be finite before it is yielded.
         """
         n_agents, n_years = self.n_agents, len(self.years)
         csv_panel = self.format == "csv"
         k = _block_agents(n_agents, n_years, _CSV_BLOCK_BYTES if csv_panel
                           else _PANEL_BLOCK_BYTES)
         buf = np.empty((k, n_years))
+        path = self.directory / ("panel.csv" if csv_panel
+                                 else "panel_incomes.npy")
         try:
             with self._open() as f:
-                if csv_panel:
-                    yield from self._csv_blocks(f, buf)
-                    return
-                path = self.directory / "panel_incomes.npy"
                 for a0 in range(0, n_agents, k):
                     block = buf[:min(k, n_agents - a0)]
-                    _read_into(f, block, path)
+                    if csv_panel:
+                        self._parse_rows(f, path, a0, block)
+                    else:
+                        _read_into(f, block, path)
                     self._check_finite(path, a0, block)
                     yield a0, block
+                if csv_panel and next(f, None) is not None:
+                    raise DataError(f"{path}:{f.line_num}: more than "
+                                    f"{n_agents} agents")
         except (OSError, ValueError, IndexError, csv.Error) as exc:
             raise DataError(f"cannot read panel under {self.directory}: "
                             f"{exc}") from None
 
-    def _csv_blocks(self, reader, buf: np.ndarray):
-        """The blocks of :meth:`blocks` from the agent rows of ``reader``;
-        row i's agent field must be i, and it must hold a value for each
-        year."""
-        path = self.directory / "panel.csv"
-        n_agents, k = self.n_agents, len(buf)
-        i = -1
-        for i, row in enumerate(reader):
+    def _parse_rows(self, reader, path: Path, a0: int, block: np.ndarray
+                    ) -> None:
+        """Fill ``block`` with the next agent rows of ``reader``, agents
+        ``a0 ..``: row i's agent field must be i, and it must hold a value
+        for each year."""
+        for i, values in enumerate(block, a0):
+            row = next(reader, None)
+            if row is None:
+                raise DataError(f"{path}: {i} agents, metadata says "
+                                f"{self.n_agents}")
             where = f"{path}:{reader.line_num}"
-            if i == n_agents:
-                raise DataError(f"{where}: more than {n_agents} agents")
             if row[:1] != [str(i)]:
                 raise DataError(f"{where}: agent field {row[:1]}, "
                                 f"expected {i}")
-            if len(row) != buf.shape[1] + 1:
+            if len(row) != len(values) + 1:
                 raise DataError(f"{where}: agent {i} has {len(row) - 1} "
-                                f"values, expected {buf.shape[1]}")
-            buf[i % k] = [float(v) for v in row[1:]]
-            if i % k == k - 1:
-                self._check_finite(path, i + 1 - k, buf)
-                yield i + 1 - k, buf
-        if i + 1 != n_agents:
-            raise DataError(f"{path}: {i + 1} agents, metadata says "
-                            f"{n_agents}")
-        if n_agents % k:
-            block = buf[:n_agents % k]
-            self._check_finite(path, n_agents - len(block), block)
-            yield n_agents - len(block), block
+                                f"values, expected {len(values)}")
+            values[:] = [float(v) for v in row[1:]]
 
     def _check_finite(self, path: Path, a0: int, block: np.ndarray) -> None:
         """DataError naming the file, the agent and the year of the first
@@ -728,7 +712,7 @@ def spool_panel(stored: StoredPanel, spool: PanelSpool) -> None:
     transpose of :func:`write_panel` run in reverse.
 
     Each block of :meth:`StoredPanel.blocks` is transposed into one reused
-    year-major buffer and written with :meth:`PanelSpool.write_agents`, so
+    year-major buffer and written with :meth:`PanelSpool.write`, so
     every check of the stored files is made in this pass, and memory
     holds one block and its transpose whatever the panel's size. (The
     writes on a helper thread, beside the next block's read, were slower
@@ -740,7 +724,7 @@ def spool_panel(stored: StoredPanel, spool: PanelSpool) -> None:
             rows = np.empty(block.size)
         by_year = rows[:block.size].reshape(block.shape[::-1])
         np.copyto(by_year, block.T)
-        spool.write_agents(a0, by_year)
+        spool.write(0, a0, by_year)
 
 
 def read_panel(directory):

@@ -86,10 +86,12 @@ class IncomePanel:
     def column(self, year: int) -> np.ndarray:
         return self.incomes[:, self.index_of(year)]
 
-    def read_agents(self, a0: int, out: np.ndarray) -> None:
-        """Fill ``out`` ((T, k), year-major) with the incomes of agents
-        ``a0 .. a0+k-1``, as :meth:`PanelSpool.read_agents` does."""
-        np.copyto(out, self.incomes[a0:a0 + out.shape[1]].T)
+    def read(self, t: int, a0: int, out: np.ndarray) -> None:
+        """Fill ``out`` ((m, k), year-major) with the incomes of agents
+        ``a0 .. a0+k-1`` in the ``t``-th to ``t+m-1``-th years, as
+        :meth:`PanelSpool.read` does."""
+        m, k = out.shape
+        np.copyto(out, self.incomes[a0:a0 + k, t:t + m].T)
 
 
 @dataclass

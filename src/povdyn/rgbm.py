@@ -15,7 +15,7 @@ Gini layer floors them, with a flag.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (InvalidTargetError, PropagationOverflowError,
                      UndefinedShareError)
-from .rng import INIT_TAG, STEP_TAG, RngStream, ndtri
+from .rng import _BLOCK, INIT_TAG, STEP_TAG, RngStream, ndtri
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,14 @@ def _checked(incomes: np.ndarray, year: int) -> Population:
     return Population(incomes, year + 1)
 
 
-# Agents per chunk of a step: one draw block (rng._BLOCK), so a chunk's
-# noise, base and draw buffers stay in cache. Chunks do not depend on the
-# thread count. 16K-agent chunks were slower, and so were 128K.
-_STEP_CHUNK = 1 << 16
+# Agents per chunk of a step: one draw block, so a chunk's noise, base
+# and draw buffers stay in cache. Chunks do not depend on the thread
+# count. 16K-agent chunks were slower, and so were 128K.
+_STEP_CHUNK = _BLOCK
 
 
 def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
-         threads: int = 1, *, _pool=None) -> Population:
+         threads: int = 1) -> Population:
     """Propagate the population one year under reallocation rate ``tau``.
 
     The year's noise is read from the stream at (agent, pop.year), the mean
@@ -179,9 +179,9 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
     ``threads - 1`` helpers each take the next chunk from one shared
     counter, draw its noise, update it and check it for overflow; the
     stream is exact on any agent slice, so the bytes do not depend on
-    ``threads``. The helpers are workers of ``_pool``, an executor that a
-    caller stepping many years keeps for the whole run, or else of an
-    executor made for this call; on one thread none is made.
+    ``threads``. The helpers are the workers of an executor made for this
+    call, and leaving it joins them, so none is left inside a chunk once
+    the step returns or raises; on one thread none is made.
 
     Raises
     ------
@@ -212,15 +212,10 @@ def step(pop: Population, params: ModelParams, tau: float, rng: RngStream,
         return None
 
     helpers = max(1, min(int(threads), -(-pop.n // _STEP_CHUNK))) - 1
-    with (nullcontext(_pool) if _pool is not None or not helpers else
-          ThreadPoolExecutor(max_workers=helpers)) as pool:
+    with (ThreadPoolExecutor(max_workers=helpers) if helpers else
+          nullcontext()) as pool:
         futures = [pool.submit(run) for _ in range(helpers)]
-        try:
-            found = [run()]
-        finally:
-            # every thread is done before anything is raised or returned:
-            # no helper writes into ``out`` after the step
-            wait(futures)
+        found = [run()]
     found += [f.result() for f in futures]
     bad = [i for i in found if i is not None]
     if bad:

@@ -271,10 +271,10 @@ def test_pipeline_leaves_no_spool(tmp_path, fixtures_dir, monkeypatch,
         monkeypatch.setattr(calibrate, "_search_tau", failing_search)
         code = EXIT_DATA
     elif stage == "simulate":
-        def failing_read(self, a0, block):
+        def failing_read(self, t, a0, out_rows):
             seen.append((out / SPOOL_NAME).is_file())
             raise OSError(28, "No space left on device")
-        monkeypatch.setattr(dataio.PanelSpool, "read_agents", failing_read)
+        monkeypatch.setattr(dataio.PanelSpool, "read", failing_read)
         code = EXIT_IO
     assert main(["pipeline", "--config", "pipeline_small.cfg",
                  "--out", str(out)]) == code
@@ -316,9 +316,9 @@ def test_simulate_leaves_no_spool(tmp_path, monkeypatch, capsys, stage):
     if stage == "replay":
         code = EXIT_DATA
     elif stage == "write":
-        def failing_read(self, a0, block):
+        def failing_read(self, t, a0, out_rows):
             raise OSError(28, "No space left on device")
-        monkeypatch.setattr(dataio.PanelSpool, "read_agents", failing_read)
+        monkeypatch.setattr(dataio.PanelSpool, "read", failing_read)
         code = EXIT_IO
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
     assert seen and all(seen)
@@ -365,20 +365,31 @@ def test_simulate_bytes_do_not_depend_on_threads(tmp_path, capsys, size):
         assert written[1] == written[2] == written[3]
 
 
+def _fail_panel_writes(monkeypatch, out: Path) -> list[bool]:
+    """Make the fourth ``os.pwrite`` into a file other than the spool in
+    ``out`` fail with ENOSPC. Returns the list that records, for each such
+    write, whether it ran on the main thread; the spool's own rows are
+    written as before and not recorded."""
+    pwrite, calls, on_main = os.pwrite, itertools.count(), []
+
+    def failing_pwrite(fd, data, offset):
+        if not os.path.samestat(os.fstat(fd), os.stat(out / SPOOL_NAME)):
+            on_main.append(threading.current_thread() is
+                           threading.main_thread())
+            if next(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    return on_main
+
+
 def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
     # no space left while a writer thread writes its block: the run ends
     # in the output error, the spool is gone and so are the run's threads
     cfg = _simulate_config(tmp_path, [0.01] * 6, 300)
     out = tmp_path / "sim"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 10 * 7 * 8)
-    pwrite, calls, on_main = os.pwrite, itertools.count(), []
-
-    def failing_pwrite(fd, data, offset):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        if next(calls) == 3:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return pwrite(fd, data, offset)
-    monkeypatch.setattr(os, "pwrite", failing_pwrite)
+    on_main = _fail_panel_writes(monkeypatch, out)
     before = set(threading.enumerate())
     assert main(["simulate", "--config", str(cfg), "--out", str(out),
                  "--threads", "2"]) == EXIT_IO
@@ -390,7 +401,7 @@ def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
                           f"{out / 'panel_incomes.npy'}: [Errno 28] ")
 
 
-@pytest.mark.parametrize("failure", ["pwrite", "read_year"])
+@pytest.mark.parametrize("failure", ["pwrite", "read_back"])
 def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
                                         capsys, failure):
     # no space left while a writer thread writes its block, or a read
@@ -402,27 +413,23 @@ def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
     out = tmp_path / "pipe"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
                         10 * 8 * _fixture_panel_years(fixtures_dir))
-    on_main = []
     if failure == "pwrite":
-        pwrite, calls = os.pwrite, itertools.count()
-
-        def failing_pwrite(fd, data, offset):
-            on_main.append(threading.current_thread() is
-                           threading.main_thread())
-            if next(calls) == 3:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return pwrite(fd, data, offset)
-        monkeypatch.setattr(os, "pwrite", failing_pwrite)
+        on_main = _fail_panel_writes(monkeypatch, out)
         second = (f"output error: cannot write {out / 'panel_incomes.npy'}: "
                   "[Errno 28] ")
     else:
-        def failing_read_year(self, t, row):
+        # the writer threads read the spool too, and only the main
+        # thread's read fails
+        read, on_main = dataio.PanelSpool.read, []
+
+        def failing_read(self, t, a0, out_rows):
             on_main.append(threading.current_thread() is
                            threading.main_thread())
+            if not on_main[-1]:
+                return read(self, t, a0, out_rows)
             assert (out / "panel_meta.json").is_file()  # the panel is written
             raise OSError(errno.EIO, os.strerror(errno.EIO))
-        monkeypatch.setattr(dataio.PanelSpool, "read_year",
-                            failing_read_year)
+        monkeypatch.setattr(dataio.PanelSpool, "read", failing_read)
         second = f"output error: cannot write {out / SPOOL_NAME}: [Errno 5] "
     before = set(threading.enumerate())
     assert main(["pipeline", "--config", "pipeline_small.cfg", "--out",
@@ -431,7 +438,7 @@ def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
     if failure == "pwrite":
         assert len(on_main) >= 4 and not any(on_main)
     else:
-        assert on_main == [True]
+        assert len(on_main) >= 2 and on_main.index(True) == len(on_main) - 1
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "pipeline aborted in stage 'simulate'"

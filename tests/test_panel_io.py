@@ -91,6 +91,41 @@ def test_roundtrip_and_npy_bytes(n_agents, n_years, block, spooled, threads,
 
 
 @SETTINGS
+@given(n_agents=st.integers(1, 30), n_years=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_spool_reads_and_writes_any_rectangle(n_agents, n_years, seed, data):
+    # the spool against an in-memory (T, N) array: the row hook puts each
+    # year at its own row in whatever order the years come, and each
+    # (t, a0, m, k) rectangle written or read is that slice of the array;
+    # IncomePanel.read gives the spool's bytes for the same panel
+    panel = _panel(n_agents, n_years, seed)
+    want = np.ascontiguousarray(panel.incomes.T)
+    new_values = np.random.default_rng(seed + 1)
+    order = data.draw(st.permutations(range(n_years)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            dataio.PanelSpool(tmp, panel.years, n_agents, 0) as spool:
+        for t in order:
+            spool(int(panel.years[t]), want[t])
+        for _ in range(data.draw(st.integers(1, 6))):
+            t = data.draw(st.integers(0, n_years - 1))
+            a0 = data.draw(st.integers(0, n_agents - 1))
+            m = data.draw(st.integers(1, n_years - t))
+            k = data.draw(st.integers(1, n_agents - a0))
+            if data.draw(st.booleans()):
+                rows = new_values.normal(size=(m, k))
+                spool.write(t, a0, rows)
+                want[t:t + m, a0:a0 + k] = rows
+            got, held = np.empty((m, k)), np.empty((m, k))
+            spool.read(t, a0, got)
+            IncomePanel(panel.years, want.T, 0, "f").read(t, a0, held)
+            assert got.tobytes() == want[t:t + m, a0:a0 + k].tobytes()
+            assert held.tobytes() == got.tobytes()
+        whole = np.empty((n_years, n_agents))
+        spool.read(0, 0, whole)
+    assert whole.tobytes() == want.tobytes()
+
+
+@SETTINGS
 @given(n_agents=st.integers(1, 40), n_years=st.integers(1, 9),
        block=st.sampled_from([1, 3, 7, 16, None]),
        fmt=st.sampled_from(["npy", "csv"]), seed=st.integers(0, 2**32 - 1))
@@ -112,7 +147,7 @@ def test_spooled_stored_panel_reads_back_every_year(n_agents, n_years, block,
             dataio.spool_panel(stored, spool)
             row = np.empty(n_agents)
             for t, year in enumerate(want.years.tolist()):
-                spool.read_year(t, row)
+                spool.read(t, 0, row[None])
                 assert row.tobytes() == want.column(year).tobytes()
         assert list((Path(tmp) / "out").iterdir()) == []
     if fmt == "npy":

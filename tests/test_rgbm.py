@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -276,19 +275,19 @@ def test_overflow_names_the_first_agent_on_any_thread_count(monkeypatch,
 def test_a_helper_error_is_raised_after_every_thread_joins(monkeypatch):
     # the first chunk a helper takes raises, while the second outlasts
     # every chunk the caller takes: the step re-raises the error only once
-    # no thread is inside a chunk, after every other chunk is stepped. The
-    # helpers are those of a pool that outlives the step, as in a replay,
-    # so leaving the pool joins nothing
+    # no thread is inside a chunk, after every other chunk is stepped, and
+    # its helpers are joined, so no thread of the step is left
     state = _slow_chunks(monkeypatch, caller_s=0.01, helper_s=0.2,
                          fail=True)
     monkeypatch.setattr(rgbm, "_STEP_CHUNK", 1)
     params = ModelParams(n_agents=12)
     pop = init_lognormal(params, 0.3, seed=2, year=2000)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            step(pop, params, 0.01, RngStream(2), threads=3, _pool=pool)
-        assert state["helper_chunks"] >= 2
-        assert (state["inside"], state["done"]) == (0, 11)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        step(pop, params, 0.01, RngStream(2), threads=3)
+    assert state["helper_chunks"] >= 2
+    assert (state["inside"], state["done"]) == (0, 11)
+    assert set(threading.enumerate()) == before
 
 
 def test_negative_incomes_not_clamped():
