@@ -610,8 +610,8 @@ def fit_series(initial: Population, targets: AnnualSeries,
     is the panel, fingerprint included, that ``replay(...,
     collect_panel=True)`` under ``result.tau_effective`` returns, without
     stepping the trajectory a second time; otherwise it is ``None``. The
-    ``pipeline`` command's ``_sink`` spools the rows and measures poverty
-    on them, so memory does not grow with the years.
+    ``pipeline`` command's ``_sink`` spools the rows, so memory does not
+    grow with the years.
 
     Raises
     ------

@@ -134,7 +134,7 @@ _KEYS = {
                     "capped at two, the threads that write simulate and "
                     "pipeline's npy panel file in blocks; never changes "
                     "results. The fit keeps one helper thread; calibrate "
-                    "ignores it; default from POVDYN_THREADS"),
+                    "and metrics ignore it; default from POVDYN_THREADS"),
 }
 
 
@@ -184,6 +184,7 @@ class PipelineConfig:
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
     kv: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
@@ -201,7 +202,11 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in kv:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is "
+                              f"already set on line {line_of[key]}")
+        kv[key], line_of[key] = value.strip(), lineno
     return kv
 
 
@@ -581,35 +586,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _gather_before_picks(spool: PanelSpool,
-                         accs: dict[str, PovertyAccumulator],
-                         row: np.ndarray) -> None:
-    """Read back from ``spool``, into ``row``, the years before the latest
-    first HCR year and hand them to every accumulator's
-    :meth:`~PovertyAccumulator.gather_year`: each definition picks its
-    path agents in its first HCR year, so its row hook kept nothing of the
-    years before."""
+def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
+                  ) -> None:
+    """Hand every year of ``spool`` to each accumulator's row hook, read
+    into one reused row. Each definition picks its path agents in its
+    first HCR year, so the years before the latest such year are then
+    read again and handed to every accumulator's
+    :meth:`~PovertyAccumulator.gather_year`. No (years, agents) array is
+    held, and the row is freed before the reports are written."""
+    row = np.empty(spool.n_agents)
     years = spool.years.tolist()
+    for t, year in enumerate(years):
+        spool.read(t, 0, row[None])
+        for acc in accs.values():
+            acc(year, row)
     picked = max((acc.hcr.first_year for acc in accs.values()),
                  default=years[0])
     for t, year in enumerate(years[:picked - years[0]]):
         spool.read(t, 0, row[None])
         for acc in accs.values():
             acc.gather_year(year, row)
-
-
-def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
-                  ) -> None:
-    """Hand every year of ``spool`` to each accumulator's row hook, read
-    into one reused row, then the years before the path picks again; no
-    (years, agents) array is held, and the row is freed before the
-    reports are written."""
-    row = np.empty(spool.n_agents)
-    for t, year in enumerate(spool.years.tolist()):
-        spool.read(t, 0, row[None])
-        for acc in accs.values():
-            acc(year, row)
-    _gather_before_picks(spool, accs, row)
 
 
 def cmd_metrics(args) -> int:
@@ -641,9 +637,10 @@ def cmd_pipeline(args) -> int:
     stage = "calibrate"
     try:
         # The calibration's validation replay is the panel. Its rows go,
-        # as they are stepped, to a spool file in the output directory and
-        # to each definition's accumulator; no (years, agents) array is
-        # ever held. The spool is deleted however the block is left.
+        # as they are stepped, to a spool file in the output directory;
+        # the panel file is written from the spool, and then every
+        # definition measures it as in metrics. No (years, agents) array
+        # is ever held. The spool is deleted however the block is left.
         init_s50, start_year, targets = _calibration_inputs(cfg)
         n = cfg.model.n_agents
         years = np.arange(start_year, targets.last_year + 1)
@@ -652,25 +649,16 @@ def cmd_pipeline(args) -> int:
             for name, exc in failed.items():
                 print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
             raise DataError("all poverty-line definitions failed")
-        # the fit keeps its own serial helper; write_panel joins its
-        # writer threads before the spool is deleted
         with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
-
-            def sink(year: int, incomes: np.ndarray) -> None:
-                spool(year, incomes)
-                for acc in accs.values():
-                    acc(year, incomes)
             result = _run_calibration(cfg, manifest, init_s50, start_year,
-                                      targets, sink=sink)
+                                      targets, sink=spool)
             stage = "simulate"
             spool.fingerprint = panel_fingerprint(
                 start_year, result.tau_effective, cfg.model, cfg.seed)
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
                         threads=cfg.threads)
-            # after the panel write, whose block buffers are freed by now,
-            # so that the row read back adds to no peak
-            _gather_before_picks(spool, accs, np.empty(n))
-        stage = "metrics"
+            stage = "metrics"
+            _push_spooled(spool, accs)
         _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
     except PovdynError:
         print(f"pipeline aborted in stage '{stage}'", file=sys.stderr)

@@ -650,8 +650,8 @@ class PovertyAccumulator:
     :meth:`gather_year` again, read back from the panel, before
     :meth:`bundle`. Per agent
     it keeps one bool row and one int32 row, whatever the number of
-    years, so a panel that is never held whole (the pipeline's, stepped
-    by the calibration) can be measured as it is made. Its lines,
+    years, so a panel that is never held whole (a spool, read one year at
+    a time) can be measured. Its lines,
     :meth:`count_table`, within-poor Ginis and bundle equal those of
     :func:`classify`, :func:`_count_table`, :func:`bpl_gini_series` and
     :func:`sample_paths` on the whole panel, bit for bit, since those

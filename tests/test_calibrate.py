@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -9,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import FIXTURES
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -420,6 +423,14 @@ CALIBRATION_50K = {
 }
 
 
+def _body_digest(path) -> str:
+    """SHA-256 of a written CSV without its manifest line."""
+    text = path.read_text(encoding="utf-8")
+    body = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# manifest:"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def test_calibration_outputs_keep_their_bytes(tmp_path, monkeypatch,
                                               fixtures_dir):
     from povdyn.cli import EXIT_OK, main
@@ -428,10 +439,45 @@ def test_calibration_outputs_keep_their_bytes(tmp_path, monkeypatch,
     assert main(["calibrate", "--config", "pipeline_small.cfg",
                  "--n-agents", "50000", "--out", str(out)]) == EXIT_OK
     for name, digest in CALIBRATION_50K.items():
-        text = (out / name).read_text(encoding="utf-8")
-        body = "".join(line for line in text.splitlines(keepends=True)
-                       if not line.startswith("# manifest:"))
-        assert hashlib.sha256(body.encode()).hexdigest() == digest, name
+        assert _body_digest(out / name) == digest, name
+
+
+@pytest.fixture(scope="module")
+def calibration_50k_without_avx512(tmp_path_factory):
+    """The output directory of the 50k-agent fixture calibration run in a
+    process with NumPy's AVX-512 kernels switched off."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("NumPy's X86_V4 level is off here: the pinned digests "
+                    "are those of an AVX-512 run")
+    out = tmp_path_factory.mktemp("cal_avx2")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES":
+           "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": str(FIXTURES.resolve().parents[1] / "src")}
+    code = ("import sys\n"
+            "from povdyn.cli import main\n"
+            "sys.exit(main(['calibrate', '--config', 'pipeline_small.cfg', "
+            f"'--n-agents', '50000', '--out', {str(out)!r}]))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=FIXTURES, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    *(n for n in CALIBRATION_50K if n != "residuals.csv"),
+    pytest.param("residuals.csv", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 14: bottom_share_of sums the "
+        "bottom half in np.partition order, which differs between NumPy's "
+        "AVX-512 and AVX2 levels, so 17 of the 59 residuals differ, by up "
+        "to 2e-11 relative"))])
+def test_calibration_bytes_without_avx512(calibration_50k_without_avx512,
+                                          name):
+    # the extent of ROADMAP item 14 on this fixture: the rates and shares
+    # keep their AVX-512 bytes, the residuals do not
+    assert _body_digest(calibration_50k_without_avx512 / name) == \
+        CALIBRATION_50K[name]
 
 
 @pytest.mark.parametrize("forward_rate", ["fitted", "effective"])

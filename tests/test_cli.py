@@ -405,10 +405,10 @@ def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
 def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
                                         capsys, failure):
     # no space left while a writer thread writes its block, or a read
-    # error on the main thread when, after the panel write, the year
-    # before the definitions' first (1951) is read back from the spool
-    # for the path incomes: the run ends in the output error, the spool
-    # is gone and so are the run's threads
+    # error on the main thread when, after the panel write, the metrics
+    # stage reads the spool's first year for the definitions: the run
+    # ends in the output error, the spool is gone and so are the run's
+    # threads
     monkeypatch.chdir(fixtures_dir)
     out = tmp_path / "pipe"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
@@ -418,7 +418,7 @@ def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
         second = (f"output error: cannot write {out / 'panel_incomes.npy'}: "
                   "[Errno 28] ")
     else:
-        # the writer threads read the spool too, and only the main
+        # the writer threads read the spool first, and only the main
         # thread's read fails
         read, on_main = dataio.PanelSpool.read, []
 
@@ -437,11 +437,15 @@ def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
     assert set(threading.enumerate()) == before
     if failure == "pwrite":
         assert len(on_main) >= 4 and not any(on_main)
+        stage = "simulate"
     else:
+        # every main-thread read follows the writer threads' reads, and
+        # the first one fails
         assert len(on_main) >= 2 and on_main.index(True) == len(on_main) - 1
+        stage = "metrics"
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == "pipeline aborted in stage 'simulate'"
+    assert err[0] == f"pipeline aborted in stage '{stage}'"
     assert err[1].startswith(second)
 
 
@@ -550,15 +554,16 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
     # with its helper thread (6, see
     # test_fit_series_peak_memory_is_one_vector_above_serial), which
     # frees the initial population in the first year; and per
-    # definition the accumulator's int32 spell row, updated in place, and
-    # its bool flag row (1/2 + 1/8, three definitions). That is 7 + 7/8.
-    # The per-year work of the accumulators runs between searches, when
-    # the fit holds three vectors, and needs less. Only arrays of years,
-    # or of years squared (the count tables), grow with the years; the
-    # panel is spooled to disk. What is left under the bound is the prefetch
-    # draw's and the panel writer's block buffers and small objects; the
-    # row read back for the path incomes (1) comes after the fit and the
-    # panel write.
+    # definition the accumulator's int32 spell row and its bool flag
+    # row, made before the fit (1/2 + 1/8, three definitions). That is
+    # 7 + 7/8. The fit's row hook is the spool alone: the definitions
+    # measure the panel after the fit and the panel write, from the row
+    # read from the spool (1) and their own rows, about 4 + 1/8 at most
+    # (see test_metrics_peak_memory_does_not_grow_with_years). Only
+    # arrays of years, or of years squared (the count tables), grow with
+    # the years; the panel is spooled to disk. What is left under the
+    # bound is the prefetch draw's and the panel writer's block buffers
+    # and small objects.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -682,6 +687,30 @@ def test_rerun_removes_reports_of_definitions_not_written(tmp_path,
     assert (out / "metrics_small.csv").is_file()
 
 
+def test_stale_report_that_cannot_be_removed_is_an_output_error(
+        tmp_path, fixtures_dir, monkeypatch, capsys):
+    monkeypatch.chdir(fixtures_dir)
+    out = tmp_path / "o"
+    out.mkdir()
+    stale = out / "metrics_old.csv"
+    stale.write_text("stale")
+    unlink = Path.unlink
+
+    def refusing_unlink(self, *args, **kwargs):
+        if self == stale:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        return unlink(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "unlink", refusing_unlink)
+    assert run(["pipeline", "--config", "pipeline_small.cfg", "--n-agents",
+                "200", "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == [
+        "pipeline aborted in stage 'metrics'",
+        f"output error: cannot remove stale report {stale}: "
+        f"{os.strerror(errno.EACCES)}"]
+    assert stale.is_file() and not (out / "summary.json").exists()
+
+
 def test_rerun_same_seed_identical_digests(tmp_path, fixtures_dir,
                                            monkeypatch):
     monkeypatch.chdir(fixtures_dir)
@@ -720,6 +749,20 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg.write_text("not_a_key = 1\n")
     assert run(["calibrate", "--config", str(cfg)]) == EXIT_CONFIG
     assert "not_a_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seed", "hcr_a"])
+def test_repeated_config_key_is_a_config_error(tmp_path, capsys, key):
+    # the file once ran with the last value, here seed 2, and recorded it
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = 1\ninit_s50 = 0.3\n# {key} = 3\n{key} = 2\n")
+    out = tmp_path / "o"
+    assert run(["pipeline", "--config", str(cfg), "--out",
+                str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:4: config key {key!r} is already set on "
+        "line 1\n")
+    assert not out.exists()
 
 
 def test_bad_config_value_exit_code(tmp_path):
@@ -792,14 +835,23 @@ def test_start_year_far_from_the_rates_is_no_traceback(tmp_path, capsys,
     assert "start_year" in err if code == EXIT_CONFIG else "expected" in err
 
 
+def _pipeline_small_with_periods(fixtures_dir: Path, periods: str) -> str:
+    """The fixture pipeline config with its pool_periods line replaced: a
+    key may be set once."""
+    text, n = re.subn(r"(?m)^pool_periods = .*$", f"pool_periods = {periods}",
+                      (fixtures_dir / "pipeline_small.cfg").read_text())
+    assert n == 1
+    return text
+
+
 def test_backward_pool_period_is_a_config_error(tmp_path, fixtures_dir,
                                                 monkeypatch, capsys):
     # it passed the config; the pipeline then fitted, wrote every
     # calibration and panel file, and failed every definition (exit 3)
     monkeypatch.chdir(fixtures_dir)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text((fixtures_dir / "pipeline_small.cfg").read_text()
-                   + "pool_periods = 1962-1971, 1971-1962\n")
+    cfg.write_text(_pipeline_small_with_periods(fixtures_dir,
+                                                "1962-1971, 1971-1962"))
     out = tmp_path / "o"
     assert run(["pipeline", "--config", str(cfg), "--out", str(out)]) == \
         EXIT_CONFIG
@@ -890,6 +942,28 @@ def test_gappy_inequality_instructs_interpolation(tmp_path, capsys):
                 str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert "interpolate" in capsys.readouterr().err
+
+
+def test_simulate_on_gappy_rates_is_a_data_error(tmp_path, capsys):
+    cfg = _simulate_config(tmp_path, [0.01] * 4, 50)
+    (tmp_path / "rates.csv").write_text(
+        "year,value\n1951,0.01\n1952,0.01\n1954,0.01\n")
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_DATA
+    assert capsys.readouterr().err == "data error: rate series has gaps\n"
+    assert not (out / SPOOL_NAME).exists()
+
+
+def test_bad_pooled_method_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("init_s50 = 0.3\nstart_year = 1950\n"
+                   "pooled_method = median\n")
+    assert run(["pipeline", "--config", str(cfg), "--out",
+                str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: pooled_method must be 'counts' or 'mean'\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, key", [
@@ -1437,8 +1511,7 @@ def test_pool_period_outside_every_definition_fails_before_the_fit(
     # writes nothing
     monkeypatch.chdir(fixtures_dir)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text((fixtures_dir / "pipeline_small.cfg").read_text()
-                   + "pool_periods = 1900-1910\n")
+    cfg.write_text(_pipeline_small_with_periods(fixtures_dir, "1900-1910"))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--n-agents", "200",
                  "--out", str(out)]) == EXIT_DATA

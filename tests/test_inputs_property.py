@@ -6,6 +6,8 @@ input CSV. Through ``main(argv)`` that is the documented exit code (2
 for a config error, 3 for a data error), never a traceback. The inputs
 mix arbitrary text and bytes with near-valid files, so that parsing gets
 past the first line often enough to reach the checks behind it.
+The library's public functions check their own arguments: a bad one is
+a ValueError, or a DataError for a series or panel that cannot be one.
 """
 
 import contextlib
@@ -15,13 +17,23 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
+from conftest import pp_from_flags
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from povdyn.calibrate import CalibrationConfig, effective_tau
 from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, PipelineConfig,
                         build_config, build_parser, main)
-from povdyn.dataio import canonical_json, read_hcr_file, read_series
+from povdyn.dataio import (canonical_json, read_hcr_file, read_series,
+                           write_panel)
 from povdyn.errors import ConfigError, DataError, PovdynError
+from povdyn.poverty import (IncomePanel, PovertyLineSeries,
+                            poverty_line_from_hcr, pooled_metrics,
+                            sample_paths)
+from povdyn.rgbm import ModelParams, Population, bottom_share, step
+from povdyn.rng import RngStream
+from povdyn.series import AnnualSeries, interpolate_missing
 
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -250,3 +262,58 @@ def test_calibration_keys_fit_or_fail_typed(tau_min, tau_max, tolerance,
                 text = (tmp / "out" / name).read_text(encoding="utf-8")
                 body = text.lower().split("year,value", 1)[1]
                 assert "inf" not in body and "nan" not in body, text
+
+
+# ---------------------------------------------------------------------------
+# the library's argument checks
+
+def _income_panel() -> IncomePanel:
+    return IncomePanel(years=np.arange(2000, 2003),
+                       incomes=np.arange(12.0).reshape(4, 3) + 1.0, seed=0,
+                       fingerprint="f")
+
+
+_LINE = PovertyLineSeries("z", np.array([2000]), np.array([5.0]))
+_ONES = Population(np.ones(4), 2000)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda _: effective_tau(AnnualSeries([2000], [0.1]), window=0),
+     ValueError, "window must be >= 1"),
+    (lambda _: CalibrationConfig(max_iterations=0),
+     ValueError, "max_iterations must be >= 1"),
+    (lambda _: step(_ONES, ModelParams(n_agents=4), float("nan"),
+                    RngStream(0)),
+     ValueError, "tau must be finite"),
+    (lambda _: bottom_share(_ONES, 1.0),
+     ValueError, r"fraction must be in \(0, 1\)"),
+    (lambda _: sample_paths(_income_panel(), _LINE, -1, 1, 0),
+     ValueError, "path counts must be >= 0"),
+    (lambda _: sample_paths(_income_panel(), _LINE, 3, 2, 0),
+     ValueError, "requested more paths than agents"),
+    (lambda _: IncomePanel(years=[2000, 2001], incomes=np.ones((4, 3)),
+                           seed=0, fingerprint="f"),
+     DataError, "panel shape does not match year range"),
+    (lambda _: IncomePanel(years=[2000, 2002], incomes=np.ones((4, 2)),
+                           seed=0, fingerprint="f"),
+     DataError, "panel years must be consecutive"),
+    (lambda _: poverty_line_from_hcr(np.ones(4), 1.5),
+     ValueError, r"hcr must be in \[0, 1\], got 1.5"),
+    (lambda _: pooled_metrics(pp_from_flags([[True, False, True]] * 2),
+                              (2000, 2002), 1, method="median"),
+     ValueError, "method must be 'counts' or 'mean'"),
+    (lambda out: write_panel(_income_panel(), out, fmt="parquet"),
+     ValueError, "unknown panel format 'parquet'"),
+    (lambda _: interpolate_missing(AnnualSeries([2000], [1.0]),
+                                   full_range=(2005, 2000)),
+     DataError, "invalid year range 2005..2000"),
+    (lambda _: AnnualSeries([2000, 2001], [1.0]),
+     DataError, "years and values must be 1-D and equal length"),
+], ids=["effective_tau", "CalibrationConfig", "step", "bottom_share", "sample_paths_negative",
+        "sample_paths_too_many", "IncomePanel_shape", "IncomePanel_years",
+        "poverty_line_from_hcr", "pooled_metrics", "write_panel",
+        "interpolate_missing", "AnnualSeries"])
+def test_library_argument_checks_raise_typed_errors(tmp_path, call, error,
+                                                    message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povdyn import dataio
-from povdyn.cli import EXIT_DATA, _gather_before_picks, main
+from povdyn.cli import EXIT_DATA, _push_spooled, main
 from povdyn.dataio import read_panel, write_panel
 from povdyn.errors import DataError
 from povdyn.poverty import (IncomePanel, PovertyAccumulator,
@@ -343,10 +343,11 @@ def test_write_panel_stripes_blocks_over_at_most_two_generators(
 
 def test_paths_gathered_by_the_row_hook_equal_the_written_panel_rows(
         tmp_path, monkeypatch):
-    # as in pipeline: each year goes to the spool and to the row hooks,
-    # the striped writer writes the panel, and then the years before the
-    # later definition's first are read back from the spool; every
-    # bundle holds its agents' rows of the written panel, bit for bit
+    # as in pipeline: each year goes to the spool by its row hook, the
+    # striped writer writes the panel, and then every definition is
+    # measured from the spool, the years before the later definition's
+    # first read twice; every bundle holds its agents' rows of the
+    # written panel, bit for bit
     panel = _panel(40, 5, seed=3)
     span = (panel.first_year, panel.last_year)
     accs = {f"from_{j}": PovertyAccumulator(
@@ -356,10 +357,8 @@ def test_paths_gathered_by_the_row_hook_equal_the_written_panel_rows(
     with dataio.PanelSpool(tmp_path, panel.years, 40, 0) as spool:
         for year, row in zip(panel.years.tolist(), panel.incomes.T):
             spool(year, row)
-            for acc in accs.values():
-                acc(year, row)
         write_panel(spool, tmp_path, threads=3)
-        _gather_before_picks(spool, accs, np.empty(40))
+        _push_spooled(spool, accs)
     written = read_panel(tmp_path).incomes
     assert written.tobytes() == panel.incomes.tobytes()
     for acc in accs.values():
