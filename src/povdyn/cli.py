@@ -435,8 +435,11 @@ def _definitions(cfg: PipelineConfig, years: np.ndarray, n_agents: int
                             dict[str, PovdynError]]:
     """The accumulator of every poverty-line definition over the panel
     ``years``, and the error of each whose HCR file cannot be used or
-    whose HCR years do not hold every pool period, which the metrics
-    stage reports."""
+    whose HCR years do not hold every pool period, printed as it is
+    found; ``summary.json`` lists it. DataError when no definition is
+    usable. An accumulator makes its per-agent rows at its first year,
+    so this allocates nothing per agent and runs before any panel work.
+    """
     accs, failed = {}, {}
     # cap path requests at the population size (tiny smoke runs)
     k_below = min(cfg.paths_below, n_agents // 2)
@@ -445,13 +448,16 @@ def _definitions(cfg: PipelineConfig, years: np.ndarray, n_agents: int
         try:
             hcr, file_name = read_hcr_file(cfg.hcr_files[name])
             acc = PovertyAccumulator(
-                hcr, n_agents, (int(years[0]), int(years[-1])), k_below,
-                k_above, name=file_name or name)
+                hcr, (int(years[0]), int(years[-1])), k_below, k_above,
+                name=file_name or name)
             for period in cfg.pool_periods:
                 _check_period(period, hcr.first_year, hcr.last_year)
             accs[name] = acc
         except PovdynError as exc:
             failed[name] = exc
+            print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
+    if not accs:
+        raise DataError("all poverty-line definitions failed")
     return accs, failed
 
 
@@ -507,8 +513,9 @@ def _definition_metrics(cfg: PipelineConfig, manifest: RunManifest,
 def _remove_stale_reports(out: Path, written) -> None:
     """Delete the report files in ``out`` of definitions not ``written``.
 
-    Those are definitions since removed from the config, or ones that
-    failed in this run; their ``metrics_``, ``pooled_`` and ``paths_``
+    Those are definitions since removed from the config, or ones whose
+    HCR file or pool periods failed in this run while another definition
+    was written; their ``metrics_``, ``pooled_`` and ``paths_``
     CSVs would otherwise sit beside this run's under an older manifest
     digest. Only those three name patterns directly in ``out`` are
     touched.
@@ -531,8 +538,9 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
     """Write every definition's reports and ``summary.json``.
 
     ``accs`` holds the finished accumulators, their path incomes
-    gathered, and ``failed`` the error of each definition without one. A
-    report that cannot be written is an OutputError, which ends the run.
+    gathered, at least one (see :func:`_definitions`), and ``failed`` the
+    error of each definition without one, already printed. A report that
+    cannot be written is an OutputError, which ends the run.
     """
     out = _output_dir(cfg.out_dir)
     summary: dict = {"manifest_digest": manifest.digest,
@@ -541,14 +549,11 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
     for name in sorted(cfg.hcr_files):
         if name in failed:
             summary["failed"][name] = str(failed[name])
-            print(f"metrics[{name}] failed: {failed[name]}", file=sys.stderr)
         else:
             summary["definitions"][name] = _definition_metrics(
                 cfg, manifest, name, accs[name])
     _remove_stale_reports(out, summary["definitions"])
     write_json(summary, out / "summary.json")
-    if not summary["definitions"]:
-        raise DataError("all poverty-line definitions failed")
     return summary
 
 
@@ -612,16 +617,18 @@ def cmd_metrics(args) -> int:
     cfg = build_config(args)
     if not cfg.hcr_files:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
-    # The stored panel is turned year-major into a spool in the output
-    # directory, one block of agents at a time, and every check of its
-    # files is made in that pass, before any report is written. The
+    # The panel's metadata and head are checked, then the definitions,
+    # so a run with no usable definition stops before any panel work.
+    # Then the stored panel is turned year-major into a spool in the
+    # output directory, one block of agents at a time, and every check of
+    # its files is made in that pass, before any report is written. The
     # spool is deleted however the block is left.
     stored = StoredPanel(cfg.panel_dir or cfg.out_dir)
+    manifest = _make_manifest(cfg, cfg.hcr_files.values())
+    accs, failed = _definitions(cfg, stored.years, stored.n_agents)
     with PanelSpool(cfg.out_dir, stored.years, stored.n_agents,
                     stored.seed) as spool:
         spool_panel(stored, spool)
-        manifest = _make_manifest(cfg, cfg.hcr_files.values())
-        accs, failed = _definitions(cfg, spool.years, spool.n_agents)
         _push_spooled(spool, accs)
     _run_metrics(cfg, manifest, stored.fingerprint, accs, failed)
     write_manifest(manifest, cfg.out_dir / "manifest.json")
@@ -645,10 +652,6 @@ def cmd_pipeline(args) -> int:
         n = cfg.model.n_agents
         years = np.arange(start_year, targets.last_year + 1)
         accs, failed = _definitions(cfg, years, n)
-        if not accs:  # nothing to measure: fail before the fit
-            for name, exc in failed.items():
-                print(f"metrics[{name}] failed: {exc}", file=sys.stderr)
-            raise DataError("all poverty-line definitions failed")
         with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
             result = _run_calibration(cfg, manifest, init_s50, start_year,
                                       targets, sink=spool)

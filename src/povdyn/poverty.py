@@ -280,11 +280,12 @@ def _next_duration(prev: np.ndarray, poor: np.ndarray,
 class _Spells:
     """Spell lengths and the count table, fed one year of flags at a time.
 
-    Keeps one int32 row of spell lengths, updated in place once the
-    year's count row has read it, the histogram of those lengths, and the
-    (T - 1, T + 1, 2) table of counts. Row ``j - 1`` of the table counts
-    the agents by spell length ``d`` at ``j - 1`` and status at ``j`` (0
-    non-poor, 1 poor), ``bincount(duration[j - 1] * 2 + poor[j])``. It is
+    Keeps one int32 row of spell lengths, made from the first year's
+    flags and updated in place once each later year's count row has read
+    it, the histogram of those lengths, and the (T - 1, T + 1, 2) table
+    of counts. Row ``j - 1`` of the table counts the agents by spell
+    length ``d`` at ``j - 1`` and status at ``j`` (0 non-poor, 1 poor),
+    ``bincount(duration[j - 1] * 2 + poor[j])``. It is
     built from histograms: with ``h_j = bincount(duration[j])``, an agent
     poor at ``j`` with length ``d`` at ``j - 1`` has length ``d + 1`` at
     ``j``, so ``row[d, 1] = h_j[d + 1]``, counted by one bincount over the
@@ -292,10 +293,9 @@ class _Spells:
     row[d, 1]``; ``h_j[0]`` is the agents not poor at ``j``.
     """
 
-    def __init__(self, n_agents: int, n_years: int):
+    def __init__(self, n_years: int):
         self.counts = np.zeros((max(n_years - 1, 0), n_years + 1, 2),
                                dtype=np.int64)
-        self._duration = np.zeros(n_agents, dtype=np.int32)
         self._hist = np.zeros(n_years + 1, dtype=np.int64)
         self._j = 0
 
@@ -309,10 +309,11 @@ class _Spells:
             row[:, 1] = stay
             np.subtract(hist, stay, out=row[:, 0])
             hist[1:] = stay[:-1]
+            _next_duration(self._duration, poor, out=self._duration)
         else:  # every spell starts at length 1
             hist[1] = np.count_nonzero(poor)
-        hist[0] = len(self._duration) - hist[1:].sum()
-        _next_duration(self._duration, poor, out=self._duration)
+            self._duration = poor.astype(np.int32)
+        hist[0] = len(poor) - hist[1:].sum()
         self._j = j + 1
 
     def tail(self) -> np.ndarray:
@@ -356,7 +357,7 @@ def _count_table(pp: PovertyPanel) -> np.ndarray:
     (``d = T``) is all zeros and every ``t_p >= T`` reads it.
     """
     if pp._tail is None:
-        spells = _Spells(pp.n_agents, len(pp.years))
+        spells = _Spells(len(pp.years))
         for poor in pp.poor.T:  # year-major rows, contiguous from classify
             spells.push(poor)
         pp._tail = spells.tail()
@@ -648,10 +649,11 @@ class PovertyAccumulator:
     picks the ``k_below`` and ``k_above`` agents of the path bundle, as
     :func:`sample_paths` does. The years before that pick are handed to
     :meth:`gather_year` again, read back from the panel, before
-    :meth:`bundle`. Per agent
-    it keeps one bool row and one int32 row, whatever the number of
-    years, so a panel that is never held whole (a spool, read one year at
-    a time) can be measured. Its lines,
+    :meth:`bundle`. Per agent it keeps one bool row and one int32 row,
+    whatever the number of years, made at the first pushed year and sized
+    by it, so building an accumulator allocates nothing per agent and a
+    panel that is never held whole (a spool, read one year at a time) can
+    be measured. Its lines,
     :meth:`count_table`, within-poor Ginis and bundle equal those of
     :func:`classify`, :func:`_count_table`, :func:`bpl_gini_series` and
     :func:`sample_paths` on the whole panel, bit for bit, since those
@@ -663,9 +665,8 @@ class PovertyAccumulator:
     count lies outside [0, 1].
     """
 
-    def __init__(self, hcr: AnnualSeries, n_agents: int,
-                 panel_years: tuple[int, int], k_below: int = 0,
-                 k_above: int = 0, name: str = "poverty"):
+    def __init__(self, hcr: AnnualSeries, panel_years: tuple[int, int],
+                 k_below: int = 0, k_above: int = 0, name: str = "poverty"):
         _check_hcr(hcr, *panel_years)
         self.hcr = hcr
         self.years = np.arange(panel_years[0], panel_years[1] + 1,
@@ -679,8 +680,7 @@ class PovertyAccumulator:
         self.k_below, self.k_above = k_below, k_above
         self.below = self.above = np.empty(0, dtype=np.intp)
         self._paths = (np.empty((0, len(self.years))),) * 2
-        self._poor = np.empty(n_agents, dtype=bool)
-        self._spells = _Spells(n_agents, len(hcr))
+        self._spells = _Spells(len(hcr))
         self._j = 0
 
     def __call__(self, year: int, incomes: np.ndarray) -> None:
@@ -696,6 +696,8 @@ class PovertyAccumulator:
         j = self._j
         if j == len(self.hcr):
             raise ValueError(f"all {j} HCR years already pushed")
+        if j == 0:
+            self._poor = np.empty(len(col), dtype=bool)
         poor = self._poor
         self.line.z[j] = _classify_row(col, float(self.hcr.values[j]),
                                        out=poor)

@@ -553,17 +553,18 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
     # Peak, in float64 N-vectors, while the fit searches a year: the fit
     # with its helper thread (6, see
     # test_fit_series_peak_memory_is_one_vector_above_serial), which
-    # frees the initial population in the first year; and per
-    # definition the accumulator's int32 spell row and its bool flag
-    # row, made before the fit (1/2 + 1/8, three definitions). That is
-    # 7 + 7/8. The fit's row hook is the spool alone: the definitions
-    # measure the panel after the fit and the panel write, from the row
-    # read from the spool (1) and their own rows, about 4 + 1/8 at most
-    # (see test_metrics_peak_memory_does_not_grow_with_years). Only
-    # arrays of years, or of years squared (the count tables), grow with
-    # the years; the panel is spooled to disk. What is left under the
-    # bound is the prefetch draw's and the panel writer's block buffers
-    # and small objects.
+    # frees the initial population in the first year. The fit holds no
+    # row of the definitions': the definitions are read before the fit,
+    # but an accumulator makes its int32 spell row and bool flag row at
+    # its first measured year. The fit's row hook is the spool alone:
+    # the definitions measure the panel after the fit and the panel
+    # write, from the row read from the spool (1) and their own rows
+    # (1/2 + 1/8 each, three definitions), about 4 + 1/8 at most (see
+    # test_metrics_peak_memory_does_not_grow_with_years). Only arrays of
+    # years, or of years squared (the count tables), grow with the
+    # years; the panel is spooled to disk. What is left under the bound
+    # is the prefetch draw's and the panel writer's block buffers and
+    # small objects, about 1/4 at 60 years.
     n = 200_000
     peaks = {}
     for n_years in (20, 60):
@@ -576,7 +577,7 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
         finally:
             tracemalloc.stop()
     assert abs(peaks[60] - peaks[20]) <= 8 * n
-    assert max(peaks.values()) <= (7 + 7 / 8 + 1 / 2) * 8 * n
+    assert max(peaks.values()) <= (6 + 1 / 2) * 8 * n
 
 
 @pytest.mark.parametrize("fmt, n, spans", [("npy", 200_000, (20, 60)),
@@ -595,16 +596,16 @@ def test_metrics_peak_memory_does_not_grow_with_years(tmp_path, capsys, fmt,
     # most, at HCR 0.5), and the within-poor Gini of the 0.5 definition,
     # which sorts its compressed poor incomes in place (1/2 for them, 1/2
     # for the weights and 1/16 for the negative scan). The spool is
-    # filled before any accumulator exists, through one block and its
-    # transpose (2 x 2 MiB for npy, 2.6 vectors at 200,000 agents; 2 x 64
-    # KiB for csv), and the row is freed before the reports. What does
-    # not scale with the agents stays under 1/2 MiB + 64 KiB: the
-    # manifest's digest reads each HCR file into one reused 64 KiB
-    # buffer, and the three count tables (16 (T - 1) (T + 1) bytes each,
-    # 173 KB at 60 years), the report text and small objects take less
-    # than half a MiB. The
-    # panel is never held, so when the years triple the peak grows by
-    # less than one vector. Parsing a csv panel is slow, so its run has
+    # filled before any accumulator has made its rows (at its first
+    # measured year), through one block and its transpose (2 x 2 MiB for
+    # npy, 2.6 vectors at 200,000 agents; 2 x 64 KiB for csv), and the
+    # row is freed before the reports. What does not scale with the
+    # agents stays under 1/2 MiB + 64 KiB: the manifest's digest reads
+    # each HCR file into one reused 64 KiB buffer, and the three count
+    # tables (16 (T - 1) (T + 1) bytes each, 173 KB at 60 years), the
+    # report text and small objects take less than half a MiB. The panel
+    # is never held, so when the years triple the peak grows by less
+    # than one vector. Parsing a csv panel is slow, so its run has
     # fewer agents and years; a third of the years is still ten.
     peaks = {}
     for n_years in spans:
@@ -726,8 +727,15 @@ def test_rerun_same_seed_identical_digests(tmp_path, fixtures_dir,
 def test_minimal_two_agent_pipeline(tmp_path, fixtures_dir, monkeypatch):
     monkeypatch.chdir(fixtures_dir)
     out = tmp_path / "tiny"
-    code = run(["pipeline", "--config", "pipeline_small.cfg",
-                "--out", str(out), "--n-agents", "2"])
+    # two agents: the bottom share of a year whose total income is not
+    # positive is undefined, and one definition has too few agents for
+    # its paths
+    with pytest.warns(UserWarning, match=r"bottom share undefined "
+                      r"\(non-positive total income\) in years \[1993\]"), \
+            pytest.warns(UserWarning, match=r"only 1 below / 0 above the "
+                         r"line at 1952; requested 1/1"):
+        code = run(["pipeline", "--config", "pipeline_small.cfg",
+                    "--out", str(out), "--n-agents", "2"])
     assert code == EXIT_OK
     assert (out / "summary.json").exists()
 
@@ -1157,13 +1165,14 @@ def test_hcr_file_not_utf8_exit_code(tmp_path, fixtures_dir, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"panel_dir = {fixtures_dir / 'panel_small'}\n"
                    f"hcr_latin1 = {hcr}\n")
-    code = run(["metrics", "--config", str(cfg), "--out",
-                str(tmp_path / "run")])
+    out = tmp_path / "run"
+    code = run(["metrics", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
+    assert "metrics[latin1] failed: " in err
     assert "hcr_latin1.csv: not UTF-8" in err
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert "UTF-8" in summary["failed"]["latin1"]
+    # its only definition failed: nothing is written, not even a summary
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_panel_meta_is_a_directory_exit_code(tmp_path, fixtures_dir, capsys):
@@ -1477,7 +1486,7 @@ def test_report_cut_short_leaves_the_earlier_file_whole(tmp_path,
 @pytest.mark.parametrize("command", ["metrics", "pipeline"])
 def test_unreadable_hcr_file_fails_only_its_definition(tmp_path,
                                                       fixtures_dir, capsys,
-                                                      command):
+                                                      monkeypatch, command):
     gone = tmp_path / "gone" / "hcr.csv"
     cfg = _two_definitions(tmp_path, fixtures_dir, command, gone)
     out = tmp_path / "run"
@@ -1492,16 +1501,28 @@ def test_unreadable_hcr_file_fails_only_its_definition(tmp_path,
     # the manifest records the input it could not read as null
     manifest = read_manifest(out / "manifest.json")
     assert manifest.inputs[str(gone)] is None and manifest.verify()
-    assert f"metrics[other] failed: cannot read {gone}" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err.count(
+        f"metrics[other] failed: cannot read {gone}") == 1
 
-    # every definition unreadable: the run fails as a data error
+    # every definition unreadable: the run fails as a data error before
+    # any panel work, and the previous run's files keep their bytes
     cfg.write_text(cfg.read_text().replace(
         str(fixtures_dir / ("hcr_small.csv" if command == "metrics"
                             else "hcr_base.csv")), str(gone)))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"manifest.json", "summary.json"} <= set(before)
+    entered, enter = [], dataio.PanelSpool.__enter__
+    monkeypatch.setattr(dataio.PanelSpool, "__enter__",
+                        lambda self: entered.append(self) or enter(self))
     assert main([command, "--config", str(cfg), "--out", str(out)]) \
         == EXIT_DATA
-    assert "all poverty-line definitions failed" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not entered and not (out / SPOOL_NAME).exists()
+    err = capsys.readouterr().err
+    for name in ("good", "other"):
+        assert err.count(f"metrics[{name}] failed: cannot read {gone}") == 1
+    assert err.endswith("data error: all poverty-line definitions "
+                        "failed\n")
 
 
 def test_pool_period_outside_every_definition_fails_before_the_fit(

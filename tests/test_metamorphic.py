@@ -140,7 +140,6 @@ def _accumulate(panel: IncomePanel, transform) -> list[PovertyAccumulator]:
     """Each fixture definition's accumulator, fed ``transform`` of every
     year row of ``panel`` in year order, as ``metrics`` feeds them."""
     accs = [PovertyAccumulator(read_hcr_file(FIXTURES / f"hcr_{name}.csv")[0],
-                               panel.n_agents,
                                (panel.first_year, panel.last_year), 5, 5,
                                name=name)
             for name in ("base", "mid", "high")]
@@ -255,7 +254,7 @@ def _accumulate_rows(rows: np.ndarray, first: int, hcr) -> PovertyAccumulator:
     2000."""
     acc = PovertyAccumulator(
         AnnualSeries(np.arange(first, first + len(hcr)), hcr),
-        rows.shape[1], (2000, 1999 + len(rows)), 2, 2)
+        (2000, 1999 + len(rows)), 2, 2)
     for year, row in enumerate(rows, 2000):
         acc(year, np.ascontiguousarray(row))
     return acc

@@ -351,7 +351,7 @@ def test_paths_gathered_by_the_row_hook_equal_the_written_panel_rows(
     panel = _panel(40, 5, seed=3)
     span = (panel.first_year, panel.last_year)
     accs = {f"from_{j}": PovertyAccumulator(
-        AnnualSeries(panel.years[j:], [0.3] * (5 - j)), 40, span, 6, 6)
+        AnnualSeries(panel.years[j:], [0.3] * (5 - j)), span, 6, 6)
         for j in (0, 2)}
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES", 3 * 8 * 5)  # 3 agents
     with dataio.PanelSpool(tmp_path, panel.years, 40, 0) as spool:

@@ -631,7 +631,7 @@ def test_spell_rows_from_histograms_equal_the_keyed_bincount():
                np.ones((2, 1), bool), np.zeros((0, 3), bool)]
     for poor in panels:
         n, t = poor.shape
-        spells = _Spells(n, t)
+        spells = _Spells(t)
         want = np.zeros((max(t - 1, 0), t + 1, 2), dtype=np.int64)
         duration = np.zeros(n, dtype=np.int64)
         for j, flags in enumerate(poor.T):
@@ -838,8 +838,8 @@ def test_accumulator_matches_whole_panel_functions_and_oracles():
         n = panel.n_agents
         k_below = int(rng.integers(0, n // 2 + 1))
         k_above = int(rng.integers(0, n - k_below + 1))
-        acc = PovertyAccumulator(hcr, n, (panel.first_year,
-                                          panel.last_year), k_below, k_above)
+        acc = PovertyAccumulator(hcr, (panel.first_year, panel.last_year),
+                                 k_below, k_above)
         # every panel year through the row hook, then the years before the
         # pick again, as the commands read them back
         for year in panel.years.tolist():
@@ -923,8 +923,8 @@ def test_accumulator_as_row_hook_matches_pushing_the_hcr_years():
         n, span = panel.n_agents, (panel.first_year, panel.last_year)
         k_below = int(rng.integers(0, n // 2 + 1))
         k_above = int(rng.integers(0, n - k_below + 1))
-        hook = PovertyAccumulator(hcr, n, span, k_below, k_above)
-        pushed = PovertyAccumulator(hcr, n, span, k_below, k_above)
+        hook = PovertyAccumulator(hcr, span, k_below, k_above)
+        pushed = PovertyAccumulator(hcr, span, k_below, k_above)
         for year in panel.years.tolist():
             hook(year, panel.column(year))
         for year in panel.years[:3].tolist():
@@ -968,7 +968,7 @@ def test_accumulator_bundle_before_gather_is_a_value_error():
     assert np.array_equal(bundle.above_paths, [[2.0, 2.0]])
     # the row hook keeps the years it is handed from its pick on, but not
     # a year before its first HCR year
-    hook = PovertyAccumulator(AnnualSeries(np.array([2001]), [0.5]), 4,
+    hook = PovertyAccumulator(AnnualSeries(np.array([2001]), [0.5]),
                               (2000, 2001), 1, 1)
     hook(2000, incomes)
     hook(2001, incomes)
@@ -983,9 +983,9 @@ def test_accumulator_bundle_before_gather_is_a_value_error():
 def test_accumulator_rejects_bad_head_counts():
     hcr = AnnualSeries(np.array([2000, 2001]), np.array([0.3, 1.5]))
     with pytest.raises(DataError, match="outside \\[0, 1\\]"):
-        PovertyAccumulator(hcr, 5, (2000, 2001))
+        PovertyAccumulator(hcr, (2000, 2001))
     with pytest.raises(DataError, match="outside panel years"):
-        PovertyAccumulator(hcr, 5, (2001, 2003))
+        PovertyAccumulator(hcr, (2001, 2003))
 
 
 def _streamed(n_agents: int, n_years: int, k_below: int = 0,
@@ -993,8 +993,8 @@ def _streamed(n_agents: int, n_years: int, k_below: int = 0,
     """An accumulator at HCR 0.5 from 2000, every year pushed: agent i's
     income is i in every year."""
     hcr = AnnualSeries(np.arange(2000, 2000 + n_years), [0.5] * n_years)
-    acc = PovertyAccumulator(hcr, n_agents, (2000, 2000 + n_years - 1),
-                             k_below, k_above)
+    acc = PovertyAccumulator(hcr, (2000, 2000 + n_years - 1), k_below,
+                             k_above)
     for _ in range(n_years):
         acc.push(np.arange(float(n_agents)))
     return acc
@@ -1002,7 +1002,7 @@ def _streamed(n_agents: int, n_years: int, k_below: int = 0,
 
 def test_count_table_before_every_hcr_year_is_a_value_error():
     hcr = AnnualSeries(np.arange(2000, 2003), [0.5] * 3)
-    acc = PovertyAccumulator(hcr, 4, (2000, 2002))
+    acc = PovertyAccumulator(hcr, (2000, 2002))
     for pushed in range(3):
         with pytest.raises(ValueError, match=f"{pushed} of 3 HCR years "
                                              "pushed"):
