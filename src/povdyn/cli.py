@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -133,8 +136,10 @@ _KEYS = {
                     "spool write beside its share); "
                     "capped at two, the threads that write simulate and "
                     "pipeline's npy panel file in blocks; never changes "
-                    "results. The fit keeps one helper thread; calibrate "
-                    "and metrics ignore it; default from POVDYN_THREADS"),
+                    "results. The fit keeps one helper thread and "
+                    "pipeline measures in one forked process, whatever "
+                    "it is; calibrate and metrics ignore it; default from "
+                    "POVDYN_THREADS"),
 }
 
 
@@ -598,7 +603,11 @@ def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
     first HCR year, so the years before the latest such year are then
     read again and handed to every accumulator's
     :meth:`~PovertyAccumulator.gather_year`. No (years, agents) array is
-    held, and the row is freed before the reports are written."""
+    held, and the row is freed before the reports are written. ``metrics``
+    runs it on its main thread once the spool is filled, ``pipeline`` in
+    its measuring process (:class:`_MeasuringProcess`) while the fit fills
+    the spool: only ``years``, ``n_agents`` and ``read`` of ``spool`` are
+    used."""
     row = np.empty(spool.n_agents)
     years = spool.years.tolist()
     for t, year in enumerate(years):
@@ -611,6 +620,133 @@ def _push_spooled(spool: PanelSpool, accs: dict[str, PovertyAccumulator]
         spool.read(t, 0, row[None])
         for acc in accs.values():
             acc.gather_year(year, row)
+
+
+class _Announced:
+    """``spool`` as the measuring process reads it: :meth:`read` of a year
+    first waits until the pipeline has announced it, with one byte on the
+    pipe ``fd`` per row spooled. The fit spools its rows in year order."""
+
+    def __init__(self, spool: PanelSpool, fd: int):
+        self.years, self.n_agents = spool.years, spool.n_agents
+        self._spool, self._fd, self._announced = spool, fd, 0
+
+    def read(self, t: int, a0: int, out: np.ndarray) -> None:
+        while self._announced < t + len(out):
+            got = os.read(self._fd, 4096)
+            if not got:
+                raise EOFError(f"{self._announced} of {len(self.years)} "
+                               "panel years were spooled")
+            self._announced += len(got)
+        self._spool.read(t, a0, out)
+
+
+class _MeasuringProcess:
+    """``pipeline``'s definitions measure its spool in one forked process
+    while the fit fills the spool.
+
+    Entering forks the process, before the fit draws its population or
+    starts its helper thread, so the process starts from a one-thread
+    interpreter, the definitions' accumulators and the open spool, and
+    shares no interpreter lock with the fit. The instance is then the
+    fit's row hook: it spools each row and announces it on a pipe, and
+    the process runs :func:`_push_spooled` over the spool, reading each
+    year once it is announced (:class:`_Announced`), and sends back its
+    reply on a second pipe (:meth:`_measure`). :meth:`result` takes the
+    reply and reaps the process. Leaving the block before that, on an
+    error or an interrupt, kills and reaps it, so no process outlives
+    the block or reads a deleted spool.
+    """
+
+    def __init__(self, spool: PanelSpool, accs: dict[str, PovertyAccumulator]):
+        self._spool, self._accs = spool, accs
+
+    def __enter__(self) -> "_MeasuringProcess":
+        announced, self._announce = os.pipe()
+        self._reply, reply = os.pipe()
+        # the process would write what is buffered a second time
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            self._pid = os.fork()
+        except OSError as exc:
+            for fd in (announced, self._announce, self._reply, reply):
+                os.close(fd)
+            raise PovdynError(f"cannot start the measuring process: "
+                              f"{exc}") from None
+        if self._pid == 0:
+            self._measure(announced, reply)
+        os.close(announced)
+        os.close(reply)
+        return self
+
+    def _measure(self, announced: int, reply: int) -> NoReturn:
+        """The body of the measuring process, given its ends of the two
+        pipes: run :func:`_push_spooled` and pickle its reply to ``reply``,
+        the finished accumulators or the error. An error that would not
+        unpickle (its ``__init__`` does not take its ``args``) is sent as
+        its text. The process leaves through ``os._exit``, with status 0
+        once the reply is written: the spool's exit, which deletes the
+        file, the exit handlers and the buffered output are the
+        pipeline's. It closes the pipeline's ends first, so that a read
+        or write past the pipeline's end fails instead of waiting."""
+        status = 1
+        try:
+            os.close(self._announce)
+            os.close(self._reply)
+            try:
+                _push_spooled(_Announced(self._spool, announced), self._accs)
+                answer = self._accs
+            except BaseException as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                    answer = exc
+                except Exception:
+                    answer = str(exc)
+            with open(reply, "wb") as f:
+                pickle.dump(answer, f, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def __call__(self, year: int, incomes: np.ndarray) -> None:
+        """Spool the incomes of ``year`` and announce them."""
+        self._spool(year, incomes)
+        # a process that has ended holds its reply for result(); the fit
+        # goes on without it
+        with suppress(BrokenPipeError):
+            os.write(self._announce, b"\0")
+
+    def result(self) -> dict[str, PovertyAccumulator]:
+        """The finished accumulators, once every row is spooled. The
+        process's error is raised here; one that ended without a reply is
+        a PovdynError."""
+        os.close(self._announce)  # a read past the last row gets EOF
+        self._announce = None
+        chunks = []
+        while chunk := os.read(self._reply, 1 << 16):
+            chunks.append(chunk)
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise PovdynError(
+                "the measuring process ended without a result ("
+                + (f"signal {-code})" if code < 0 else f"status {code})"))
+        reply = pickle.loads(b"".join(chunks))
+        if isinstance(reply, BaseException):
+            raise reply
+        if isinstance(reply, str):
+            raise PovdynError(reply)
+        return reply
+
+    def __exit__(self, *exc) -> None:
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+        for fd in (self._announce, self._reply):
+            if fd is not None:
+                os.close(fd)
 
 
 def cmd_metrics(args) -> int:
@@ -636,6 +772,19 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    """Calibrate, spool the validation replay as the panel, write it and
+    measure every definition on it.
+
+    The calibration's validation replay is the panel. Its rows go, as
+    they are stepped, to a spool file in the output directory and, as
+    each is spooled, to the definitions in one forked process
+    (:class:`_MeasuringProcess`), which measures them as ``metrics`` does
+    while the fit goes on. The panel file is written from the spool, and
+    the finished accumulators are taken back for the reports. No (years,
+    agents) array is ever held. The spool is deleted, and the process
+    reaped, however the block is left. A PovdynError prints the stage it
+    ended: definitions, calibrate, simulate (the panel write) or metrics.
+    """
     cfg = build_config(args)
     if not cfg.hcr_files:
         raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
@@ -643,25 +792,23 @@ def cmd_pipeline(args) -> int:
     manifest = _make_manifest(cfg, inputs)
     stage = "calibrate"
     try:
-        # The calibration's validation replay is the panel. Its rows go,
-        # as they are stepped, to a spool file in the output directory;
-        # the panel file is written from the spool, and then every
-        # definition measures it as in metrics. No (years, agents) array
-        # is ever held. The spool is deleted however the block is left.
         init_s50, start_year, targets = _calibration_inputs(cfg)
         n = cfg.model.n_agents
         years = np.arange(start_year, targets.last_year + 1)
+        stage = "definitions"
         accs, failed = _definitions(cfg, years, n)
-        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool:
+        stage = "calibrate"
+        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool, \
+                _MeasuringProcess(spool, accs) as measuring:
             result = _run_calibration(cfg, manifest, init_s50, start_year,
-                                      targets, sink=spool)
+                                      targets, sink=measuring)
             stage = "simulate"
             spool.fingerprint = panel_fingerprint(
                 start_year, result.tau_effective, cfg.model, cfg.seed)
             write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
                         threads=cfg.threads)
             stage = "metrics"
-            _push_spooled(spool, accs)
+            accs = measuring.result()
         _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
     except PovdynError:
         print(f"pipeline aborted in stage '{stage}'", file=sys.stderr)

@@ -329,12 +329,15 @@ class PanelSpool:
     agents at a time (:func:`spool_panel`, for ``metrics``).
     :func:`write_panel` reads a spool back one block of agents at a time,
     and its two writer threads may read at once. ``metrics`` reads it one
-    year at a time, and ``metrics`` and ``pipeline`` so read back the
-    years before the path agents are picked. The spool is written in
-    place, not staged as :func:`_output` stages a report. The file is
-    open inside the ``with`` block; leaving the block, by an error too,
-    closes and deletes it, and any OSError inside it is an OutputError
-    naming the spool.
+    year at a time; so does ``pipeline``'s measuring process, forked
+    inside the block with the file open, each year as soon as the fit
+    has spooled it, while the fit writes the later years and the panel
+    writer reads. Both so read back the years before the path agents are
+    picked. The spool is written in place, not staged as :func:`_output`
+    stages a report. The file is open inside the ``with`` block; leaving
+    the block, by an error too, closes and deletes it, and any OSError
+    inside it is an OutputError naming the spool. A forked process must
+    not leave the block: ``pipeline``'s leaves through ``os._exit``.
     ``fingerprint`` is set by the caller once the rates are known.
     """
 

@@ -651,9 +651,10 @@ class PovertyAccumulator:
     :meth:`gather_year` again, read back from the panel, before
     :meth:`bundle`. Per agent it keeps one bool row and one int32 row,
     whatever the number of years, made at the first pushed year and sized
-    by it, so building an accumulator allocates nothing per agent and a
-    panel that is never held whole (a spool, read one year at a time) can
-    be measured. Its lines,
+    by it, and dropped once the last HCR year is pushed, so building an
+    accumulator allocates nothing per agent, a panel that is never held
+    whole (a spool, read one year at a time) can be measured, and a
+    finished accumulator pickles without a per-agent row. Its lines,
     :meth:`count_table`, within-poor Ginis and bundle equal those of
     :func:`classify`, :func:`_count_table`, :func:`bpl_gini_series` and
     :func:`sample_paths` on the whole panel, bit for bit, since those
@@ -711,6 +712,8 @@ class PovertyAccumulator:
             self._paths = tuple(np.full((len(a), len(self.years)), np.nan)
                                 for a in (self.below, self.above))
         self._j = j + 1
+        if self._j == len(self.hcr):  # no later year reads the rows
+            del self._poor, self._spells._duration
 
     def count_table(self) -> np.ndarray:
         """The count table of the HCR years, the one :func:`_count_table`

@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -25,6 +26,7 @@ from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
                         build_config, build_parser, main)
 from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
                            read_report_csv, read_series)
+from povdyn.errors import PropagationOverflowError
 from povdyn.rgbm import ModelParams, init_lognormal
 
 
@@ -251,13 +253,35 @@ def test_pipeline_steps_each_year_once(tmp_path, fixtures_dir, monkeypatch):
     assert calls == {"replay": 0, "normals": len(targets)}
 
 
+def _assert_no_child() -> None:
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _spool_reads(monkeypatch, out: Path, log: Path, fail) -> None:
+    """Record every spool read as a line ``pid spool-exists`` in ``log``,
+    which the pipeline's measuring process appends to too, and raise
+    ``fail`` in the reads for which ``fail(pid)`` holds."""
+    read = dataio.PanelSpool.read
+
+    def logged_read(self, t, a0, out_rows):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {(out / SPOOL_NAME).is_file()}\n")
+        if fail(os.getpid()):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return read(self, t, a0, out_rows)
+    monkeypatch.setattr(dataio.PanelSpool, "read", logged_read)
+
+
 @pytest.mark.parametrize("stage", ["none", "calibrate", "simulate"])
 def test_pipeline_leaves_no_spool(tmp_path, fixtures_dir, monkeypatch,
                                   capsys, stage):
     # the spool sits in --out while the fit runs and is gone after the
-    # run, also after a fit that raises or a panel write that fails
+    # run, also after a fit that raises or a panel write that fails, and
+    # the measuring process is reaped
     monkeypatch.chdir(fixtures_dir)
-    out = tmp_path / "pipe"
+    out, log = tmp_path / "pipe", tmp_path / "reads"
     seen = []
     code = EXIT_OK
     if stage == "calibrate":
@@ -271,18 +295,28 @@ def test_pipeline_leaves_no_spool(tmp_path, fixtures_dir, monkeypatch,
         monkeypatch.setattr(calibrate, "_search_tau", failing_search)
         code = EXIT_DATA
     elif stage == "simulate":
-        def failing_read(self, t, a0, out_rows):
-            seen.append((out / SPOOL_NAME).is_file())
-            raise OSError(28, "No space left on device")
-        monkeypatch.setattr(dataio.PanelSpool, "read", failing_read)
+        # every spool read fails: the measuring process's first one,
+        # while the fit runs, and the panel writer's, after the fit. The
+        # panel write fails first in the pipeline's own order
+        _spool_reads(monkeypatch, out, log, lambda pid: True)
         code = EXIT_IO
+    parent = os.getpid()
     assert main(["pipeline", "--config", "pipeline_small.cfg",
                  "--out", str(out)]) == code
-    assert all(seen) and len(seen) == {"none": 0, "calibrate": 4,
-                                       "simulate": 1}[stage]
+    _assert_no_child()
     assert not (out / SPOOL_NAME).exists()
+    assert all(seen) and len(seen) == {"none": 0, "calibrate": 4,
+                                       "simulate": 0}[stage]
     err = capsys.readouterr().err
-    if stage != "none":
+    if stage == "simulate":
+        reads = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(pid == str(parent) for pid, _ in reads) == \
+            [False, True]
+        assert all(exists == "True" for _, exists in reads)
+        assert err == (f"pipeline aborted in stage 'simulate'\noutput "
+                       f"error: cannot write {out / 'panel_incomes.npy'}: "
+                       f"[Errno 5] {os.strerror(errno.EIO)}\n")
+    elif stage != "none":
         assert err.startswith(f"pipeline aborted in stage '{stage}'\n")
 
 
@@ -405,48 +439,114 @@ def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
 def test_pipeline_writer_thread_failure(tmp_path, fixtures_dir, monkeypatch,
                                         capsys, failure):
     # no space left while a writer thread writes its block, or a read
-    # error on the main thread when, after the panel write, the metrics
-    # stage reads the spool's first year for the definitions: the run
-    # ends in the output error, the spool is gone and so are the run's
-    # threads
+    # error in the measuring process, which reads each year of the spool
+    # as the fit spools it: the run ends in the output error, the spool is
+    # gone and so are the run's threads and its measuring process. The
+    # process's error is raised once the panel is written, in the
+    # metrics stage, and a process that has ended does not fail the fit's
+    # row hook
     monkeypatch.chdir(fixtures_dir)
-    out = tmp_path / "pipe"
+    out, log = tmp_path / "pipe", tmp_path / "reads"
     monkeypatch.setattr(dataio, "_PANEL_BLOCK_BYTES",
                         10 * 8 * _fixture_panel_years(fixtures_dir))
+    parent = os.getpid()
     if failure == "pwrite":
         on_main = _fail_panel_writes(monkeypatch, out)
         second = (f"output error: cannot write {out / 'panel_incomes.npy'}: "
                   "[Errno 28] ")
     else:
-        # the writer threads read the spool first, and only the main
-        # thread's read fails
-        read, on_main = dataio.PanelSpool.read, []
-
-        def failing_read(self, t, a0, out_rows):
-            on_main.append(threading.current_thread() is
-                           threading.main_thread())
-            if not on_main[-1]:
-                return read(self, t, a0, out_rows)
-            assert (out / "panel_meta.json").is_file()  # the panel is written
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
-        monkeypatch.setattr(dataio.PanelSpool, "read", failing_read)
+        _spool_reads(monkeypatch, out, log, lambda pid: pid != parent)
         second = f"output error: cannot write {out / SPOOL_NAME}: [Errno 5] "
     before = set(threading.enumerate())
     assert main(["pipeline", "--config", "pipeline_small.cfg", "--out",
                  str(out), "--threads", "2"]) == EXIT_IO
     assert set(threading.enumerate()) == before
+    _assert_no_child()
     if failure == "pwrite":
         assert len(on_main) >= 4 and not any(on_main)
         stage = "simulate"
     else:
-        # every main-thread read follows the writer threads' reads, and
-        # the first one fails
-        assert len(on_main) >= 2 and on_main.index(True) == len(on_main) - 1
+        # the panel writer's reads all pass and the panel is written; the
+        # measuring process's first read, while the spool exists, fails
+        reads = [line.split() for line in log.read_text().splitlines()]
+        assert [exists for pid, exists in reads if pid != str(parent)] == \
+            ["True"]
+        assert sum(pid == str(parent) for pid, _ in reads) >= 2
+        assert all((out / name).is_file() for name in (
+            "panel_years.npy", "panel_incomes.npy", "panel_meta.json"))
         stage = "metrics"
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"pipeline aborted in stage '{stage}'"
     assert err[1].startswith(second)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("failure", ["killed", "unpicklable"])
+def test_pipeline_measuring_process_failure(tmp_path, fixtures_dir,
+                                            monkeypatch, capsys, failure):
+    # the measuring process is killed after it has read three years, or it
+    # raises an error whose __init__ does not take its args, so that it
+    # cannot cross the pipe: the pipeline finishes the fit and the panel,
+    # then ends in a typed error of the metrics stage, with no traceback,
+    # no spool, no hang and no process left
+    monkeypatch.chdir(fixtures_dir)
+    out = tmp_path / "pipe"
+
+    def failing_push(spool, accs):
+        spool.read(2, 0, np.empty((1, spool.n_agents)))
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise PropagationOverflowError(7, 1960)
+    monkeypatch.setattr(cli, "_push_spooled", failing_push)
+    with _deadline(60):
+        code = main(["pipeline", "--config", "pipeline_small.cfg", "--out",
+                     str(out)])
+    assert code == EXIT_DATA
+    _assert_no_child()
+    assert not (out / SPOOL_NAME).exists()
+    assert (out / "panel_meta.json").is_file()
+    assert not (out / "summary.json").exists()
+    text = {"killed": "the measuring process ended without a result "
+                      f"(signal {int(signal.SIGKILL)})",
+            "unpicklable": str(PropagationOverflowError(7, 1960))}[failure]
+    assert capsys.readouterr().err == \
+        f"pipeline aborted in stage 'metrics'\nerror: {text}\n"
+
+
+def test_pipeline_forks_with_no_thread_running(tmp_path, fixtures_dir,
+                                               monkeypatch):
+    # the measuring process is forked once, from the main thread alone,
+    # before the initial population is drawn and the fit starts its helper
+    monkeypatch.chdir(fixtures_dir)
+    events, fork, draw = [], os.fork, cli.init_lognormal
+
+    def watched_fork():
+        events.append(("fork", threading.enumerate()))
+        return fork()
+
+    def watched_draw(*args, **kwargs):
+        events.append(("draw",))
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(os, "fork", watched_fork)
+    monkeypatch.setattr(cli, "init_lognormal", watched_draw)
+    assert main(["pipeline", "--config", "pipeline_small.cfg", "--out",
+                 str(tmp_path / "pipe"), "--threads", "3"]) == EXIT_OK
+    assert events == [("fork", [threading.main_thread()]), ("draw",)]
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "metrics",
@@ -549,24 +649,38 @@ def test_calibrate_peak_memory_does_not_grow_with_years(tmp_path, capsys):
     assert max(peaks.values()) <= (6 + 1 / 8 + 1 / 8) * 8 * n
 
 
-def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
-    # Peak, in float64 N-vectors, while the fit searches a year: the fit
-    # with its helper thread (6, see
+def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys,
+                                                       monkeypatch):
+    # Peak, in float64 N-vectors, of each of pipeline's two processes,
+    # each by its own tracemalloc peak (the measuring process inherits the
+    # tracing at the fork and writes its peak to a file).
+    # The pipeline holds the fit with its helper thread (6, see
     # test_fit_series_peak_memory_is_one_vector_above_serial), which
-    # frees the initial population in the first year. The fit holds no
-    # row of the definitions': the definitions are read before the fit,
-    # but an accumulator makes its int32 spell row and bool flag row at
-    # its first measured year. The fit's row hook is the spool alone:
-    # the definitions measure the panel after the fit and the panel
-    # write, from the row read from the spool (1) and their own rows
-    # (1/2 + 1/8 each, three definitions), about 4 + 1/8 at most (see
-    # test_metrics_peak_memory_does_not_grow_with_years). Only arrays of
-    # years, or of years squared (the count tables), grow with the
-    # years; the panel is spooled to disk. What is left under the bound
-    # is the prefetch draw's and the panel writer's block buffers and
-    # small objects, about 1/4 at 60 years.
+    # frees the initial population in the first year, and then the panel
+    # writer's block buffers. It holds no row of the definitions': the
+    # definitions are read before the fit and the fork, and an
+    # accumulator makes its rows at its first measured year, in the
+    # measuring process. What is left under its bound is the prefetch
+    # draw's and the panel writer's block buffers, the finished
+    # accumulators it takes back and small objects.
+    # The measuring process holds the row read from the spool (1) and, per
+    # definition, an int32 spell row and a bool flag row (1/2 + 1/8,
+    # three definitions), plus the first year's path pick (1 + 1/4):
+    # about 4 + 1/8, as in metrics (see
+    # test_metrics_peak_memory_does_not_grow_with_years). Its rows are
+    # dropped once the last year is pushed, so the reply it pickles holds
+    # the count tables, lines, Ginis and path incomes only.
+    # Only arrays of years, or of years squared (the count tables), grow
+    # with the years; the panel is spooled to disk.
     n = 200_000
-    peaks = {}
+    peaks, measured = {}, {}
+    push = cli._push_spooled
+
+    def traced_push(spool, accs):
+        push(spool, accs)
+        peak = tracemalloc.get_traced_memory()[1]
+        (tmp_path / f"measuring_{len(spool.years)}").write_text(f"{peak}")
+    monkeypatch.setattr(cli, "_push_spooled", traced_push)
     for n_years in (20, 60):
         cfg = _memory_run_inputs(tmp_path, n_years, n)
         tracemalloc.start()
@@ -576,8 +690,12 @@ def test_pipeline_peak_memory_does_not_grow_with_years(tmp_path, capsys):
             _, peaks[n_years] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert abs(peaks[60] - peaks[20]) <= 8 * n
+        measured[n_years] = int(
+            (tmp_path / f"measuring_{n_years + 1}").read_text())
+    for each in (peaks, measured):
+        assert abs(each[60] - each[20]) <= 8 * n
     assert max(peaks.values()) <= (6 + 1 / 2) * 8 * n
+    assert max(measured.values()) <= (4 + 1 / 4) * 8 * n + (1 << 19)
 
 
 @pytest.mark.parametrize("fmt, n, spans", [("npy", 200_000, (20, 60)),
@@ -704,6 +822,7 @@ def test_stale_report_that_cannot_be_removed_is_an_output_error(
     monkeypatch.setattr(Path, "unlink", refusing_unlink)
     assert run(["pipeline", "--config", "pipeline_small.cfg", "--n-agents",
                 "200", "--out", str(out)]) == EXIT_IO
+    _assert_no_child()
     err = capsys.readouterr().err.splitlines()
     assert err[-2:] == [
         "pipeline aborted in stage 'metrics'",
@@ -1443,6 +1562,7 @@ def test_report_that_cannot_be_written_exits_5(tmp_path, fixtures_dir,
     cfg = _two_definitions(tmp_path, fixtures_dir, command, None)
     assert main([command, "--config", str(cfg), "--out", str(out)]) \
         == EXIT_IO
+    _assert_no_child()
     err = capsys.readouterr().err
     if command == "pipeline":
         assert err.startswith("pipeline aborted in stage 'metrics'\n")
@@ -1528,8 +1648,8 @@ def test_unreadable_hcr_file_fails_only_its_definition(tmp_path,
 def test_pool_period_outside_every_definition_fails_before_the_fit(
         tmp_path, fixtures_dir, monkeypatch, capsys):
     # each definition's periods are checked as its HCR file is read, so
-    # a run whose periods fit no definition stops before the fit and
-    # writes nothing
+    # a run whose periods fit no definition stops before the fit, names
+    # the definitions stage and writes nothing
     monkeypatch.chdir(fixtures_dir)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(_pipeline_small_with_periods(fixtures_dir, "1900-1910"))
@@ -1541,8 +1661,8 @@ def test_pool_period_outside_every_definition_fails_before_the_fit(
     for name in ("base", "high", "mid"):
         assert (f"metrics[{name}] failed: period 1900..1910 outside "
                 "poverty panel years 1952..2006") in err
-    assert err.endswith("data error: all poverty-line definitions "
-                        "failed\n")
+    assert err.endswith("pipeline aborted in stage 'definitions'\n"
+                        "data error: all poverty-line definitions failed\n")
 
 
 def test_pool_period_outside_one_definition_fails_only_it(
