@@ -302,33 +302,63 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _command_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config of ``args.command``, with the inputs that command needs.
+
+    Every ConfigError a command raises is raised here or in
+    :func:`build_config`, before its first stage, so no config error
+    names a stage (see :class:`_StageLedger`).
+    """
+    cfg = build_config(args)
+    command = args.command
+    if command in ("metrics", "pipeline") and not cfg.hcr_files:
+        raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
+    if command == "simulate" and cfg.rates_csv is None:
+        raise ConfigError("simulate needs rates_csv")
+    if command != "metrics" and cfg.inequality_csv is None:
+        if cfg.init_s50 is None or cfg.start_year is None:
+            raise ConfigError(
+                "need inequality_csv, or init_s50 together with start_year")
+        if command != "simulate":
+            raise ConfigError("calibration needs inequality_csv")
+    return cfg
+
+
+class _StageLedger:
+    """The stage a command is in. :func:`main` makes one per call and
+    hands its :meth:`enter` to the command, which enters each of its
+    stages in turn once its config is checked; when the command fails,
+    ``main`` names the current stage in a line before the error line."""
+
+    current: str | None = None
+
+    def enter(self, name: str) -> None:
+        self.current = name
+
+
 # ---------------------------------------------------------------------------
 # shared stages
 
 def _initial_state(cfg: PipelineConfig
                    ) -> tuple[float, int, AnnualSeries | None]:
     """The bottom-half share and year of the initial population, plus the
-    fit targets.
+    fit targets (None without inequality_csv).
 
     The first inequality row seeds the lognormal start (one year before
-    the first target); the remaining rows are the fit targets.
+    the first target); the remaining rows are the fit targets. Without
+    inequality_csv, init_s50 and start_year are set (see
+    :func:`_command_config`).
     """
-    if cfg.inequality_csv is not None:
-        series = read_series(cfg.inequality_csv, value_col="s50")
-        if len(series) < 2:
-            raise DataError(
-                f"{cfg.inequality_csv}: need at least two rows "
-                "(initialization year plus one target year)"
-            )
-        start_year = series.first_year
-        init_s50 = float(series.values[0])
-        targets = AnnualSeries(series.years[1:], series.values[1:])
-    elif cfg.init_s50 is not None and cfg.start_year is not None:
-        init_s50, start_year, targets = cfg.init_s50, cfg.start_year, None
-    else:
-        raise ConfigError(
-            "need inequality_csv, or init_s50 together with start_year")
-    return init_s50, start_year, targets
+    if cfg.inequality_csv is None:
+        return cfg.init_s50, cfg.start_year, None
+    series = read_series(cfg.inequality_csv, value_col="s50")
+    if len(series) < 2:
+        raise DataError(
+            f"{cfg.inequality_csv}: need at least two rows "
+            "(initialization year plus one target year)"
+        )
+    return (float(series.values[0]), series.first_year,
+            AnnualSeries(series.years[1:], series.values[1:]))
 
 
 def _make_manifest(cfg: PipelineConfig, inputs) -> RunManifest:
@@ -351,14 +381,6 @@ def _flag_share_range(name: str, series: AnnualSeries) -> None:
     if odd:
         print(f"  note: {name} outside [0, 1] in years {odd} "
               "(negative incomes present)")
-
-
-def _calibration_inputs(cfg: PipelineConfig
-                        ) -> tuple[float, int, AnnualSeries]:
-    init_s50, start_year, targets = _initial_state(cfg)
-    if targets is None:
-        raise ConfigError("calibration needs inequality_csv")
-    return init_s50, start_year, targets
 
 
 def _run_calibration(cfg: PipelineConfig, manifest: RunManifest,
@@ -565,7 +587,7 @@ def _run_metrics(cfg: PipelineConfig, manifest: RunManifest,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_interpolate(args) -> int:
+def cmd_interpolate(args, _enter) -> int:
     series = read_series(args.input, year_col=args.year_col,
                          value_col=args.value_col)
     blocks = missing_year_blocks(series)
@@ -576,19 +598,18 @@ def cmd_interpolate(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = build_config(args)
+def cmd_calibrate(args, enter: Callable[[str], None]) -> int:
+    cfg = _command_config(args)
+    enter("calibrate")
     manifest = _make_manifest(cfg, [cfg.inequality_csv])
-    init_s50, start_year, targets = _calibration_inputs(cfg)
-    _run_calibration(cfg, manifest, init_s50, start_year, targets)
+    _run_calibration(cfg, manifest, *_initial_state(cfg))
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = build_config(args)
-    if cfg.rates_csv is None:
-        raise ConfigError("simulate needs rates_csv")
+def cmd_simulate(args, enter: Callable[[str], None]) -> int:
+    cfg = _command_config(args)
+    enter("simulate")
     rates = read_series(cfg.rates_csv)
     manifest = _make_manifest(cfg, [cfg.rates_csv, cfg.inequality_csv])
     _run_simulation(cfg, manifest, rates)
@@ -749,19 +770,20 @@ class _MeasuringProcess:
                 os.close(fd)
 
 
-def cmd_metrics(args) -> int:
-    cfg = build_config(args)
-    if not cfg.hcr_files:
-        raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
+def cmd_metrics(args, enter: Callable[[str], None]) -> int:
+    cfg = _command_config(args)
     # The panel's metadata and head are checked, then the definitions,
     # so a run with no usable definition stops before any panel work.
     # Then the stored panel is turned year-major into a spool in the
     # output directory, one block of agents at a time, and every check of
     # its files is made in that pass, before any report is written. The
     # spool is deleted however the block is left.
+    enter("metrics")
     stored = StoredPanel(cfg.panel_dir or cfg.out_dir)
     manifest = _make_manifest(cfg, cfg.hcr_files.values())
+    enter("definitions")
     accs, failed = _definitions(cfg, stored.years, stored.n_agents)
+    enter("metrics")
     with PanelSpool(cfg.out_dir, stored.years, stored.n_agents,
                     stored.seed) as spool:
         spool_panel(stored, spool)
@@ -771,7 +793,7 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args, enter: Callable[[str], None]) -> int:
     """Calibrate, spool the validation replay as the panel, write it and
     measure every definition on it.
 
@@ -782,37 +804,34 @@ def cmd_pipeline(args) -> int:
     while the fit goes on. The panel file is written from the spool, and
     the finished accumulators are taken back for the reports. No (years,
     agents) array is ever held. The spool is deleted, and the process
-    reaped, however the block is left. A PovdynError prints the stage it
-    ended: definitions, calibrate, simulate (the panel write) or metrics.
+    reaped, however the block is left. The stages it enters, which a
+    failure names (:class:`_StageLedger`), are calibrate (the inequality
+    read), definitions, calibrate (the fit), simulate (the panel write)
+    and metrics (the measuring process's result, the reports and the
+    manifest).
     """
-    cfg = build_config(args)
-    if not cfg.hcr_files:
-        raise ConfigError("no poverty-line definitions (hcr_<name> keys)")
-    inputs = [cfg.inequality_csv, *cfg.hcr_files.values()]
-    manifest = _make_manifest(cfg, inputs)
-    stage = "calibrate"
-    try:
-        init_s50, start_year, targets = _calibration_inputs(cfg)
-        n = cfg.model.n_agents
-        years = np.arange(start_year, targets.last_year + 1)
-        stage = "definitions"
-        accs, failed = _definitions(cfg, years, n)
-        stage = "calibrate"
-        with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool, \
-                _MeasuringProcess(spool, accs) as measuring:
-            result = _run_calibration(cfg, manifest, init_s50, start_year,
-                                      targets, sink=measuring)
-            stage = "simulate"
-            spool.fingerprint = panel_fingerprint(
-                start_year, result.tau_effective, cfg.model, cfg.seed)
-            write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
-                        threads=cfg.threads)
-            stage = "metrics"
-            accs = measuring.result()
-        _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
-    except PovdynError:
-        print(f"pipeline aborted in stage '{stage}'", file=sys.stderr)
-        raise
+    cfg = _command_config(args)
+    enter("calibrate")
+    manifest = _make_manifest(cfg, [cfg.inequality_csv,
+                                    *cfg.hcr_files.values()])
+    init_s50, start_year, targets = _initial_state(cfg)
+    n = cfg.model.n_agents
+    years = np.arange(start_year, targets.last_year + 1)
+    enter("definitions")
+    accs, failed = _definitions(cfg, years, n)
+    enter("calibrate")
+    with PanelSpool(cfg.out_dir, years, n, cfg.seed) as spool, \
+            _MeasuringProcess(spool, accs) as measuring:
+        result = _run_calibration(cfg, manifest, init_s50, start_year,
+                                  targets, sink=measuring)
+        enter("simulate")
+        spool.fingerprint = panel_fingerprint(
+            start_year, result.tau_effective, cfg.model, cfg.seed)
+        write_panel(spool, cfg.out_dir, fmt=cfg.panel_format,
+                    threads=cfg.threads)
+        enter("metrics")
+        accs = measuring.result()
+    _run_metrics(cfg, manifest, spool.fingerprint, accs, failed)
     write_manifest(manifest, cfg.out_dir / "manifest.json")
     print(f"pipeline complete -> {cfg.out_dir}")
     return EXIT_OK
@@ -861,23 +880,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    ledger = _StageLedger()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CalibrationDivergenceError as exc:
-        print(f"calibration divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (DataError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PovdynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return args.func(args, ledger.enter)
+    except (PovdynError, FileNotFoundError) as exc:
+        if ledger.current is not None:
+            print(f"{args.command} aborted in stage '{ledger.current}'",
+                  file=sys.stderr)
+        # the first kind that exc is picks its line and exit code
+        label, code = next((label, code) for kind, label, code in (
+            (ConfigError, "config error", EXIT_CONFIG),
+            (CalibrationDivergenceError, "calibration divergence",
+             EXIT_DIVERGENCE),
+            ((DataError, FileNotFoundError), "data error", EXIT_DATA),
+            (OutputError, "output error", EXIT_IO),
+            (PovdynError, "error", EXIT_DATA)) if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

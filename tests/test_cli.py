@@ -26,7 +26,8 @@ from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_IO,
                         build_config, build_parser, main)
 from povdyn.dataio import (SPOOL_NAME, RunManifest, read_manifest,
                            read_report_csv, read_series)
-from povdyn.errors import PropagationOverflowError
+from povdyn.errors import (CalibrationDivergenceError, DataError,
+                           OutputError, PropagationOverflowError)
 from povdyn.rgbm import ModelParams, init_lognormal
 
 
@@ -358,8 +359,10 @@ def test_simulate_leaves_no_spool(tmp_path, monkeypatch, capsys, stage):
     assert seen and all(seen)
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err
-    assert err.startswith({"none": "", "replay": "error: non-finite income",
-                           "write": "output error: "}[stage])
+    abort = "simulate aborted in stage 'simulate'\n"
+    assert err.startswith({"none": "",
+                           "replay": abort + "error: non-finite income",
+                           "write": abort + "output error: "}[stage])
 
 
 @pytest.mark.parametrize("size", ["two", "block - 1", "block + 1"])
@@ -431,7 +434,8 @@ def test_simulate_writer_thread_failure(tmp_path, monkeypatch, capsys):
     assert len(on_main) >= 4 and not any(on_main)
     assert not (out / SPOOL_NAME).exists()
     err = capsys.readouterr().err
-    assert err.startswith(f"output error: cannot write "
+    assert err.startswith(f"simulate aborted in stage 'simulate'\n"
+                          f"output error: cannot write "
                           f"{out / 'panel_incomes.npy'}: [Errno 28] ")
 
 
@@ -547,6 +551,137 @@ def test_pipeline_forks_with_no_thread_running(tmp_path, fixtures_dir,
                  str(tmp_path / "pipe"), "--threads", "3"]) == EXIT_OK
     assert events == [("fork", [threading.main_thread()]), ("draw",)]
     _assert_no_child()
+
+
+# (command, the cli function made to raise, the stage it is called in,
+# what it raises, exit code, label of the error line): every stage each
+# command enters, the manifest write in its last one, and every exit code
+# of a failed stage; metrics' first two stages fail on real inputs in the
+# test after. A definition that cannot be read fails on its own, so in
+# the definitions stage every definition fails
+_STAGE_FAILURES = [
+    ("calibrate", "fit_series", "calibrate",
+     CalibrationDivergenceError("injected"), EXIT_DIVERGENCE,
+     "calibration divergence"),
+    ("calibrate", "write_manifest", "calibrate", OutputError("injected"),
+     EXIT_IO, "output error"),
+    ("simulate", "replay", "simulate", PropagationOverflowError(7, 1952),
+     EXIT_DATA, "error"),
+    ("simulate", "write_manifest", "simulate", OutputError("injected"),
+     EXIT_IO, "output error"),
+    ("metrics", "spool_panel", "metrics", OutputError("injected"), EXIT_IO,
+     "output error"),
+    ("metrics", "write_manifest", "metrics", OutputError("injected"),
+     EXIT_IO, "output error"),
+    ("pipeline", "read_series", "calibrate", DataError("injected"),
+     EXIT_DATA, "data error"),
+    ("pipeline", "read_hcr_file", "definitions", DataError("injected"),
+     EXIT_DATA, "data error"),
+    ("pipeline", "fit_series", "calibrate",
+     CalibrationDivergenceError("injected"), EXIT_DIVERGENCE,
+     "calibration divergence"),
+    ("pipeline", "write_panel", "simulate", OutputError("injected"), EXIT_IO,
+     "output error"),
+    ("pipeline", "_run_metrics", "metrics", DataError("injected"), EXIT_DATA,
+     "data error"),
+    ("pipeline", "write_manifest", "metrics", OutputError("injected"),
+     EXIT_IO, "output error"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, function, stage, error, code, label", _STAGE_FAILURES,
+    ids=[f"{row[0]}-{row[1]}" for row in _STAGE_FAILURES])
+def test_stage_failure_is_named_once(tmp_path, fixtures_dir, monkeypatch,
+                                     capsys, command, function, stage, error,
+                                     code, label):
+    # a typed error raised in a stage prints the command's abort line
+    # once, naming that stage, then the error line, and exits with the
+    # error's code; no spool, thread or child process is left. The ids
+    # hold the command's name, which the one-CPU CI step selects
+    monkeypatch.chdir(fixtures_dir)
+    cfg = {"calibrate": "pipeline_small.cfg", "pipeline": "pipeline_small.cfg",
+           "metrics": "metrics_small.cfg"}.get(command)
+    if command == "simulate":
+        cfg = str(_simulate_config(tmp_path, [0.01] * 3, 50))
+
+    def failing(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, function, failing)
+    out = tmp_path / "out"
+    before = set(threading.enumerate())
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert set(threading.enumerate()) == before
+    _assert_no_child()
+    assert not (out / SPOOL_NAME).exists()
+    failed = ""
+    if function == "read_hcr_file":
+        failed = "".join(f"metrics[{name}] failed: {error}\n"
+                         for name in ("base", "high", "mid"))
+        error = "all poverty-line definitions failed"
+    assert capsys.readouterr().err == (
+        f"{failed}{command} aborted in stage '{stage}'\n{label}: {error}\n")
+
+
+@pytest.mark.parametrize("damage", ["panel", "definitions"])
+def test_metrics_on_unreadable_inputs_names_the_stage(tmp_path, fixtures_dir,
+                                                      capsys, damage):
+    # a panel whose metadata is not JSON fails the metrics stage before
+    # the definitions are read; a definition whose HCR file is missing
+    # fails the definitions stage, and it was the only one
+    panel = tmp_path / "panel"
+    shutil.copytree(fixtures_dir / "panel_small", panel)
+    hcr = fixtures_dir / "hcr_small.csv"
+    if damage == "panel":
+        (panel / "panel_meta.json").write_text("{")
+        with pytest.raises(DataError) as raised:
+            dataio.StoredPanel(panel)
+        expected = (f"metrics aborted in stage 'metrics'\n"
+                    f"data error: {raised.value}\n")
+    else:
+        hcr = tmp_path / "missing.csv"
+        with pytest.raises(DataError) as raised:
+            dataio.read_hcr_file(hcr)
+        expected = (f"metrics[small] failed: {raised.value}\n"
+                    "metrics aborted in stage 'definitions'\n"
+                    "data error: all poverty-line definitions failed\n")
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"panel_dir = {panel}\nhcr_small = {hcr}\n"
+                   "pool_periods = 2001-2007\n")
+    assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_DATA
+    assert capsys.readouterr().err == expected
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("simulate", "init_s50 = 0.3\nstart_year = 1950",
+     "simulate needs rates_csv"),
+    # checked before the missing rates file would be read
+    ("simulate", "rates_csv = {d}/missing.csv\ninit_s50 = 0.3",
+     "need inequality_csv, or init_s50 together with start_year"),
+    ("metrics", "panel_dir = {d}/missing",
+     "no poverty-line definitions (hcr_<name> keys)"),
+    ("pipeline", "inequality_csv = {d}/missing.csv",
+     "no poverty-line definitions (hcr_<name> keys)"),
+    ("pipeline", "hcr_a = {d}/missing.csv",
+     "need inequality_csv, or init_s50 together with start_year"),
+], ids=["simulate-rates", "simulate-start", "metrics-definitions",
+        "pipeline-definitions", "pipeline-start"])
+def test_config_error_names_no_stage(tmp_path, capsys, command, lines,
+                                     message):
+    # a command's config errors are raised before its first stage: exit
+    # 2 and the one config error line, with no abort line, before any
+    # input is read or any file written (calibrate's is in the typed
+    # error table below)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(lines.format(d=tmp_path) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == \
+        EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "metrics",
@@ -1008,8 +1143,9 @@ def test_overflow_is_a_typed_error_without_a_warning(tmp_path, fixtures_dir,
                     "--threads", threads, "--out", str(tmp_path / "o")])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith({"simulate": "error: non-finite income",
-                           "calibrate": "error: year 1952: no rate"}[command])
+    assert err.startswith(f"{command} aborted in stage '{command}'\n" + {
+        "simulate": "error: non-finite income",
+        "calibrate": "error: year 1952: no rate"}[command])
 
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
@@ -1078,7 +1214,9 @@ def test_simulate_on_gappy_rates_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == \
         EXIT_DATA
-    assert capsys.readouterr().err == "data error: rate series has gaps\n"
+    assert capsys.readouterr().err == (
+        "simulate aborted in stage 'simulate'\n"
+        "data error: rate series has gaps\n")
     assert not (out / SPOOL_NAME).exists()
 
 
@@ -1203,7 +1341,8 @@ def test_metrics_checks_the_csv_panel_labels(tmp_path, fixtures_dir, capsys,
     assert run(["metrics", "--config", str(cfg), "--out",
                 str(tmp_path / "run")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {panel / 'panel.csv'}:{line}: ")
+    assert err.startswith(f"metrics aborted in stage 'metrics'\n"
+                          f"data error: {panel / 'panel.csv'}:{line}: ")
     assert "Traceback" not in err
 
 
@@ -1220,7 +1359,8 @@ def test_csv_panel_field_over_the_csv_limit_is_a_data_error(
                 str(_metrics_config(tmp_path, panel, fixtures_dir)),
                 "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: cannot read panel under {panel}: "
+    assert err.startswith(f"metrics aborted in stage 'metrics'\n"
+                          f"data error: cannot read panel under {panel}: "
                           "field larger than field limit")
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
@@ -1329,8 +1469,8 @@ def _edit_meta(d: Path, fixtures: Path, **changes) -> Path:
     return d
 
 
-# (command, config lines, panel maker, first stderr line): {d} is the
-# test's directory, {panel} the panel directory the maker returns
+# (command, config lines, panel maker, error line): {d} is the test's
+# directory, {panel} the panel directory the maker returns
 _TYPED_ERRORS = {
     "malformed period": (
         "pipeline", "pool_periods = 1962:1971", None,
@@ -1372,7 +1512,9 @@ _TYPED_ERRORS = {
 def test_typed_error_exit_code_and_first_line(tmp_path, fixtures_dir,
                                               capsys, case):
     # a bad config or input that no other test feeds through main: its
-    # typed error, exit code and message, and no traceback
+    # typed error, exit code and message, and no traceback; a data error
+    # comes after the abort line of the command's first stage, which has
+    # the command's name, and a config error names no stage
     command, text, make_panel, first = _TYPED_ERRORS[case]
     (tmp_path / "s50.csv").write_text("year,s50\n1950,0.3\n")
     (tmp_path / "s50_big.csv").write_text(
@@ -1391,8 +1533,10 @@ def test_typed_error_exit_code_and_first_line(tmp_path, fixtures_dir,
     out = tmp_path / "o"
     code = run([command, "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == (EXIT_CONFIG if first.startswith("config") else EXIT_DATA)
-    assert err.splitlines()[0] == first.format(d=tmp_path, panel=panel)
+    config = first.startswith("config")
+    assert code == (EXIT_CONFIG if config else EXIT_DATA)
+    abort = [] if config else [f"{command} aborted in stage '{command}'"]
+    assert err.splitlines() == [*abort, first.format(d=tmp_path, panel=panel)]
     assert "Traceback" not in err and not out.exists()
 
 
@@ -1408,9 +1552,10 @@ def test_short_spool_read_is_an_output_error(tmp_path, monkeypatch, capsys):
     assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == \
         EXIT_IO
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == (
+    assert err.splitlines() == [
+        "simulate aborted in stage 'simulate'",
         f"output error: cannot write {out / 'panel_incomes.npy'}: "
-        f"{out / SPOOL_NAME}: year 1950 is cut short")
+        f"{out / SPOOL_NAME}: year 1950 is cut short"]
     assert "Traceback" not in err
     assert not (out / SPOOL_NAME).exists()
 
@@ -1439,9 +1584,10 @@ def test_metrics_spool_write_failure_is_an_output_error(tmp_path,
     assert run(["metrics", "--config", str(cfg), "--out", str(out)]) == \
         EXIT_IO
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == (
+    assert err.splitlines() == [
+        "metrics aborted in stage 'metrics'",
         f"output error: cannot write {out / SPOOL_NAME}: [Errno "
-        f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
 
@@ -1472,8 +1618,9 @@ def test_non_finite_stored_income_names_the_agent_and_year(
                 str(_metrics_config(tmp_path, panel, fixtures_dir)),
                 "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == (
-        f"data error: {path}: non-finite income inf of agent 3 in year 2002")
+    assert err.splitlines() == [
+        "metrics aborted in stage 'metrics'",
+        f"data error: {path}: non-finite income inf of agent 3 in year 2002"]
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
 
@@ -1596,9 +1743,10 @@ def test_report_cut_short_leaves_the_earlier_file_whole(tmp_path,
     capsys.readouterr()
     assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == \
         EXIT_IO
-    assert capsys.readouterr().err.splitlines()[0] == (
+    assert capsys.readouterr().err.splitlines() == [
+        "metrics aborted in stage 'metrics'",
         f"output error: cannot write {out / 'pooled_other.csv'}: [Errno "
-        f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        f"{errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
     assert (out / "pooled_other.csv").read_bytes() == first
     assert sorted(os.listdir(out)) == names  # no temporary file, no spool
 

@@ -23,8 +23,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from povdyn.calibrate import CalibrationConfig, effective_tau
-from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, PipelineConfig,
-                        build_config, build_parser, main)
+from povdyn.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK,
+                        PipelineConfig, build_config, build_parser, main)
 from povdyn.dataio import (canonical_json, read_hcr_file, read_series,
                            write_panel)
 from povdyn.errors import ConfigError, DataError, PovdynError
@@ -37,6 +37,10 @@ from povdyn.series import AnnualSeries, interpolate_missing
 
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+# the first stderr line of a calibrate run that fails once its config is
+# checked: a data error or divergence (exit 3 or 4), and only then
+_ABORTED = "calibrate aborted in stage 'calibrate'"
 
 # keys whose value names a file or directory; the other known keys are
 # numbers or words
@@ -205,6 +209,8 @@ def test_calibrate_cli_returns_documented_exit_codes(data, lines, n_agents,
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), (code, message)
     assert (code == EXIT_CONFIG) == message.startswith("config error:"), \
         message
+    assert (code in (EXIT_DATA, EXIT_DIVERGENCE)) == (
+        message.split("\n", 1)[0] == _ABORTED), message
     assert (code == EXIT_OK) == (message == ""), message
 
 
@@ -254,6 +260,8 @@ def test_calibration_keys_fit_or_fail_typed(tau_min, tau_max, tolerance,
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA), (code, message)
         assert (code == EXIT_CONFIG) == message.startswith("config error:"), \
             message
+        assert (code in (EXIT_DATA, EXIT_DIVERGENCE)) == (
+            message.split("\n", 1)[0] == _ABORTED), message
         assert (code == EXIT_OK) == (message == ""), message
         # an undefined share never escapes the search
         assert "is not positive" not in message, message

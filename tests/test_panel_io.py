@@ -260,7 +260,8 @@ def test_damaged_panel_files_fail_metrics_before_any_report(n_agents, n_years,
             code = main(["metrics", "--config", str(tmp / "cfg.txt"),
                          "--out", str(out)])
         assert code == EXIT_DATA
-        assert err.getvalue().startswith("data error: ")
+        assert err.getvalue().startswith(
+            "metrics aborted in stage 'metrics'\ndata error: ")
         assert "Traceback" not in err.getvalue()
         assert not out.exists() or list(out.iterdir()) == []
 
